@@ -10,8 +10,7 @@ spectrogram  compute and store a spectrogram matrix
 
 Exit codes: 0 success, 1 runtime failure (unreadable or invalid input data),
 2 argument error (bad flags, insufficient replications, missing table
-coverage). ``--threads`` and the ``GREENWOOD_THREADS`` variable are accepted
-as scheduling hints; results never depend on them.
+coverage).
 """
 
 from __future__ import annotations
@@ -19,12 +18,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .critical import QuantileTable, TableCoverageError, TableRequest, build_quantile_table
+from .critical import (
+    QuantileTable,
+    TableCoverageError,
+    TableRequest,
+    build_quantile_table,
+    write_json,
+)
 from .distributions import DistributionSpec, spec_from
 from .power import PowerStudyConfig, export_curve, run_power_study
 from .rng import RngStream
@@ -39,15 +44,7 @@ from .signal import (
     spectrogram,
     spectrogram_null_params,
 )
-from .testing import (
-    GAUSSIAN_NULL,
-    GPD_BOUNDARY,
-    MG_KINDS,
-    BASELINE_KINDS,
-    STUDENT_T_BOUNDARY,
-    TestSpec,
-    run_test,
-)
+from .testing import BASELINE_KINDS, MG_KINDS, TestSpec, null_for, run_test
 
 __all__ = ["main"]
 
@@ -140,59 +137,33 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool = False) -
     parser.add_argument("--delta", type=float, default=1.0, help="gpd scale")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker hint; accepted for compatibility, never changes results",
-    )
-
-
-def _thread_hint(args) -> int | None:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get("GREENWOOD_THREADS")
-        if raw is None:
-            return None
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _UsageError(f"GREENWOOD_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise _UsageError("thread count must be at least 1")
-    return value
-
-
 def _load_table(path) -> QuantileTable:
     try:
         return QuantileTable.load(path)
-    except FileNotFoundError:
-        raise
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ValueError(f"cannot parse quantile table {path}: {exc}")
 
 
-def _null_for_kind(kind: str, args) -> DistributionSpec | None:
-    if kind in ("mg1", "mg2"):
-        return GAUSSIAN_NULL
-    if kind == "mg3_gpd":
-        return GPD_BOUNDARY
-    if kind == "mg4_student_t":
-        return STUDENT_T_BOUNDARY
-    if kind == "mg_two_sided":
-        return _spec_from_args(args)
-    return None
+def _test_spec(args) -> TestSpec:
+    """The ``--kind`` test at level ``--c`` with its ``--table`` and null.
+
+    The null is the kind's fixed one, or the ``--family`` spec for a kind
+    without one; the baselines record none.
+    """
+    table = _load_table(args.table) if args.table else None
+    if args.kind in MG_KINDS and table is None:
+        raise _UsageError(f"--table is required for kind {args.kind}")
+    null = None
+    if args.kind in MG_KINDS:
+        null = null_for(args.kind) or _spec_from_args(args)
+    return TestSpec(kind=args.kind, c=args.c, table=table, null_spec=null)
 
 
 def _write_or_print(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_json(out, doc)
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +171,6 @@ def _write_or_print(doc: dict, out: str | None) -> None:
 
 
 def _cmd_quantiles(args) -> int:
-    _thread_hint(args)
     reps = 10000 if args.quick else args.reps
     if reps < 1000:
         raise _UsageError(f"--reps must be at least 1000 (got {reps})")
@@ -243,37 +213,22 @@ def _cmd_quantiles(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    _thread_hint(args)
-    table = _load_table(args.table) if args.table else None
-    if args.kind in MG_KINDS and table is None:
-        raise _UsageError(f"--table is required for kind {args.kind}")
+    spec = _test_spec(args)
     sample = np.loadtxt(args.input, dtype=np.float64, ndmin=1)
     if sample.ndim != 1:
         raise ValueError("sample file must contain a single column of numbers")
-    spec = TestSpec(
-        kind=args.kind,
-        c=args.c,
-        table=table,
-        null_spec=_null_for_kind(args.kind, args),
-    )
     outcome = run_test(spec, sample)
     _write_or_print(outcome.to_json_dict(), args.out)
     return 0
 
 
 def _cmd_power(args) -> int:
-    _thread_hint(args)
     reps = 500 if args.quick else args.reps
-    table = _load_table(args.table) if args.table else None
-    if args.kind in MG_KINDS and table is None:
-        raise _UsageError(f"--table is required for kind {args.kind}")
+    spec = _test_spec(args)
     grid = _parse_grid(args.grid)
     if not grid:
         raise _UsageError("parameter grid is empty")
     ns = _parse_int_list(args.n)
-    spec = TestSpec(
-        kind=args.kind, c=args.c, table=table, null_spec=_null_for_kind(args.kind, args)
-    )
     try:
         config = PowerStudyConfig(
             test=spec,
@@ -292,17 +247,10 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _thread_hint(args)
-    table = _load_table(args.table)
+    spec = _test_spec(args)
     sig = read_signal(args.input, args.sample_rate)
 
     if args.mode == "time":
-        spec = TestSpec(
-            kind=args.kind,
-            c=args.c,
-            table=table,
-            null_spec=_null_for_kind(args.kind, args),
-        )
         segments = segment_signal(sig, args.segment_length)
         report = batch_test(segments, spec, domain="time")
     else:
@@ -311,7 +259,7 @@ def _cmd_analyze(args) -> int:
         if args.window_length is None:
             raise _UsageError("time-frequency mode requires --window-length")
         has_tf_entries = any(
-            rec["params"].get("domain") == "spectrogram" for rec in table.records
+            rec["params"].get("domain") == "spectrogram" for rec in spec.table.records
         )
         if not has_tf_entries:
             raise _UsageError(
@@ -319,13 +267,10 @@ def _cmd_analyze(args) -> int:
                 "(build one with: greenwood quantiles --domain spectrogram ...); "
                 f"{args.table} holds raw-sample entries only"
             )
-        null = _null_for_kind(args.kind, args)
         extra = spectrogram_null_params(
-            null, args.window_length, args.beta, args.overlap, len(sig)
+            spec.null_spec, args.window_length, args.beta, args.overlap, len(sig)
         )
-        spec = TestSpec(
-            kind=args.kind, c=args.c, table=table, null_spec=null, extra_params=extra
-        )
+        spec = replace(spec, extra_params=extra)
         window = kaiser_window(args.window_length, args.beta)
         sp = spectrogram(sig, window, args.overlap)
         rows = frequency_rows(sp, args.f_min, args.f_max)
@@ -346,7 +291,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectrogram(args) -> int:
-    _thread_hint(args)
     sig = read_signal(args.input, args.sample_rate)
     window = kaiser_window(args.window_length, args.beta)
     sp = spectrogram(sig, window, args.overlap)
@@ -379,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantiles", help="build a Monte Carlo quantile table")
     _add_family_flags(p, required=True)
-    _add_common_flags(p)
     p.add_argument("--n", help="comma list of sample sizes (raw domain)")
     p.add_argument("--c", default="0.05", help="comma list of levels (default 0.05)")
     p.add_argument("--side", choices=("lower", "upper", "both"), default="both")
@@ -407,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="test one sample from a single-column CSV")
     _add_family_flags(p)
-    _add_common_flags(p)
     p.add_argument("--input", required=True, help="sample file (one number per line)")
     p.add_argument("--kind", required=True, choices=MG_KINDS + BASELINE_KINDS)
     p.add_argument("--table", help="quantile table JSON (required for mg kinds)")
@@ -417,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="rejection-rate study over a parameter grid")
     _add_family_flags(p)
-    _add_common_flags(p)
     p.add_argument("--kind", required=True, choices=MG_KINDS + BASELINE_KINDS)
     p.add_argument("--table", help="quantile table JSON (required for mg kinds)")
     p.add_argument(
@@ -437,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="screen a long signal for heavy tails")
     _add_family_flags(p)
-    _add_common_flags(p)
     p.add_argument("--input", required=True, help="signal file (binary or CSV)")
     p.add_argument("--mode", choices=("time", "tf"), default="time")
     p.add_argument("--kind", default="mg2", choices=MG_KINDS + BASELINE_KINDS)
@@ -456,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("spectrogram", help="compute and store a spectrogram matrix")
-    _add_common_flags(p)
     p.add_argument("--input", required=True, help="signal file (binary or CSV)")
     p.add_argument("--window-length", type=int, required=True)
     p.add_argument("--beta", type=float, default=5.0, help="Kaiser beta (default 5)")

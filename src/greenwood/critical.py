@@ -16,6 +16,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -31,9 +32,11 @@ __all__ = [
     "QuantileTable",
     "TableCoverageError",
     "TableRequest",
+    "atomic_open",
     "build_quantile_table",
     "empirical_quantile",
     "estimate_null_distribution",
+    "write_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -58,6 +61,37 @@ class TableCoverageError(KeyError):
 
     def __str__(self) -> str:  # KeyError quotes its payload; keep the message readable
         return self.args[0]
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temp file beside ``path`` that replaces ``path`` only on success.
+
+    On any exception the temp file is removed and an existing ``path`` is
+    left as it was. The new file gets the permissions a plain ``open`` would
+    give it (``0o666`` less the umask) rather than the owner-only ones the
+    temp file is created with.
+    """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` atomically as indented, key-sorted JSON plus a newline."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def empirical_quantile(values, p: float) -> float:
@@ -140,6 +174,12 @@ def _canon_value(value) -> str:
 def _entry_key(family: str, params: dict, n: int, c: float, side: str) -> tuple:
     canon_params = tuple(sorted((k, _canon_value(v)) for k, v in params.items()))
     return (family, canon_params, int(n), _canon_number(c), side)
+
+
+def _decode_param(value):
+    if value == "inf":
+        return math.inf
+    return value if isinstance(value, str) else float(value)
 
 
 def _encode_params(params: dict) -> dict:
@@ -233,43 +273,25 @@ class QuantileTable:
                 f"unsupported schema_version {doc['schema_version']!r}"
                 f" (expected {SCHEMA_VERSION})"
             )
-        records = []
-        for entry in doc.get("entries", []):
-            params = {}
-            for k, v in entry["params"].items():
-                if v == "inf":
-                    params[k] = math.inf
-                elif isinstance(v, str):
-                    params[k] = v
-                else:
-                    params[k] = float(v)
-            records.append(
+        try:
+            records = [
                 {
                     "family": entry["family"],
-                    "params": params,
+                    "params": {k: _decode_param(v) for k, v in entry["params"].items()},
                     "n": int(entry["n"]),
                     "c": float(entry["c"]),
                     "side": entry["side"],
                     "value": float(entry["value"]),
                 }
-            )
-        return cls(doc.get("metadata", {}), records)
+                for entry in doc.get("entries", [])
+            ]
+            return cls(doc.get("metadata", {}), records)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed table document: {exc!r}") from None
 
     def save(self, path) -> None:
-        """Write the table as JSON, atomically (write temp file, then rename)."""
-        doc = self.to_json_dict()
-        path = os.fspath(path)
-        directory = os.path.dirname(path) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Write the table as JSON, atomically (see :func:`atomic_open`)."""
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "QuantileTable":
@@ -310,26 +332,36 @@ def build_quantile_table(
         values = estimate_null_distribution(
             spec, n, replications, rng.substream(g * GROUP_STRIDE)
         )
-        for r in members:
-            p = 1.0 - r.c if r.side == "upper" else r.c
-            records.append(
-                {
-                    "family": family_tag(spec),
-                    "params": params_dict(spec),
-                    "n": n,
-                    "c": r.c,
-                    "side": r.side,
-                    "value": empirical_quantile(values, p),
-                }
-            )
+        records += [quantile_record(r, params_dict(spec), values) for r in members]
+    return QuantileTable(table_metadata(replications, rng, created_at), records)
 
-    metadata = {
-        "M": replications,
+
+def quantile_record(request: TableRequest, params: dict, values) -> dict:
+    """The table entry answering ``request`` from simulated null ``values``.
+
+    ``params`` is the entry's key beyond the family; it is the null's own
+    parameters, or those widened with extra fields (the spectrogram geometry).
+    """
+    p = 1.0 - request.c if request.side == "upper" else request.c
+    return {
+        "family": family_tag(request.spec),
+        "params": params,
+        "n": request.n,
+        "c": request.c,
+        "side": request.side,
+        "value": empirical_quantile(values, p),
+    }
+
+
+def table_metadata(m: int, rng: RngStream, created_at: str | None, **extra) -> dict:
+    """Table provenance: ``m`` pooled values per entry, the stream, the estimator."""
+    return {
+        "M": m,
         "master_seed": rng.master_seed,
         "stream_id": rng.stream_id,
         "estimator": ESTIMATOR_ID,
         "created_at": created_at
         if created_at is not None
         else datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        **extra,
     }
-    return QuantileTable(metadata, records)

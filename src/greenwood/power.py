@@ -15,10 +15,9 @@ import csv
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
-from .critical import GROUP_STRIDE
+from .critical import GROUP_STRIDE, atomic_open, write_json
 from .distributions import (
     GPD,
     DistributionSpec,
@@ -30,14 +29,7 @@ from .distributions import (
     sample,
 )
 from .rng import RngStream
-from .testing import (
-    GAUSSIAN_NULL,
-    GPD_BOUNDARY,
-    STUDENT_T_BOUNDARY,
-    TestSpec,
-    run_test,
-    thresholds_for,
-)
+from .testing import TestSpec, null_for, run_test, thresholds_for
 
 __all__ = [
     "PowerCurve",
@@ -163,16 +155,6 @@ def run_power_study(config: PowerStudyConfig) -> PowerCurve:
     return PowerCurve(tuple(points), config.to_json_dict())
 
 
-_NULL_FOR_SIZE = {
-    "mg1": GAUSSIAN_NULL,
-    "mg2": GAUSSIAN_NULL,
-    "mg3_gpd": GPD_BOUNDARY,
-    "mg4_student_t": STUDENT_T_BOUNDARY,
-    "jarque_bera": GAUSSIAN_NULL,
-    "ks_normality": GAUSSIAN_NULL,
-}
-
-
 def size_check(test: TestSpec, n: int, replications: int, rng: RngStream) -> float:
     """Empirical rejection rate under the test's own null boundary.
 
@@ -181,10 +163,7 @@ def size_check(test: TestSpec, n: int, replications: int, rng: RngStream) -> flo
     """
     if replications < 100:
         raise ValueError("replications must be at least 100")
-    if test.kind == "mg_two_sided":
-        null = test.null_spec
-    else:
-        null = _NULL_FOR_SIZE[test.kind]
+    null = null_for(test.kind, test.null_spec)
     thresholds_for(test, n)
     rejected = 0
     for r in range(replications):
@@ -202,32 +181,14 @@ def export_curve(curve: PowerCurve, path) -> None:
     """
     path = os.fspath(path)
     family = curve.config["data_family"]
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for pt in curve.points:
-                writer.writerow(
-                    [family, repr(pt.param), pt.n, pt.replications, repr(pt.rejection_rate)]
-                )
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    sidecar = path + ".json"
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(curve.config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, sidecar)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for pt in curve.points:
+            writer.writerow(
+                [family, repr(pt.param), pt.n, pt.replications, repr(pt.rejection_rate)]
+            )
+    write_json(path + ".json", curve.config)
 
 
 def import_curve(path) -> PowerCurve:

@@ -21,14 +21,18 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
-from .critical import QuantileTable, empirical_quantile
-from .distributions import DistributionSpec, family_tag, params_dict, sample
+from .critical import (
+    QuantileTable,
+    TableRequest,
+    atomic_open,
+    quantile_record,
+    table_metadata,
+)
+from .distributions import DistributionSpec, params_dict, sample
 from .rng import RngStream
 from .statistic import modified_greenwood_batch
 from .testing import TestSpec, run_test
@@ -271,8 +275,11 @@ def build_spectrogram_quantile_table(
     the spectrogram geometry (see :func:`spectrogram_null_params`), and ``n``
     is the number of time frames each row contains.
     """
-    levels = list(levels)
-    if not levels:
+    if not (0 <= overlap < window_length):
+        raise ValueError("overlap must satisfy 0 <= overlap < window_length")
+    n_frames = (signal_length - window_length) // (window_length - overlap) + 1
+    requests = [TableRequest(base_spec, n_frames, c, side) for c, side in levels]
+    if not requests:
         raise ValueError("levels must be nonempty")
     values = estimate_spectrogram_null(
         base_spec,
@@ -286,36 +293,11 @@ def build_spectrogram_quantile_table(
         f_max,
         sample_rate,
     )
-    hop = window_length - overlap
-    n_frames = (signal_length - window_length) // hop + 1
     params = spectrogram_null_params(
         base_spec, window_length, beta, overlap, signal_length
     )
-    records = []
-    for c, side in levels:
-        if side not in ("lower", "upper"):
-            raise ValueError("side must be 'lower' or 'upper'")
-        p = 1.0 - c if side == "upper" else c
-        records.append(
-            {
-                "family": family_tag(base_spec),
-                "params": params,
-                "n": n_frames,
-                "c": float(c),
-                "side": side,
-                "value": empirical_quantile(values, p),
-            }
-        )
-    metadata = {
-        "M": int(values.size),
-        "master_seed": rng.master_seed,
-        "stream_id": rng.stream_id,
-        "estimator": "type7_linear",
-        "created_at": created_at
-        if created_at is not None
-        else datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "signals": signals,
-    }
+    records = [quantile_record(r, params, values) for r in requests]
+    metadata = table_metadata(int(values.size), rng, created_at, signals=signals)
     return QuantileTable(metadata, records)
 
 
@@ -325,20 +307,11 @@ def build_spectrogram_quantile_table(
 
 def write_signal(path, signal: Signal) -> None:
     """Write the raw binary format: magic, count, sample rate, little-endian f64."""
-    path = os.fspath(path)
     x = signal.samples
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<Qd", x.size, signal.sample_rate))
-            fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<Qd", x.size, signal.sample_rate))
+        fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
 
 
 def read_signal(path, sample_rate: float = 1.0) -> Signal:
@@ -351,10 +324,16 @@ def read_signal(path, sample_rate: float = 1.0) -> Signal:
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC))
         if head == _MAGIC:
-            count, rate = struct.unpack("<Qd", fh.read(16))
+            header = fh.read(16)
+            if len(header) != 16:
+                raise ValueError("signal file truncated inside its header")
+            count, rate = struct.unpack("<Qd", header)
+            available = (os.fstat(fh.fileno()).st_size - fh.tell()) // 8
+            if count > available:
+                raise ValueError(
+                    f"signal file truncated: {available} of {count} samples"
+                )
             data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-            if data.size != count:
-                raise ValueError(f"signal file truncated: {data.size} of {count} samples")
             return Signal(data.astype(np.float64), rate)
     values = np.loadtxt(path, dtype=np.float64, ndmin=1)
     if values.ndim != 1:

@@ -23,7 +23,6 @@ fixed internal seed and cached per ``(kind, n, c, M)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from scipy import special
 from .critical import QuantileTable
 from .distributions import GPD, DistributionSpec, Gaussian, StudentT
 from .rng import RngStream
-from .statistic import StatisticValue, modified_greenwood
+from .statistic import modified_greenwood
 
 __all__ = [
     "GAUSSIAN_NULL",
@@ -49,6 +48,7 @@ __all__ = [
     "mg_infinite_variance_test_gpd",
     "mg_infinite_variance_test_t",
     "mg_two_sided_test",
+    "null_for",
     "run_test",
     "thresholds_for",
 ]
@@ -60,8 +60,21 @@ STUDENT_T_BOUNDARY = StudentT(2)  # last integer nu with infinite variance
 MG_KINDS = ("mg1", "mg2", "mg3_gpd", "mg4_student_t", "mg_two_sided")
 BASELINE_KINDS = ("jarque_bera", "ks_normality")
 
+# kind -> (null it is calibrated under, tail that rejects); mg_two_sided takes
+# its null from the caller and rejects in both tails at c/2 each
+_KINDS = {
+    "mg1": (GAUSSIAN_NULL, "lower"),
+    "mg2": (GAUSSIAN_NULL, "upper"),
+    "mg3_gpd": (GPD_BOUNDARY, "lower"),
+    "mg4_student_t": (STUDENT_T_BOUNDARY, "lower"),
+    "mg_two_sided": (None, "both"),
+    "jarque_bera": (GAUSSIAN_NULL, "upper"),
+    "ks_normality": (GAUSSIAN_NULL, "upper"),
+}
+
 _BASELINE_SEED = 271828182845
 _BASELINE_CHUNK = 4096
+_BASELINE_REPLICATIONS = 100000
 _baseline_cache: dict[tuple, float] = {}
 
 
@@ -108,27 +121,14 @@ class TestSpec:
     extra_params: dict | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in MG_KINDS + BASELINE_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown test kind {self.kind!r}")
         if not (0.0 < self.c < 0.5):
             raise ValueError("c must lie in (0, 0.5)")
         if self.kind in MG_KINDS and self.table is None:
             raise ValueError(f"kind {self.kind!r} requires a quantile table")
-        if self.kind == "mg_two_sided" and self.null_spec is None:
-            raise ValueError("mg_two_sided requires a null spec")
-
-
-def _lookup(
-    table: QuantileTable,
-    spec: DistributionSpec,
-    n: int,
-    c: float,
-    side: str,
-    extra_params: dict | None,
-) -> float:
-    if table is None:
-        raise ValueError("this test requires a quantile table")
-    return table.value_for(spec, n, c, side, extra_params)
+        if null_for(self.kind, self.null_spec) is None:
+            raise ValueError(f"{self.kind} requires a null spec")
 
 
 def mg_gaussianity_test(
@@ -145,11 +145,8 @@ def mg_gaussianity_test(
     """
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
-    stat = modified_greenwood(sample)
-    q = _lookup(table, GAUSSIAN_NULL, stat.n, c, side, extra_params)
-    if side == "upper":
-        return TestOutcome("mg2", stat.n, c, stat.s_n, (q,), stat.s_n >= q)
-    return TestOutcome("mg1", stat.n, c, stat.s_n, (q,), stat.s_n <= q)
+    kind = "mg2" if side == "upper" else "mg1"
+    return _decide(kind, sample, c, table, None, extra_params)
 
 
 def mg_infinite_variance_test_gpd(
@@ -163,12 +160,7 @@ def mg_infinite_variance_test_gpd(
     Requires nonnegative observations; rejecting (small ``S_n``) is evidence
     of finite variance.
     """
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim == 1 and (x < 0.0).any():
-        raise ValueError("gpd-family test requires nonnegative observations")
-    stat = modified_greenwood(x)
-    q = _lookup(table, GPD_BOUNDARY, stat.n, c, "lower", extra_params)
-    return TestOutcome("mg3_gpd", stat.n, c, stat.s_n, (q,), stat.s_n <= q)
+    return _decide("mg3_gpd", sample, c, table, None, extra_params)
 
 
 def mg_infinite_variance_test_t(
@@ -178,9 +170,7 @@ def mg_infinite_variance_test_t(
     extra_params: dict | None = None,
 ) -> TestOutcome:
     """Test H0: infinite variance within the Student t family (boundary nu = 2)."""
-    stat = modified_greenwood(sample)
-    q = _lookup(table, STUDENT_T_BOUNDARY, stat.n, c, "lower", extra_params)
-    return TestOutcome("mg4_student_t", stat.n, c, stat.s_n, (q,), stat.s_n <= q)
+    return _decide("mg4_student_t", sample, c, table, None, extra_params)
 
 
 def mg_two_sided_test(
@@ -191,11 +181,7 @@ def mg_two_sided_test(
     extra_params: dict | None = None,
 ) -> TestOutcome:
     """Two-sided test against an arbitrary null, level split evenly per tail."""
-    stat = modified_greenwood(sample)
-    lo = _lookup(table, null_spec, stat.n, c / 2.0, "lower", extra_params)
-    hi = _lookup(table, null_spec, stat.n, c / 2.0, "upper", extra_params)
-    reject = stat.s_n <= lo or stat.s_n >= hi
-    return TestOutcome("mg_two_sided", stat.n, c, stat.s_n, (lo, hi), reject)
+    return _decide("mg_two_sided", sample, c, table, null_spec, extra_params)
 
 
 # --------------------------------------------------------------------------
@@ -227,6 +213,9 @@ def _ks_values(x: np.ndarray) -> np.ndarray:
     return np.maximum(d_plus, d_minus)
 
 
+_BASELINE_VALUES = {"jarque_bera": _jb_values, "ks_normality": _ks_values}
+
+
 def ks_distance(probs) -> float:
     """Sup distance between an empirical CDF and the CDF that produced ``probs``.
 
@@ -251,7 +240,7 @@ def _baseline_threshold(kind: str, n: int, c: float, replications: int) -> float
     cached = _baseline_cache.get(key)
     if cached is not None:
         return cached
-    values_fn = _jb_values if kind == "jarque_bera" else _ks_values
+    values_fn = _BASELINE_VALUES[kind]
     kind_code = BASELINE_KINDS.index(kind)
     stream = RngStream(_BASELINE_SEED, (kind_code << 56) | (n << 16))
     out = np.empty(replications, dtype=np.float64)
@@ -283,64 +272,93 @@ def _baseline_sample(sample) -> np.ndarray:
 
 def jarque_bera_test(sample, c: float = 0.05, replications: int = 100000) -> TestOutcome:
     """Moment-based normality test, Monte Carlo critical value, rejects upward."""
-    x = _baseline_sample(sample)
-    stat = float(_jb_values(x[None, :])[0])
-    thr = _baseline_threshold("jarque_bera", x.size, c, replications)
-    return TestOutcome("jarque_bera", x.size, c, stat, (thr,), stat >= thr)
+    return _decide("jarque_bera", sample, c, replications=replications)
 
 
 def ks_normality_test(sample, c: float = 0.05, replications: int = 100000) -> TestOutcome:
     """Kolmogorov-Smirnov distance to the moment-fitted normal, rejects upward."""
-    x = _baseline_sample(sample)
-    stat = float(_ks_values(x[None, :])[0])
-    thr = _baseline_threshold("ks_normality", x.size, c, replications)
-    return TestOutcome("ks_normality", x.size, c, stat, (thr,), stat >= thr)
+    return _decide("ks_normality", sample, c, replications=replications)
 
 
 # --------------------------------------------------------------------------
 # dispatch
 
 
+def null_for(kind: str, null_spec: DistributionSpec | None = None) -> DistributionSpec | None:
+    """The null ``kind`` is calibrated under: its fixed one, else ``null_spec``.
+
+    Only ``mg_two_sided`` has no fixed null; for it the result is
+    ``null_spec``, which may be None.
+    """
+    null = _KINDS[kind][0]
+    return null_spec if null is None else null
+
+
+def _statistic(kind: str, sample) -> tuple:
+    """``(value, n)`` of the statistic ``kind`` decides on."""
+    if kind in BASELINE_KINDS:
+        x = _baseline_sample(sample)
+        return float(_BASELINE_VALUES[kind](x[None, :])[0]), x.size
+    if kind == "mg3_gpd":
+        sample = np.asarray(sample, dtype=np.float64)
+        if sample.ndim == 1 and (sample < 0.0).any():
+            raise ValueError("gpd-family test requires nonnegative observations")
+    stat = modified_greenwood(sample)
+    return stat.s_n, stat.n
+
+
+def _thresholds(
+    kind: str,
+    n: int,
+    c: float,
+    table: QuantileTable | None,
+    null_spec: DistributionSpec | None,
+    extra_params: dict | None,
+    replications: int = _BASELINE_REPLICATIONS,
+) -> tuple:
+    """Thresholds of ``kind`` at size ``n``: simulated (baselines) or from ``table``."""
+    if kind in BASELINE_KINDS:
+        return (_baseline_threshold(kind, n, c, replications),)
+    if table is None:
+        raise ValueError("this test requires a quantile table")
+    null, side = null_for(kind, null_spec), _KINDS[kind][1]
+    if side == "both":
+        return (
+            table.value_for(null, n, c / 2.0, "lower", extra_params),
+            table.value_for(null, n, c / 2.0, "upper", extra_params),
+        )
+    return (table.value_for(null, n, c, side, extra_params),)
+
+
+def _decide(
+    kind: str,
+    sample,
+    c: float,
+    table: QuantileTable | None = None,
+    null_spec: DistributionSpec | None = None,
+    extra_params: dict | None = None,
+    replications: int = _BASELINE_REPLICATIONS,
+) -> TestOutcome:
+    """Compute the statistic, read its thresholds, and compare (ties reject)."""
+    s, n = _statistic(kind, sample)
+    t = _thresholds(kind, n, c, table, null_spec, extra_params, replications)
+    side = _KINDS[kind][1]
+    if side == "upper":
+        reject = s >= t[0]
+    elif side == "lower":
+        reject = s <= t[0]
+    else:
+        reject = s <= t[0] or s >= t[1]
+    return TestOutcome(kind, n, c, s, t, reject)
+
+
 def thresholds_for(spec: TestSpec, n: int) -> tuple:
     """Thresholds ``spec`` would use at sample size ``n`` (coverage check)."""
-    if spec.kind == "mg1":
-        return (_lookup(spec.table, GAUSSIAN_NULL, n, spec.c, "lower", spec.extra_params),)
-    if spec.kind == "mg2":
-        return (_lookup(spec.table, GAUSSIAN_NULL, n, spec.c, "upper", spec.extra_params),)
-    if spec.kind == "mg3_gpd":
-        return (_lookup(spec.table, GPD_BOUNDARY, n, spec.c, "lower", spec.extra_params),)
-    if spec.kind == "mg4_student_t":
-        return (
-            _lookup(spec.table, STUDENT_T_BOUNDARY, n, spec.c, "lower", spec.extra_params),
-        )
-    if spec.kind == "mg_two_sided":
-        return (
-            _lookup(spec.table, spec.null_spec, n, spec.c / 2.0, "lower", spec.extra_params),
-            _lookup(spec.table, spec.null_spec, n, spec.c / 2.0, "upper", spec.extra_params),
-        )
-    if spec.kind == "jarque_bera":
-        return (_baseline_threshold("jarque_bera", n, spec.c, 100000),)
-    if spec.kind == "ks_normality":
-        return (_baseline_threshold("ks_normality", n, spec.c, 100000),)
-    raise ValueError(f"unknown test kind {spec.kind!r}")
+    return _thresholds(spec.kind, n, spec.c, spec.table, spec.null_spec, spec.extra_params)
 
 
 def run_test(spec: TestSpec, sample) -> TestOutcome:
     """Run the test described by ``spec`` on one sample."""
-    if spec.kind == "mg1":
-        return mg_gaussianity_test(sample, spec.c, spec.table, "lower", spec.extra_params)
-    if spec.kind == "mg2":
-        return mg_gaussianity_test(sample, spec.c, spec.table, "upper", spec.extra_params)
-    if spec.kind == "mg3_gpd":
-        return mg_infinite_variance_test_gpd(sample, spec.c, spec.table, spec.extra_params)
-    if spec.kind == "mg4_student_t":
-        return mg_infinite_variance_test_t(sample, spec.c, spec.table, spec.extra_params)
-    if spec.kind == "mg_two_sided":
-        return mg_two_sided_test(
-            sample, spec.null_spec, spec.c, spec.table, spec.extra_params
-        )
-    if spec.kind == "jarque_bera":
-        return jarque_bera_test(sample, spec.c)
-    if spec.kind == "ks_normality":
-        return ks_normality_test(sample, spec.c)
-    raise ValueError(f"unknown test kind {spec.kind!r}")
+    return _decide(
+        spec.kind, sample, spec.c, spec.table, spec.null_spec, spec.extra_params
+    )

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 import subprocess
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 
 from greenwood.cli import main
 from greenwood.critical import QuantileTable, TableRequest, build_quantile_table
-from greenwood.distributions import Gaussian
+from greenwood.distributions import Gaussian, Stable, family_tag, params_dict, spec_from
+from greenwood.power import import_curve, size_check
 from greenwood.rng import RngStream
 from greenwood.signal import Signal, read_signal, write_signal
+from greenwood.testing import BASELINE_KINDS, MG_KINDS, TestSpec, null_for
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +133,33 @@ class TestTestCommand:
         assert rc == 2
         assert "no table entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"schema_version": 1, "entries": [1]},
+            {
+                "schema_version": 1,
+                "entries": [
+                    {
+                        "family": "gaussian", "params": [], "n": 50, "c": 0.05,
+                        "side": "upper", "value": 0.1,
+                    }
+                ],
+            },
+        ],
+    )
+    def test_malformed_table_json(self, workdir, tmp_path, capsys, doc):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        rc = main(
+            [
+                "test", "--kind", "mg2", "--table", str(path),
+                "--input", str(workdir / "heavy.csv"),
+            ]
+        )
+        assert rc == 1
+        assert "cannot parse quantile table" in capsys.readouterr().err
+
     def test_unreadable_input(self, workdir, capsys):
         rc = main(
             [
@@ -181,6 +211,45 @@ class TestPowerCommand:
         )
         assert rc == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+    # column of the power grid that holds each family's null parameter
+    GRID_PARAM = {"gaussian": "sigma2", "stable": "alpha", "student_t": "nu", "gpd": "gamma"}
+
+    @pytest.mark.parametrize("kind", MG_KINDS + BASELINE_KINDS)
+    def test_size_check_draws_from_the_recorded_null(self, kind, tmp_path):
+        two_sided_null = Stable(1.5, 1.0)
+        null = null_for(kind, two_sided_null)
+        table = None
+        args = ["--kind", kind, "--family", "stable", "--alpha", "1.5"]
+        if kind in MG_KINDS:
+            requests = [
+                TableRequest(null, 10, c, side)
+                for c in (0.05, 0.025)
+                for side in ("lower", "upper")
+            ]
+            table = build_quantile_table(requests, 1000, RngStream(70))
+            table.save(tmp_path / "t.json")
+            args += ["--table", str(tmp_path / "t.json")]
+        family = family_tag(null)
+        out = tmp_path / "curve.csv"
+        rc = main(
+            [
+                "power", *args, "--data-family", family,
+                "--grid", repr(params_dict(null)[self.GRID_PARAM[family]]),
+                "--n", "10", "--reps", "200", "--seed", "71", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        recorded = json.loads((tmp_path / "curve.csv.json").read_text())["null"]
+        if kind in BASELINE_KINDS:
+            assert recorded is None
+        else:
+            assert spec_from(recorded["family"], recorded["params"]) == null
+        # grid point (0, 0) of the study draws replication r from substream r
+        # of the master seed, exactly as size_check does
+        spec = TestSpec(kind, 0.05, table, null_spec=two_sided_null)
+        rate = size_check(spec, 10, 200, RngStream(71))
+        assert import_curve(out).points[0].rejection_rate == rate
 
 
 class TestAnalyzeCommand:
@@ -266,6 +335,18 @@ class TestAnalyzeCommand:
 
 
 class TestSpectrogramCommand:
+    def test_oversized_header_is_an_input_error(self, tmp_path, capsys):
+        huge = tmp_path / "huge.bin"
+        huge.write_bytes(b"GWSIG001" + struct.pack("<Qd", 2**61, 1.0) + bytes(64))
+        rc = main(
+            [
+                "spectrogram", "--input", str(huge), "--window-length", "4",
+                "--out", str(tmp_path / "o.npy"),
+            ]
+        )
+        assert rc == 1
+        assert "truncated" in capsys.readouterr().err
+
     def test_writes_matrix_and_meta(self, workdir, tmp_path, capsys):
         out = tmp_path / "spec.npy"
         rc = main(
@@ -287,30 +368,15 @@ class TestGlobalBehavior:
             main(["frobnicate"])
         assert err.value.code == 2
 
-    def test_thread_flag_validation(self, workdir, capsys):
-        rc = main(
-            [
-                "test", "--kind", "jarque_bera",
-                "--input", str(workdir / "heavy.csv"), "--threads", "0",
-            ]
-        )
-        assert rc == 2
-        assert "thread count" in capsys.readouterr().err
-
-    def test_thread_env_validation(self, workdir, capsys, monkeypatch):
-        monkeypatch.setenv("GREENWOOD_THREADS", "three")
-        rc = main(
-            ["test", "--kind", "jarque_bera", "--input", str(workdir / "heavy.csv")]
-        )
-        assert rc == 2
-        assert "GREENWOOD_THREADS" in capsys.readouterr().err
-
-    def test_thread_env_accepted(self, workdir, capsys, monkeypatch):
-        monkeypatch.setenv("GREENWOOD_THREADS", "4")
-        rc = main(
-            ["test", "--kind", "jarque_bera", "--input", str(workdir / "heavy.csv")]
-        )
-        assert rc == 0
+    def test_threads_flag_is_gone(self, workdir):
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "test", "--kind", "jarque_bera",
+                    "--input", str(workdir / "heavy.csv"), "--threads", "2",
+                ]
+            )
+        assert err.value.code == 2
 
     def test_console_script_installed(self):
         exe = shutil.which("greenwood")

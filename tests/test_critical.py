@@ -1,5 +1,6 @@
 import json
 import math
+import stat
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from greenwood.critical import (
     QuantileTable,
     TableCoverageError,
     TableRequest,
+    atomic_open,
     build_quantile_table,
     empirical_quantile,
     estimate_null_distribution,
@@ -198,6 +200,26 @@ class TestTableRoundTrip:
             QuantileTable.from_json_dict({"schema_version": 2, "entries": []})
         with pytest.raises(ValueError):
             QuantileTable.from_json_dict({"something": 1})
+
+
+class TestAtomicOpen:
+    def test_failed_write_leaves_target_untouched(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text("previous contents\n")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with atomic_open(path, "w", encoding="utf-8") as fh:
+                fh.write("partial")
+                raise RuntimeError("mid-write")
+        assert path.read_text() == "previous contents\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_saved_table_gets_plain_open_permissions(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        with open(plain, "w") as fh:
+            fh.write("{}")
+        saved = tmp_path / "saved.json"
+        build_quantile_table(_small_requests()[:1], 1000, RngStream(3)).save(saved)
+        assert stat.S_IMODE(saved.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 class TestLookup:

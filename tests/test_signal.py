@@ -330,6 +330,7 @@ class TestSignalFiles:
         path = tmp_path / "sig.bin"
         write_signal(path, x)
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            read_signal(path)
+        for cut in (raw[:-8], raw[:12]):
+            path.write_bytes(cut)
+            with pytest.raises(ValueError, match="truncated"):
+                read_signal(path)
