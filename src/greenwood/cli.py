@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -30,11 +30,10 @@ from .critical import (
     build_quantile_table,
     write_json,
 )
-from .distributions import DistributionSpec, spec_from
+from .distributions import FAMILIES, DistributionSpec
 from .power import PowerStudyConfig, export_curve, run_power_study
 from .rng import RngStream
 from .signal import (
-    Signal,
     batch_test,
     build_spectrogram_quantile_table,
     frequency_rows,
@@ -53,6 +52,15 @@ class _UsageError(Exception):
     pass
 
 
+@contextmanager
+def _flag_values():
+    """Report a ValueError raised while checking flag values as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -61,16 +69,10 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(math.inf if part == "inf" else float(part))
-        except ValueError:
-            raise _UsageError(f"expected a comma-separated list of numbers, got {text!r}")
-    return out
+    try:
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise _UsageError(f"expected a comma-separated list of numbers, got {text!r}")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -83,6 +85,8 @@ def _parse_grid(text: str) -> list[float]:
             start, step, stop = (float(p) for p in pieces)
         except ValueError:
             raise _UsageError(f"non-numeric grid bounds in {text!r}")
+        if not np.isfinite([start, step, stop]).all():
+            raise _UsageError(f"--grid bounds must be finite, got {text!r}")
         if step <= 0:
             raise _UsageError("grid step must be positive")
         count = int(round((stop - start) / step))
@@ -92,46 +96,29 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _spec_from_args(args) -> DistributionSpec:
-    family = args.family
-    if family is None:
+    """The ``--family`` spec, each parameter read from the flag of its name."""
+    if args.family is None:
         raise _UsageError("--family is required here")
-    params: dict = {}
-    if family == "gaussian":
-        params = {"mu": args.mu, "sigma2": args.sigma2}
-    elif family == "stable":
-        if args.alpha is None:
-            raise _UsageError("--alpha is required for the stable family")
-        params = {"alpha": args.alpha, "sigma": args.sigma}
-    elif family == "student_t":
-        if args.nu is None:
-            raise _UsageError("--nu is required for the student_t family")
-        params = {"nu": args.nu}
-    elif family == "gpd":
-        if args.gamma is None:
-            raise _UsageError("--gamma is required for the gpd family")
-        params = {"gamma": args.gamma, "delta": args.delta}
-    else:
-        raise _UsageError(f"unknown family {family!r}")
-    try:
-        return spec_from(family, params)
-    except (ValueError, TypeError) as exc:
-        raise _UsageError(str(exc))
+    cls = FAMILIES[args.family]
+    params = {f.name: getattr(args, f.name) for f in fields(cls)}
+    for name, value in params.items():
+        if value is None:
+            raise _UsageError(f"--{name} is required for the {args.family} family")
+    with _flag_values():
+        return cls(**params)
 
 
 def _add_family_flags(parser: argparse.ArgumentParser, required: bool = False) -> None:
+    # one flag per spec field, same name; a field without a default defaults to None
     parser.add_argument(
-        "--family",
-        choices=("gaussian", "stable", "student_t", "gpd"),
-        required=required,
-        help="distribution family",
+        "--family", choices=tuple(FAMILIES), required=required, help="distribution family"
     )
     parser.add_argument("--mu", type=float, default=0.0, help="gaussian mean")
     parser.add_argument("--sigma2", type=float, default=1.0, help="gaussian variance")
     parser.add_argument("--alpha", type=float, help="stable tail index in (0, 2]")
     parser.add_argument("--sigma", type=float, default=1.0, help="stable scale")
     parser.add_argument(
-        "--nu", type=lambda s: math.inf if s == "inf" else float(s),
-        help="student t degrees of freedom (integer or 'inf')",
+        "--nu", type=float, help="student t degrees of freedom (integer or 'inf')"
     )
     parser.add_argument("--gamma", type=float, help="gpd shape")
     parser.add_argument("--delta", type=float, default=1.0, help="gpd scale")
@@ -156,7 +143,8 @@ def _test_spec(args) -> TestSpec:
     null = None
     if args.kind in MG_KINDS:
         null = null_for(args.kind) or _spec_from_args(args)
-    return TestSpec(kind=args.kind, c=args.c, table=table, null_spec=null)
+    with _flag_values():
+        return TestSpec(kind=args.kind, c=args.c, table=table, null_spec=null)
 
 
 def _write_or_print(doc: dict, out: str | None) -> None:
@@ -186,26 +174,28 @@ def _cmd_quantiles(args) -> int:
             raise _UsageError(
                 "spectrogram domain requires --window-length and --signal-length"
             )
-        table = build_spectrogram_quantile_table(
-            spec,
-            [(c, side) for c in cs for side in sides],
-            args.signal_length,
-            args.window_length,
-            args.beta,
-            args.overlap,
-            args.signals,
-            rng,
-            args.f_min,
-            args.f_max,
-            args.sample_rate,
-        )
+        with _flag_values():  # the levels and the geometry all come from flags
+            table = build_spectrogram_quantile_table(
+                spec,
+                [(c, side) for c in cs for side in sides],
+                args.signal_length,
+                args.window_length,
+                args.beta,
+                args.overlap,
+                args.signals,
+                rng,
+                args.f_min,
+                args.f_max,
+                args.sample_rate,
+            )
     else:
         ns = _parse_int_list(args.n) if args.n else []
         if not ns:
             raise _UsageError("--n must list at least one sample size")
-        requests = [
-            TableRequest(spec, n, c, side) for n in ns for c in cs for side in sides
-        ]
+        with _flag_values():
+            requests = [
+                TableRequest(spec, n, c, side) for n in ns for c in cs for side in sides
+            ]
         table = build_quantile_table(requests, reps, rng)
     table.save(args.out)
     print(f"wrote {len(table)} entries to {args.out}")
@@ -229,7 +219,7 @@ def _cmd_power(args) -> int:
     if not grid:
         raise _UsageError("parameter grid is empty")
     ns = _parse_int_list(args.n)
-    try:
+    with _flag_values():
         config = PowerStudyConfig(
             test=spec,
             data_family=args.data_family,
@@ -238,8 +228,6 @@ def _cmd_power(args) -> int:
             replications=reps,
             master_seed=args.seed,
         )
-    except ValueError as exc:
-        raise _UsageError(str(exc))
     curve = run_power_study(config)
     export_curve(curve, args.out)
     print(f"wrote {len(curve.points)} rows to {args.out}")
@@ -364,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--data-family",
         required=True,
-        choices=("gaussian", "stable", "student_t", "gpd"),
+        choices=tuple(FAMILIES),
         help="family the data is drawn from",
     )
     p.add_argument("--grid", required=True, help="start:step:stop or comma list")
@@ -412,10 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TableCoverageError as exc:
+    except (_UsageError, TableCoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .distributions import DistributionSpec, family_tag, params_dict, sample, spec_from
+from .distributions import DistributionSpec, family_tag, params_dict, sample
 from .rng import RngStream
 from .statistic import modified_greenwood_batch
 
@@ -148,19 +148,26 @@ class TableRequest:
     side: str
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if not (0.0 < self.c < 0.5):
-            raise ValueError("c must lie in (0, 0.5)")
-        if self.side not in _SIDES:
-            raise ValueError(f"side must be one of {_SIDES}")
+        _check_entry(self.n, self.c, self.side)
+
+
+def _check_entry(n, c: float, side: str) -> None:
+    """Raise ValueError unless ``(n, c, side)`` can key a table entry."""
+    if n != int(n) or n < 2:
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
+    if not (0.0 < c < 0.5):
+        raise ValueError("c must lie in (0, 0.5)")
+    if side not in _SIDES:
+        raise ValueError(f"side must be one of {_SIDES}")
+
+
+def json_number(v):
+    """``v`` as the JSON files store it: infinity as ``"inf"``, all else unchanged."""
+    return "inf" if isinstance(v, float) and math.isinf(v) else v
 
 
 def _canon_number(value) -> str:
-    v = float(value)
-    if math.isinf(v):
-        return "inf"
-    return repr(v)
+    return str(json_number(float(value)))
 
 
 def _canon_value(value) -> str:
@@ -182,14 +189,20 @@ def _decode_param(value):
     return value if isinstance(value, str) else float(value)
 
 
-def _encode_params(params: dict) -> dict:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, str):
-            out[k] = v
-        else:
-            out[k] = "inf" if math.isinf(float(v)) else v
-    return out
+def _record_from_json(entry: dict) -> dict:
+    """A table entry read back from JSON, checked like a :class:`TableRequest`."""
+    n, c, value = float(entry["n"]), float(entry["c"]), float(entry["value"])
+    _check_entry(n, c, entry["side"])
+    if not math.isfinite(value):
+        raise ValueError(f"entry value must be finite, got {value!r}")
+    return {
+        "family": entry["family"],
+        "params": {k: _decode_param(v) for k, v in entry["params"].items()},
+        "n": int(n),
+        "c": c,
+        "side": entry["side"],
+        "value": value,
+    }
 
 
 class QuantileTable:
@@ -254,7 +267,7 @@ class QuantileTable:
             "entries": [
                 {
                     "family": r["family"],
-                    "params": _encode_params(r["params"]),
+                    "params": {k: json_number(v) for k, v in r["params"].items()},
                     "n": int(r["n"]),
                     "c": float(r["c"]),
                     "side": r["side"],
@@ -274,19 +287,9 @@ class QuantileTable:
                 f" (expected {SCHEMA_VERSION})"
             )
         try:
-            records = [
-                {
-                    "family": entry["family"],
-                    "params": {k: _decode_param(v) for k, v in entry["params"].items()},
-                    "n": int(entry["n"]),
-                    "c": float(entry["c"]),
-                    "side": entry["side"],
-                    "value": float(entry["value"]),
-                }
-                for entry in doc.get("entries", [])
-            ]
+            records = [_record_from_json(entry) for entry in doc.get("entries", [])]
             return cls(doc.get("metadata", {}), records)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed table document: {exc!r}") from None
 
     def save(self, path) -> None:

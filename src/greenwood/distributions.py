@@ -23,8 +23,9 @@ only; samplers never touch it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy import integrate, interpolate, optimize, special
@@ -32,6 +33,7 @@ from scipy import integrate, interpolate, optimize, special
 from .rng import RngStream
 
 __all__ = [
+    "FAMILIES",
     "GPD",
     "Gaussian",
     "Stable",
@@ -56,6 +58,7 @@ __all__ = [
 class Gaussian:
     """Normal law with mean ``mu`` and variance ``sigma2``."""
 
+    grid_param: ClassVar[str] = "sigma2"
     mu: float = 0.0
     sigma2: float = 1.0
 
@@ -70,6 +73,7 @@ class Gaussian:
 class Stable:
     """Symmetric alpha-stable law, characteristic function exp(-(sigma*|t|)**alpha)."""
 
+    grid_param: ClassVar[str] = "alpha"
     alpha: float
     sigma: float = 1.0
 
@@ -84,6 +88,7 @@ class Stable:
 class StudentT:
     """Student's t with ``nu`` degrees of freedom; ``nu = inf`` is the Gaussian limit."""
 
+    grid_param: ClassVar[str] = "nu"
     nu: float
 
     def __post_init__(self) -> None:
@@ -102,6 +107,7 @@ class StudentT:
 class GPD:
     """Generalized Pareto law with shape ``gamma`` and scale ``delta``."""
 
+    grid_param: ClassVar[str] = "gamma"
     gamma: float
     delta: float = 1.0
 
@@ -114,28 +120,29 @@ class GPD:
 
 DistributionSpec = Gaussian | Stable | StudentT | GPD
 
-_FAMILY_TAGS = {Gaussian: "gaussian", Stable: "stable", StudentT: "student_t", GPD: "gpd"}
+# family tag -> spec class; tags key tables, sidecars and the CLI's --family.
+# Each class names in ``grid_param`` the parameter a power study sweeps.
+FAMILIES = {"gaussian": Gaussian, "stable": Stable, "student_t": StudentT, "gpd": GPD}
+
+# spec class -> (family tag, parameter names in field order)
+_CLASSES = {cls: (tag, tuple(f.name for f in fields(cls))) for tag, cls in FAMILIES.items()}
 
 
-def family_tag(spec: DistributionSpec) -> str:
-    """Short string identifying the family of ``spec``."""
+def _family_of(spec: DistributionSpec) -> tuple:
     try:
-        return _FAMILY_TAGS[type(spec)]
+        return _CLASSES[type(spec)]
     except KeyError:
         raise TypeError(f"not a distribution spec: {spec!r}") from None
 
 
+def family_tag(spec: DistributionSpec) -> str:
+    """Short string identifying the family of ``spec``."""
+    return _family_of(spec)[0]
+
+
 def params_dict(spec: DistributionSpec) -> dict[str, float]:
     """Parameters of ``spec`` as a plain dict (used for table keys and JSON)."""
-    if isinstance(spec, Gaussian):
-        return {"mu": spec.mu, "sigma2": spec.sigma2}
-    if isinstance(spec, Stable):
-        return {"alpha": spec.alpha, "sigma": spec.sigma}
-    if isinstance(spec, StudentT):
-        return {"nu": spec.nu}
-    if isinstance(spec, GPD):
-        return {"gamma": spec.gamma, "delta": spec.delta}
-    raise TypeError(f"not a distribution spec: {spec!r}")
+    return {name: getattr(spec, name) for name in _family_of(spec)[1]}
 
 
 def spec_from(family: str, params: dict) -> DistributionSpec:
@@ -151,15 +158,9 @@ def spec_from(family: str, params: dict) -> DistributionSpec:
                 values[key] = math.inf
             else:
                 raise ValueError(f"non-numeric parameter {key}={value!r}")
-    if family == "gaussian":
-        return Gaussian(**values)
-    if family == "stable":
-        return Stable(**values)
-    if family == "student_t":
-        return StudentT(**values)
-    if family == "gpd":
-        return GPD(**values)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return FAMILIES[family](**values)
 
 
 def is_gaussian_case(spec: DistributionSpec) -> bool:

@@ -13,21 +13,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass
 
-from .critical import GROUP_STRIDE, atomic_open, write_json
-from .distributions import (
-    GPD,
-    DistributionSpec,
-    Gaussian,
-    Stable,
-    StudentT,
-    family_tag,
-    params_dict,
-    sample,
-)
+from .critical import GROUP_STRIDE, atomic_open, json_number, write_json
+from .distributions import FAMILIES, DistributionSpec, family_tag, params_dict, sample
 from .rng import RngStream
 from .testing import TestSpec, null_for, run_test, thresholds_for
 
@@ -46,16 +36,15 @@ CSV_HEADER = ("family", "param", "n", "replications", "rejection_rate")
 
 
 def data_spec(family: str, param: float) -> DistributionSpec:
-    """Map a study's scalar grid parameter to a distribution spec."""
-    if family == "stable":
-        return Stable(param, 1.0)
-    if family == "student_t":
-        return StudentT(param)
-    if family == "gpd":
-        return GPD(param, 1.0)
-    if family == "gaussian":
-        return Gaussian(0.0, param)  # grid parameter is the variance
-    raise ValueError(f"unknown data family {family!r}")
+    """The ``family`` spec with its ``grid_param`` set to ``param``, the rest at defaults.
+
+    The grid sweeps the variance ``sigma2`` of a Gaussian, ``alpha`` of a
+    stable law, ``nu`` of a Student t and the shape ``gamma`` of a GPD.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown data family {family!r}")
+    cls = FAMILIES[family]
+    return cls(**{cls.grid_param: param})
 
 
 @dataclass(frozen=True)
@@ -90,21 +79,16 @@ class PowerStudyConfig:
             "c": self.test.c,
             "null": None
             if null is None
-            else {"family": family_tag(null), "params": _encode(params_dict(null))},
+            else {
+                "family": family_tag(null),
+                "params": {k: json_number(float(v)) for k, v in params_dict(null).items()},
+            },
             "data_family": self.data_family,
-            "parameter_grid": [_encode_scalar(p) for p in self.parameter_grid],
+            "parameter_grid": [json_number(p) for p in self.parameter_grid],
             "sample_sizes": list(self.sample_sizes),
             "replications": self.replications,
             "master_seed": self.master_seed,
         }
-
-
-def _encode_scalar(v):
-    return "inf" if isinstance(v, float) and math.isinf(v) else v
-
-
-def _encode(params: dict) -> dict:
-    return {k: _encode_scalar(float(v)) for k, v in params.items()}
 
 
 @dataclass(frozen=True)
@@ -144,14 +128,8 @@ def run_power_study(config: PowerStudyConfig) -> PowerCurve:
         dspec = data_spec(config.data_family, param)
         for j, n in enumerate(sizes):
             base = rng.substream((i * len(sizes) + j) * GROUP_STRIDE)
-            rejected = 0
-            for r in range(config.replications):
-                x = sample(dspec, n, base.substream(r))
-                if run_test(config.test, x).reject:
-                    rejected += 1
-            points.append(
-                PowerPoint(param, n, rejected / config.replications, config.replications)
-            )
+            rate = _rejection_rate(config.test, dspec, n, config.replications, base)
+            points.append(PowerPoint(param, n, rate, config.replications))
     return PowerCurve(tuple(points), config.to_json_dict())
 
 
@@ -163,12 +141,20 @@ def size_check(test: TestSpec, n: int, replications: int, rng: RngStream) -> flo
     """
     if replications < 100:
         raise ValueError("replications must be at least 100")
-    null = null_for(test.kind, test.null_spec)
     thresholds_for(test, n)
+    return _rejection_rate(test, null_for(test.kind, test.null_spec), n, replications, rng)
+
+
+def _rejection_rate(
+    test: TestSpec, spec: DistributionSpec, n: int, replications: int, rng: RngStream
+) -> float:
+    """Share of size-``n`` samples of ``spec`` that ``test`` rejects.
+
+    Replication ``r`` draws its sample from ``rng.substream(r)``.
+    """
     rejected = 0
     for r in range(replications):
-        x = sample(null, n, rng.substream(r))
-        if run_test(test, x).reject:
+        if run_test(test, sample(spec, n, rng.substream(r))).reject:
             rejected += 1
     return rejected / replications
 
@@ -204,14 +190,7 @@ def import_curve(path) -> PowerCurve:
             if not row:
                 continue
             _, param, n, reps, rate = row
-            points.append(
-                PowerPoint(
-                    math.inf if param == "inf" else float(param),
-                    int(n),
-                    float(rate),
-                    int(reps),
-                )
-            )
+            points.append(PowerPoint(float(param), int(n), float(rate), int(reps)))
     sidecar = path + ".json"
     config = {}
     if os.path.exists(sidecar):

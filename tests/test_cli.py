@@ -34,6 +34,15 @@ def workdir(tmp_path_factory):
     return d
 
 
+def _table_doc(**changes) -> dict:
+    """A table document with one entry, well formed but for ``changes``."""
+    entry = {
+        "family": "gaussian", "params": {"mu": 0.0, "sigma2": 1.0}, "n": 50,
+        "c": 0.05, "side": "upper", "value": 0.1,
+    }
+    return {"schema_version": 1, "entries": [{**entry, **changes}]}
+
+
 class TestQuantilesCommand:
     def test_builds_raw_table(self, tmp_path, capsys):
         out = tmp_path / "t.json"
@@ -137,20 +146,19 @@ class TestTestCommand:
         "doc",
         [
             {"schema_version": 1, "entries": [1]},
-            {
-                "schema_version": 1,
-                "entries": [
-                    {
-                        "family": "gaussian", "params": [], "n": 50, "c": 0.05,
-                        "side": "upper", "value": 0.1,
-                    }
-                ],
-            },
+            _table_doc(params=[]),
+            _table_doc(value=float("nan")),
+            _table_doc(value=float("inf")),
+            _table_doc(n=50.7),
+            _table_doc(n=1),
+            _table_doc(c=0.7),
+            _table_doc(c=0.0),
+            _table_doc(side="middle"),
         ],
     )
     def test_malformed_table_json(self, workdir, tmp_path, capsys, doc):
         path = tmp_path / "t.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc))  # a float nan is written as NaN, which json reads
         rc = main(
             [
                 "test", "--kind", "mg2", "--table", str(path),
@@ -201,16 +209,25 @@ class TestPowerCommand:
         params = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
         assert params == ["1.0", "1.5", "2.0"]
 
-    def test_decreasing_grid_is_usage_error(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("2.0,1.2", "strictly increasing"),
+            ("1:1:inf", "--grid bounds must be finite"),
+            ("nan:1:2", "--grid bounds must be finite"),
+        ],
+        ids=["decreasing", "infinite_stop", "nan_start"],
+    )
+    def test_decreasing_grid_is_usage_error(self, workdir, tmp_path, capsys, grid, message):
         rc = main(
             [
                 "power", "--kind", "mg2", "--table", str(workdir / "raw_table.json"),
-                "--data-family", "stable", "--grid", "2.0,1.2", "--n", "10",
+                "--data-family", "stable", "--grid", grid, "--n", "10",
                 "--reps", "100", "--out", str(tmp_path / "c.csv"),
             ]
         )
         assert rc == 2
-        assert "strictly increasing" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     # column of the power grid that holds each family's null parameter
     GRID_PARAM = {"gaussian": "sigma2", "stable": "alpha", "student_t": "nu", "gpd": "gamma"}
@@ -377,6 +394,53 @@ class TestGlobalBehavior:
                 ]
             )
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["quantiles", "--family", "gaussian", "--n", "10", "--c", "0.7"], "c must"),
+            (["quantiles", "--family", "gaussian", "--n", "1"], "n must"),
+            (
+                [
+                    "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                    "--signal-length", "1000", "--window-length", "100", "--c", "0.7",
+                ],
+                "c must",
+            ),
+            (["test", "--kind", "jarque_bera", "--input", "{heavy}", "--c", "0.7"], "c must"),
+            (
+                ["test", "--kind", "mg2", "--table", "{table}", "--input", "{heavy}", "--c", "0.7"],
+                "c must",
+            ),
+            (
+                [
+                    "power", "--kind", "jarque_bera", "--data-family", "stable",
+                    "--grid", "1.5", "--n", "10", "--c", "0.7",
+                ],
+                "c must",
+            ),
+        ],
+        ids=["quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c"],
+    )
+    def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):
+        paths = {"heavy": workdir / "heavy.csv", "table": workdir / "raw_table.json"}
+        argv = [a.format(**paths) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, flag", [("stable", "--alpha"), ("student_t", "--nu"), ("gpd", "--gamma")]
+    )
+    def test_missing_family_parameter_names_its_flag(self, tmp_path, capsys, family, flag):
+        rc = main(
+            [
+                "quantiles", "--family", family, "--n", "10", "--reps", "1000",
+                "--out", str(tmp_path / "t.json"),
+            ]
+        )
+        assert rc == 2
+        assert f"{flag} is required for the {family} family" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
     def test_console_script_installed(self):
         exe = shutil.which("greenwood")

@@ -4,6 +4,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenwood.critical import (
     ESTIMATOR_ID,
@@ -18,6 +20,37 @@ from greenwood.critical import (
 )
 from greenwood.distributions import GPD, Gaussian, Stable, StudentT
 from greenwood.rng import RngStream
+
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_KEYS = ("family", "params", "n", "c", "side", "value")
+_GOOD_ENTRY = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(["gaussian", "student_t"]),
+        "params": st.dictionaries(st.sampled_from(["mu", "nu"]), _SCALAR, max_size=2),
+        "n": st.integers(2, 100),
+        "c": st.floats(0.001, 0.499),
+        "side": st.sampled_from(["lower", "upper"]),
+        "value": st.floats(0.0, 1.0),
+    }
+)
+# a good entry with up to two fields replaced by any JSON value and maybe one
+# dropped, so that most documents reach the checks of each field
+_ENTRY = st.builds(
+    lambda good, bad, drop: {k: v for k, v in {**good, **bad}.items() if k not in drop},
+    _GOOD_ENTRY,
+    st.dictionaries(st.sampled_from(_KEYS), st.floats() | _JSON, max_size=2),
+    st.sets(st.sampled_from(_KEYS), max_size=1),
+)
+ANY_TABLE_DOCUMENT = _JSON | st.fixed_dictionaries(
+    {"schema_version": st.just(SCHEMA_VERSION)},
+    optional={"metadata": _JSON, "entries": st.lists(_ENTRY | _JSON, max_size=3)},
+)
 
 
 class TestEmpiricalQuantile:
@@ -194,6 +227,18 @@ class TestTableRoundTrip:
         assert doc["entries"][0]["params"]["nu"] == "inf"
         back = QuantileTable.from_json_dict(json.loads(json.dumps(doc)))
         assert back.value("student_t", {"nu": math.inf}, 10, 0.05, "lower") == 0.12
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(ANY_TABLE_DOCUMENT)
+    def test_any_json_document_loads_or_is_a_value_error(self, doc):
+        try:
+            table = QuantileTable.from_json_dict(doc)
+        except ValueError:
+            return
+        for r in table.records:
+            assert type(r["n"]) is int and r["n"] >= 2
+            assert 0.0 < r["c"] < 0.5 and r["side"] in ("lower", "upper")
+            assert math.isfinite(r["value"])
 
     def test_schema_version_gate(self):
         with pytest.raises(ValueError, match="schema_version"):

@@ -4,7 +4,16 @@ import math
 
 import pytest
 
-from greenwood.distributions import GPD, Gaussian, Stable, StudentT
+from greenwood.distributions import (
+    FAMILIES,
+    GPD,
+    Gaussian,
+    Stable,
+    StudentT,
+    family_tag,
+    params_dict,
+    spec_from,
+)
 from greenwood.power import (
     PowerStudyConfig,
     data_spec,
@@ -31,6 +40,24 @@ class TestDataSpec:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown data family"):
             data_spec("weibull", 1.0)
+
+    # the parameter --grid sweeps in each --data-family, as the README states
+    SWEPT = {"gaussian": "sigma2", "stable": "alpha", "student_t": "nu", "gpd": "gamma"}
+    SPECS = {
+        "gaussian": Gaussian(1.0, 2.0),
+        "stable": Stable(1.2, 0.5),
+        "student_t": StudentT(math.inf),
+        "gpd": GPD(-0.2, 3.0),
+    }
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_family_registry(self, family):
+        spec = self.SPECS[family]
+        assert type(spec) is FAMILIES[family]
+        assert family_tag(spec) == family
+        assert spec_from(family, params_dict(spec)) == spec
+        # the swept parameter is set; every other one keeps its default
+        assert data_spec(family, 2.0) == FAMILIES[family](**{self.SWEPT[family]: 2.0})
 
 
 class TestConfigValidation:
