@@ -8,9 +8,9 @@ power        run a rejection-rate study over a parameter grid
 analyze      screen a long signal, segment-wise or through a spectrogram
 spectrogram  compute and store a spectrogram matrix
 
-Exit codes: 0 success, 1 runtime failure (unreadable or invalid input data),
-2 argument error (bad flags, insufficient replications, missing table
-coverage).
+Exit codes: 0 success, 1 runtime failure (unreadable or invalid input data,
+or not enough memory for the requested sizes), 2 argument error (bad flags,
+insufficient replications, missing table coverage).
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ from .signal import (
 from .testing import BASELINE_KINDS, MG_KINDS, TestSpec, null_for, run_test
 
 __all__ = ["main"]
+
+
+# a colon grid may expand to at most this many points
+_MAX_GRID_POINTS = 10_000
 
 
 class _UsageError(Exception):
@@ -89,7 +93,12 @@ def _parse_grid(text: str) -> list[float]:
             raise _UsageError(f"--grid bounds must be finite, got {text!r}")
         if step <= 0:
             raise _UsageError("grid step must be positive")
-        count = int(round((stop - start) / step))
+        # clamped before rounding, so that no huge (or overflowing) span is expanded
+        count = int(round(min(max((stop - start) / step, -1.0), _MAX_GRID_POINTS)))
+        if count >= _MAX_GRID_POINTS:
+            raise _UsageError(
+                f"--grid must expand to at most {_MAX_GRID_POINTS} points, got {text!r}"
+            )
         grid = [start + k * step for k in range(count + 1)]
         return [g for g in grid if g <= stop + 1e-12]
     return _parse_float_list(text)
@@ -145,6 +154,12 @@ def _test_spec(args) -> TestSpec:
         null = null_for(args.kind) or _spec_from_args(args)
     with _flag_values():
         return TestSpec(kind=args.kind, c=args.c, table=table, null_spec=null)
+
+
+def _spectrogram(sig, args):
+    """Spectrogram of ``sig`` under the ``--window-length/--beta/--overlap`` geometry."""
+    with _flag_values():  # the geometry is all flags, and must fit the signal
+        return spectrogram(sig, kaiser_window(args.window_length, args.beta), args.overlap)
 
 
 def _write_or_print(doc: dict, out: str | None) -> None:
@@ -239,7 +254,8 @@ def _cmd_analyze(args) -> int:
     sig = read_signal(args.input, args.sample_rate)
 
     if args.mode == "time":
-        segments = segment_signal(sig, args.segment_length)
+        with _flag_values():  # the segment length must fit the signal
+            segments = segment_signal(sig, args.segment_length)
         report = batch_test(segments, spec, domain="time")
     else:
         if args.kind not in MG_KINDS:
@@ -259,8 +275,7 @@ def _cmd_analyze(args) -> int:
             spec.null_spec, args.window_length, args.beta, args.overlap, len(sig)
         )
         spec = replace(spec, extra_params=extra)
-        window = kaiser_window(args.window_length, args.beta)
-        sp = spectrogram(sig, window, args.overlap)
+        sp = _spectrogram(sig, args)
         rows = frequency_rows(sp, args.f_min, args.f_max)
         report = batch_test(
             [r for _, r in rows],
@@ -280,8 +295,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_spectrogram(args) -> int:
     sig = read_signal(args.input, args.sample_rate)
-    window = kaiser_window(args.window_length, args.beta)
-    sp = spectrogram(sig, window, args.overlap)
+    sp = _spectrogram(sig, args)
     np.save(args.out, sp.magnitude_squared)
     meta = {
         "shape": list(sp.magnitude_squared.shape),
@@ -289,7 +303,7 @@ def _cmd_spectrogram(args) -> int:
         if sp.frequencies.size > 1
         else 0.0,
         "frame_count": int(sp.times.size),
-        "window_length": int(window.size),
+        "window_length": int(sp.window.size),
         "beta": args.beta,
         "overlap": args.overlap,
         "sample_rate": sig.sample_rate,
@@ -403,7 +417,7 @@ def main(argv=None) -> int:
     except (_UsageError, TableCoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,15 @@
 
 Rejection thresholds are estimated by simulation: draw ``M`` independent
 samples of size ``n`` from the null family, compute the statistic for each,
-and read empirical quantiles off the sorted values. Replication ``i`` of a
-table entry group always runs on RNG substream ``base + i``, so results are
-bit-identical across runs, chunk sizes and thread counts.
+and read empirical quantiles off the sorted values.
+
+Every Monte Carlo loop of the package (tables, power and size studies,
+baseline thresholds) runs on one engine with one RNG layout, version
+:data:`RNG_LAYOUT`: replications come in blocks of
+``rows(n) = max(1, BLOCK_VALUES // n)``, and block ``b`` is one
+``(rows(n), n)`` draw from substream ``base + b``. Blocks are always drawn whole, so replication ``r`` depends
+only on the base stream, ``n`` and ``r``: results are bit-identical across
+runs and chunk sizes, and fewer replications give a prefix of more.
 
 Tables serialize to a small JSON document (see :meth:`QuantileTable.save`)
 keyed by ``(family, params, n, c, side)``.
@@ -27,7 +33,9 @@ from .rng import RngStream
 from .statistic import modified_greenwood_batch
 
 __all__ = [
+    "BLOCK_VALUES",
     "ESTIMATOR_ID",
+    "RNG_LAYOUT",
     "SCHEMA_VERSION",
     "QuantileTable",
     "TableCoverageError",
@@ -46,8 +54,30 @@ ESTIMATOR_ID = "type7_linear"
 _SIDES = ("lower", "upper")
 
 # table entry groups are spaced this far apart in stream-id space so the
-# replication substreams of different groups can never collide
+# block substreams of different groups can never collide
 GROUP_STRIDE = 1 << 32
+
+# version of the replication-to-substream layout; recorded in every table
+# and power sidecar
+RNG_LAYOUT = 2
+# values per block draw (512 KB of float64)
+BLOCK_VALUES = 1 << 16
+
+
+def _simulate(spec: DistributionSpec, n: int, replications: int, rng: RngStream, row_fn):
+    """``row_fn`` applied to ``replications`` size-``n`` samples of ``spec``.
+
+    Block ``b`` is ``sample(spec, (rows, n), rng.substream(b))`` with
+    ``rows = max(1, BLOCK_VALUES // n)``; ``row_fn`` gets the rows of each
+    block still needed, as one 2-D array, and returns one result per row.
+    The results are concatenated in replication order.
+    """
+    rows = max(1, BLOCK_VALUES // n)
+    out = []
+    for b, start in enumerate(range(0, replications, rows)):
+        block = sample(spec, (rows, n), rng.substream(b))
+        out.append(row_fn(block[: replications - start]))
+    return np.concatenate(out)
 
 
 class TableCoverageError(KeyError):
@@ -117,8 +147,10 @@ def estimate_null_distribution(
 ) -> np.ndarray:
     """Statistic values over ``replications`` independent size-``n`` null samples.
 
-    Replication ``i`` draws from ``rng.substream(i)``; ``chunk`` only sets the
-    buffering granularity and cannot change the output.
+    With ``rows = max(1, BLOCK_VALUES // n)``, replication ``r`` is row
+    ``r % rows`` of the block drawn from ``rng.substream(r // rows)``.
+    ``chunk`` sets how many rows one statistic call takes; the statistic is
+    row-wise, so it cannot change the output.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -126,16 +158,13 @@ def estimate_null_distribution(
         raise ValueError("replications must be at least 1000")
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    out = np.empty(replications, dtype=np.float64)
-    buf = np.empty((min(chunk, replications), n), dtype=np.float64)
-    done = 0
-    while done < replications:
-        m = min(chunk, replications - done)
-        for j in range(m):
-            buf[j] = sample(spec, n, rng.substream(done + j))
-        out[done : done + m] = modified_greenwood_batch(buf[:m])
-        done += m
-    return out
+
+    def statistic(block):
+        return np.concatenate(
+            [modified_greenwood_batch(block[i : i + chunk]) for i in range(0, len(block), chunk)]
+        )
+
+    return _simulate(spec, n, replications, rng, statistic)
 
 
 @dataclass(frozen=True)
@@ -312,8 +341,8 @@ def build_quantile_table(
     """Estimate every requested quantile and pack the results into a table.
 
     Requests sharing ``(spec, n)`` reuse one simulated null distribution.
-    Group ``g`` (in first-seen order) runs its replication ``i`` on substream
-    ``g * GROUP_STRIDE + i`` of ``rng``, making the table a pure function of
+    Group ``g`` (in first-seen order) draws its block ``b`` from substream
+    ``g * GROUP_STRIDE + b`` of ``rng``, making the table a pure function of
     ``(requests, replications, rng)``.
     """
     requests = [
@@ -357,11 +386,12 @@ def quantile_record(request: TableRequest, params: dict, values) -> dict:
 
 
 def table_metadata(m: int, rng: RngStream, created_at: str | None, **extra) -> dict:
-    """Table provenance: ``m`` pooled values per entry, the stream, the estimator."""
+    """Table provenance: ``m`` pooled values per entry, the stream and its layout, the estimator."""
     return {
         "M": m,
         "master_seed": rng.master_seed,
         "stream_id": rng.stream_id,
+        "rng_layout": RNG_LAYOUT,
         "estimator": ESTIMATOR_ID,
         "created_at": created_at
         if created_at is not None

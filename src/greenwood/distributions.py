@@ -178,7 +178,12 @@ def is_gaussian_case(spec: DistributionSpec) -> bool:
 # samplers
 
 
-def _check_size(n: int) -> int:
+def _check_size(n):
+    """``n`` as an int, or an ``(m, n)`` shape as a tuple of two ints."""
+    if isinstance(n, tuple):
+        if len(n) != 2:
+            raise ValueError("a sample shape must be (m, n)")
+        return tuple(_check_size(k) for k in n)
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise TypeError("n must be an int")
     if n < 1:
@@ -186,7 +191,13 @@ def _check_size(n: int) -> int:
     return int(n)
 
 
-def sample_gaussian(mu: float, sigma2: float, n: int, rng: RngStream) -> np.ndarray:
+# Every sampler takes ``n`` as a sample size or as an ``(m, n)`` shape: m
+# samples of size n, one per row. Each variate array is drawn whole, in the
+# same order for both forms, so ``sampler(..., (1, n), rng)[0]`` equals
+# ``sampler(..., n, rng)`` bit for bit.
+
+
+def sample_gaussian(mu: float, sigma2: float, n, rng: RngStream) -> np.ndarray:
     """Draw ``n`` values from N(mu, sigma2)."""
     spec = Gaussian(mu, sigma2)
     n = _check_size(n)
@@ -194,7 +205,7 @@ def sample_gaussian(mu: float, sigma2: float, n: int, rng: RngStream) -> np.ndar
     return spec.mu + math.sqrt(spec.sigma2) * g.standard_normal(n)
 
 
-def sample_stable(alpha: float, sigma: float, n: int, rng: RngStream) -> np.ndarray:
+def sample_stable(alpha: float, sigma: float, n, rng: RngStream) -> np.ndarray:
     """Draw ``n`` symmetric alpha-stable values by the Chambers-Mallows-Stuck map.
 
     With ``U`` uniform on (-pi/2, pi/2) and ``W`` unit exponential::
@@ -223,7 +234,7 @@ def sample_stable(alpha: float, sigma: float, n: int, rng: RngStream) -> np.ndar
     return spec.sigma * core
 
 
-def sample_student_t(nu: float, n: int, rng: RngStream) -> np.ndarray:
+def sample_student_t(nu: float, n, rng: RngStream) -> np.ndarray:
     """Draw ``n`` Student's t values; ``nu = inf`` falls back to N(0, 1)."""
     spec = StudentT(nu)
     n = _check_size(n)
@@ -236,7 +247,7 @@ def sample_student_t(nu: float, n: int, rng: RngStream) -> np.ndarray:
     return z / np.sqrt(chi2 / spec.nu)
 
 
-def sample_gpd(gamma: float, delta: float, n: int, rng: RngStream) -> np.ndarray:
+def sample_gpd(gamma: float, delta: float, n, rng: RngStream) -> np.ndarray:
     """Draw ``n`` GPD values by inverting the distribution function."""
     spec = GPD(gamma, delta)
     n = _check_size(n)
@@ -245,8 +256,11 @@ def sample_gpd(gamma: float, delta: float, n: int, rng: RngStream) -> np.ndarray
     return _gpd_quantile(spec.gamma, spec.delta, u)
 
 
-def sample(spec: DistributionSpec, n: int, rng: RngStream) -> np.ndarray:
-    """Dispatch to the family sampler for ``spec``."""
+def sample(spec: DistributionSpec, n, rng: RngStream) -> np.ndarray:
+    """Dispatch to the family sampler for ``spec``.
+
+    ``n`` is a sample size, or an ``(m, n)`` shape for ``m`` samples at once.
+    """
     if isinstance(spec, Gaussian):
         return sample_gaussian(spec.mu, spec.sigma2, n, rng)
     if isinstance(spec, Stable):

@@ -2,8 +2,10 @@
 
 A study fixes a test, a data family, a parameter grid and sample sizes, then
 counts rejections over ``R`` independent replications per grid point. Grid
-point ``(i, j)`` always runs on its own block of RNG substreams, so curves
-are pure functions of the configuration and reruns are bit-identical.
+point ``(i, j)`` always runs on its own group of RNG substreams, one per block
+of replications (see :mod:`greenwood.critical`), and decides each block in
+batch with the decisions ``run_test`` would reach, so curves are pure
+functions of the configuration and reruns are bit-identical.
 
 Curves export to CSV with header ``family,param,n,replications,rejection_rate``
 plus a JSON sidecar carrying the configuration echo.
@@ -16,10 +18,10 @@ import json
 import os
 from dataclasses import dataclass
 
-from .critical import GROUP_STRIDE, atomic_open, json_number, write_json
-from .distributions import FAMILIES, DistributionSpec, family_tag, params_dict, sample
+from .critical import GROUP_STRIDE, RNG_LAYOUT, _simulate, atomic_open, json_number, write_json
+from .distributions import FAMILIES, DistributionSpec, family_tag, params_dict
 from .rng import RngStream
-from .testing import TestSpec, null_for, run_test, thresholds_for
+from .testing import TestSpec, null_for, reject_rows, thresholds_for
 
 __all__ = [
     "PowerCurve",
@@ -88,6 +90,7 @@ class PowerStudyConfig:
             "sample_sizes": list(self.sample_sizes),
             "replications": self.replications,
             "master_seed": self.master_seed,
+            "rng_layout": RNG_LAYOUT,
         }
 
 
@@ -115,8 +118,9 @@ def run_power_study(config: PowerStudyConfig) -> PowerCurve:
     """Rejection rate at every ``(param, n)`` grid point of ``config``.
 
     Table coverage is verified for all sample sizes up front, so a study
-    cannot die halfway through; replication ``r`` of grid point ``(i, j)``
-    samples from substream ``(i * len(sample_sizes) + j) * GROUP_STRIDE + r``.
+    cannot die halfway through. Grid point ``(i, j)`` is group
+    ``g = i * len(sample_sizes) + j``: its block ``b`` of replications
+    samples from substream ``g * GROUP_STRIDE + b``.
     """
     for n in config.sample_sizes:
         thresholds_for(config.test, n)
@@ -150,13 +154,14 @@ def _rejection_rate(
 ) -> float:
     """Share of size-``n`` samples of ``spec`` that ``test`` rejects.
 
-    Replication ``r`` draws its sample from ``rng.substream(r)``.
+    Block ``b`` of replications is drawn from ``rng.substream(b)`` and
+    decided in batch by :func:`~greenwood.testing.reject_rows`.
     """
-    rejected = 0
-    for r in range(replications):
-        if run_test(test, sample(spec, n, rng.substream(r))).reject:
-            rejected += 1
-    return rejected / replications
+    thresholds = thresholds_for(test, n)
+    rejected = _simulate(
+        spec, n, replications, rng, lambda rows: reject_rows(test, rows, thresholds)
+    )
+    return int(rejected.sum()) / replications
 
 
 def export_curve(curve: PowerCurve, path) -> None:

@@ -59,10 +59,11 @@ def modified_greenwood(values) -> StatisticValue:
     """
     x = _validated(values)
     ax = np.abs(x)
-    denom = math.fsum(ax)
+    # fsum is exact for any iterable; a list is the fastest one to walk
+    denom = math.fsum(ax.tolist())
     if denom == 0.0:
         raise ValueError("sample must contain at least one nonzero value")
-    s = math.fsum(ax * ax) / (denom * denom)
+    s = math.fsum((ax * ax).tolist()) / (denom * denom)
     n = x.size
     # the exact ratio lives in [1/n, 1]; final roundings may leak a few ulps past
     return StatisticValue(min(1.0, max(1.0 / n, s)), n)

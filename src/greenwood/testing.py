@@ -19,6 +19,9 @@ their family: small ``S_n`` is evidence of tails lighter than the boundary
 case, i.e. of finite variance. The Jarque-Bera and fitted-normal
 Kolmogorov-Smirnov baselines use Monte Carlo critical values simulated on a
 fixed internal seed and cached per ``(kind, n, c, M)``.
+
+:func:`reject_rows` decides many samples at once and always reaches the
+decision :func:`run_test` reaches on each of them.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .critical import QuantileTable
+from .critical import QuantileTable, _simulate
 from .distributions import GPD, DistributionSpec, Gaussian, StudentT
 from .rng import RngStream
-from .statistic import modified_greenwood
+from .statistic import modified_greenwood, modified_greenwood_batch
 
 __all__ = [
     "GAUSSIAN_NULL",
@@ -49,6 +52,7 @@ __all__ = [
     "mg_infinite_variance_test_t",
     "mg_two_sided_test",
     "null_for",
+    "reject_rows",
     "run_test",
     "thresholds_for",
 ]
@@ -73,8 +77,10 @@ _KINDS = {
 }
 
 _BASELINE_SEED = 271828182845
-_BASELINE_CHUNK = 4096
 _BASELINE_REPLICATIONS = 100000
+# batch statistic values this close (relative) to a threshold are decided
+# again on the scalar path; the two paths differ by a few ulps at most
+_TIE_BAND = 1e-12
 _baseline_cache: dict[tuple, float] = {}
 
 
@@ -192,9 +198,10 @@ def _jb_values(x: np.ndarray) -> np.ndarray:
     # rows are samples; moment form n * (skew**2 / 6 + (kurt - 3)**2 / 24)
     n = x.shape[1]
     d = x - x.mean(axis=1, keepdims=True)
-    m2 = np.mean(d * d, axis=1)
-    m3 = np.mean(d**3, axis=1)
-    m4 = np.mean(d**4, axis=1)
+    d2 = d * d
+    m2 = np.mean(d2, axis=1)
+    m3 = np.mean(d2 * d, axis=1)
+    m4 = np.mean(d2 * d2, axis=1)
     skew = m3 / m2**1.5
     kurt = m4 / (m2 * m2)
     return n * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
@@ -234,25 +241,17 @@ def _baseline_threshold(kind: str, n: int, c: float, replications: int) -> float
 
     Simulated once per ``(kind, n, c, M)`` on a fixed internal seed and cached
     for the process lifetime; both baseline statistics are location-scale
-    free, so standard normal draws suffice.
+    free, so standard normal draws suffice. The blocks of ``(kind, n)`` come
+    from substreams ``(kind_code << 56) | (n << 16) | b`` of that seed.
     """
     key = (kind, n, c, replications)
     cached = _baseline_cache.get(key)
     if cached is not None:
         return cached
-    values_fn = _BASELINE_VALUES[kind]
     kind_code = BASELINE_KINDS.index(kind)
     stream = RngStream(_BASELINE_SEED, (kind_code << 56) | (n << 16))
-    out = np.empty(replications, dtype=np.float64)
-    done = 0
-    chunk_index = 0
-    while done < replications:
-        m = min(_BASELINE_CHUNK, replications - done)
-        g = stream.substream(chunk_index).generator()
-        out[done : done + m] = values_fn(g.standard_normal((m, n)))
-        done += m
-        chunk_index += 1
-    thr = float(np.quantile(out, 1.0 - c, method="linear"))
+    values = _simulate(GAUSSIAN_NULL, n, replications, stream, _BASELINE_VALUES[kind])
+    thr = float(np.quantile(values, 1.0 - c, method="linear"))
     _baseline_cache[key] = thr
     return thr
 
@@ -342,14 +341,17 @@ def _decide(
     """Compute the statistic, read its thresholds, and compare (ties reject)."""
     s, n = _statistic(kind, sample)
     t = _thresholds(kind, n, c, table, null_spec, extra_params, replications)
+    return TestOutcome(kind, n, c, s, t, _rejects(kind, s, t))
+
+
+def _rejects(kind: str, s, t: tuple):
+    """Whether statistic value(s) ``s`` fall in the rejection region of thresholds ``t``."""
     side = _KINDS[kind][1]
     if side == "upper":
-        reject = s >= t[0]
-    elif side == "lower":
-        reject = s <= t[0]
-    else:
-        reject = s <= t[0] or s >= t[1]
-    return TestOutcome(kind, n, c, s, t, reject)
+        return s >= t[0]
+    if side == "lower":
+        return s <= t[0]
+    return (s <= t[0]) | (s >= t[1])
 
 
 def thresholds_for(spec: TestSpec, n: int) -> tuple:
@@ -362,3 +364,35 @@ def run_test(spec: TestSpec, sample) -> TestOutcome:
     return _decide(
         spec.kind, sample, spec.c, spec.table, spec.null_spec, spec.extra_params
     )
+
+
+def reject_rows(spec: TestSpec, rows, thresholds: tuple) -> np.ndarray:
+    """``run_test(spec, row).reject`` for every row of ``rows``, decided in batch.
+
+    ``thresholds`` are ``thresholds_for(spec, n)``. The batch statistic is
+    compared with them in one pass. A row is handed to :func:`run_test`
+    itself when that path would refuse it (so its ``ValueError`` surfaces),
+    when its batch value is not finite, or when that value lies within
+    1e-12 (relative) of a threshold, where the batch and scalar sums could
+    fall on different sides.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    kind = spec.kind
+    clean = np.isfinite(x).all(axis=1)
+    if kind in BASELINE_KINDS:
+        clean &= x.shape[1] >= 8
+        statistic = _BASELINE_VALUES[kind]
+    else:
+        clean &= (x != 0.0).any(axis=1)
+        if kind == "mg3_gpd":
+            clean &= ~(x < 0.0).any(axis=1)
+        statistic = modified_greenwood_batch
+    s = np.full(len(x), np.nan)
+    with np.errstate(all="ignore"):
+        s[clean] = statistic(x if clean.all() else x[clean])
+    t = np.asarray(thresholds, dtype=np.float64)
+    near = (np.abs(s[:, None] - t) <= _TIE_BAND * np.abs(t)).any(axis=1)
+    reject = _rejects(kind, s, thresholds)
+    for i in np.flatnonzero(near | ~np.isfinite(s)):
+        reject[i] = run_test(spec, x[i]).reject
+    return reject

@@ -57,6 +57,18 @@ class TestQuantilesCommand:
         table = QuantileTable.load(out)
         assert table.value_for(Gaussian(0.0, 1.0), 10, 0.05, "upper") > 0.1
 
+    def test_unallocatable_sample_size_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # one row of 1e11 float64 values is 745 GiB: the allocation fails at once
+        rc = main(
+            [
+                "quantiles", "--family", "gaussian", "--n", "100000000000",
+                "--reps", "1000", "--out", str(tmp_path / "t.json"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not (tmp_path / "t.json").exists()
+
     def test_replication_floor(self, tmp_path, capsys):
         rc = main(
             [
@@ -215,8 +227,9 @@ class TestPowerCommand:
             ("2.0,1.2", "strictly increasing"),
             ("1:1:inf", "--grid bounds must be finite"),
             ("nan:1:2", "--grid bounds must be finite"),
+            ("0:1e-12:1", "at most 10000 points"),
         ],
-        ids=["decreasing", "infinite_stop", "nan_start"],
+        ids=["decreasing", "infinite_stop", "nan_start", "too_many_points"],
     )
     def test_decreasing_grid_is_usage_error(self, workdir, tmp_path, capsys, grid, message):
         rc = main(
@@ -262,8 +275,8 @@ class TestPowerCommand:
             assert recorded is None
         else:
             assert spec_from(recorded["family"], recorded["params"]) == null
-        # grid point (0, 0) of the study draws replication r from substream r
-        # of the master seed, exactly as size_check does
+        # grid point (0, 0) of the study draws its block b of replications
+        # from substream b of the master seed, exactly as size_check does
         spec = TestSpec(kind, 0.05, table, null_spec=two_sided_null)
         rate = size_check(spec, 10, 200, RngStream(71))
         assert import_curve(out).points[0].rejection_rate == rate
@@ -419,11 +432,26 @@ class TestGlobalBehavior:
                 ],
                 "c must",
             ),
+            (
+                ["analyze", "--input", "{signal}", "--table", "{table}", "--segment-length", "1"],
+                "segment_length must be at least 2",
+            ),
+            (
+                ["spectrogram", "--input", "{signal}", "--window-length", "1"],
+                "window must be one-dimensional with at least 2 samples",
+            ),
         ],
-        ids=["quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c"],
+        ids=[
+            "quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c",
+            "analyze_segment_length", "spectrogram_window_length",
+        ],
     )
     def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):
-        paths = {"heavy": workdir / "heavy.csv", "table": workdir / "raw_table.json"}
+        paths = {
+            "heavy": workdir / "heavy.csv",
+            "table": workdir / "raw_table.json",
+            "signal": workdir / "signal.bin",
+        }
         argv = [a.format(**paths) for a in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from greenwood.critical import (
     ESTIMATOR_ID,
+    RNG_LAYOUT,
     SCHEMA_VERSION,
     QuantileTable,
     TableCoverageError,
@@ -94,6 +95,13 @@ class TestNullDistribution:
         a = estimate_null_distribution(spec, 10, 1000, RngStream(12), chunk=4096)
         b = estimate_null_distribution(spec, 10, 1000, RngStream(12), chunk=7)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_fewer_replications_are_a_prefix(self, n):
+        # blocks are drawn whole, so replication r never depends on the total
+        more = estimate_null_distribution(Stable(1.5, 1.0), n, 2000, RngStream(15))
+        fewer = estimate_null_distribution(Stable(1.5, 1.0), n, 1000, RngStream(15))
+        np.testing.assert_array_equal(more[:1000], fewer)
 
     def test_values_inside_statistic_range(self):
         vals = estimate_null_distribution(GPD(0.5, 1.0), 10, 2000, RngStream(13))
@@ -210,6 +218,7 @@ class TestTableRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
         assert set(doc["metadata"]) >= {"M", "master_seed", "estimator", "created_at"}
+        assert doc["metadata"]["rng_layout"] == RNG_LAYOUT == 2
         entry = doc["entries"][0]
         assert set(entry) == {"family", "params", "n", "c", "side", "value"}
 

@@ -320,6 +320,16 @@ class TestSpecPlumbing:
         assert not is_gaussian_case(StudentT(100))
         assert not is_gaussian_case(GPD(0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [Gaussian(1.0, 2.0), Stable(1.5, 2.0), Stable(1.0, 1.0), StudentT(3), StudentT(math.inf), GPD(0.5, 1.0)],
+        ids=["gaussian", "stable", "cauchy", "student_t", "student_t_inf", "gpd"],
+    )
+    def test_shape_form_first_row_is_the_plain_sample(self, spec):
+        rng = RngStream(56)
+        assert sample(spec, (1, 37), rng)[0].tobytes() == sample(spec, 37, rng).tobytes()
+        assert sample(spec, (5, 37), rng).shape == (5, 37)
+
     def test_dispatch_matches_family_samplers(self):
         rng = RngStream(55)
         np.testing.assert_array_equal(

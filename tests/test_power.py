@@ -2,8 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from greenwood import testing
+from greenwood.critical import QuantileTable, _simulate
 from greenwood.distributions import (
     FAMILIES,
     GPD,
@@ -16,6 +19,7 @@ from greenwood.distributions import (
 )
 from greenwood.power import (
     PowerStudyConfig,
+    _rejection_rate,
     data_spec,
     export_curve,
     import_curve,
@@ -23,7 +27,8 @@ from greenwood.power import (
     size_check,
 )
 from greenwood.rng import RngStream
-from greenwood.testing import TestSpec
+from greenwood.statistic import modified_greenwood_batch
+from greenwood.testing import TestSpec, null_for, reject_rows, run_test, thresholds_for
 
 
 def mg2_spec(table, c=0.05):
@@ -154,6 +159,68 @@ class TestSizeCheck:
             size_check(mg2_spec(quick_gaussian_table), 10, 50, RngStream(1))
 
 
+def _tie_spec(kind, n, lower, upper, monkeypatch) -> TestSpec:
+    """``kind`` at c = 0.05 whose size-``n`` thresholds are ``lower`` and ``upper``.
+
+    A one-sided kind reads the value of its own tail; the Jarque-Bera
+    threshold is planted in the baseline cache.
+    """
+    if kind == "jarque_bera":
+        monkeypatch.setitem(testing._baseline_cache, (kind, n, 0.05, 100000), upper)
+        return TestSpec(kind, 0.05)
+    null = null_for(kind, Gaussian(0.0, 1.0))
+    records = [
+        {
+            "family": family_tag(null), "params": params_dict(null), "n": n,
+            "c": c, "side": side, "value": lower if side == "lower" else upper,
+        }
+        for c in (0.05, 0.025)
+        for side in ("lower", "upper")
+    ]
+    return TestSpec(kind, 0.05, QuantileTable({}, records), null_spec=null)
+
+
+class TestBatchDecisions:
+    N, R = 50, 3000  # three blocks of 1310 rows, the last one cut short
+    DATA = StudentT(2)  # heavy rows: the batch and scalar sums often differ by an ulp
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "kind", ["mg1", "mg2", "mg_two_sided", "mg4_student_t", "jarque_bera"]
+    )
+    def test_batch_equals_run_test_at_constructed_ties(self, kind, ulps, monkeypatch):
+        rng = RngStream(90)
+        rows = _simulate(self.DATA, self.N, self.R, rng, lambda block: block)
+        batch = (
+            testing._jb_values(rows) if kind == "jarque_bera" else modified_greenwood_batch(rows)
+        )
+        scalar = np.array([testing._statistic(kind, row)[0] for row in rows])
+        # thresholds sit on (or an ulp beside) the scalar value of rows whose
+        # batch value differs, so a decision on batch values alone goes wrong
+        differ = np.flatnonzero(batch != scalar)
+        lo, hi = (differ[:2] if differ.size >= 2 else (0, 1))
+        at = scalar[[lo, hi]]
+        lower, upper = sorted(at if ulps == 0 else np.nextafter(at, ulps * np.inf))
+        spec = _tie_spec(kind, self.N, lower, upper, monkeypatch)
+
+        expected = [run_test(spec, row).reject for row in rows]
+        got = reject_rows(spec, rows, thresholds_for(spec, self.N))
+        assert got.tolist() == expected
+        assert _rejection_rate(spec, self.DATA, self.N, self.R, rng) == sum(expected) / self.R
+
+    def test_refused_rows_raise_as_run_test_does(self, monkeypatch):
+        table = QuantileTable(
+            {},
+            [{"family": "gpd", "params": {"gamma": 0.5, "delta": 1.0}, "n": 10,
+              "c": 0.05, "side": "lower", "value": 0.2}],
+        )
+        with pytest.raises(ValueError, match="nonnegative"):
+            _rejection_rate(TestSpec("mg3_gpd", 0.05, table), Stable(1.5, 1.0), 10, 200, RngStream(91))
+        spec = _tie_spec("jarque_bera", 5, 0.0, 1.0, monkeypatch)
+        with pytest.raises(ValueError, match="at least 8"):
+            _rejection_rate(spec, Gaussian(0.0, 1.0), 5, 200, RngStream(92))
+
+
 class TestSerialization:
     def _curve(self, table, seed=777):
         cfg = PowerStudyConfig(
@@ -168,6 +235,7 @@ class TestSerialization:
         loaded = import_curve(path)
         assert loaded.points == curve.points
         assert loaded.config == curve.config
+        assert loaded.config["rng_layout"] == 2
 
     def test_exports_are_byte_identical(self, quick_gaussian_table, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
