@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -27,6 +28,7 @@ from .critical import (
     QuantileTable,
     TableCoverageError,
     TableRequest,
+    atomic_open,
     build_quantile_table,
     write_json,
 )
@@ -63,6 +65,28 @@ def _flag_values():
         yield
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _seed(text: str) -> int:
+    """``--seed``: an integer in ``[0, 2**64)``, the range of a Philox key word."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def _sample_rate(text: str) -> float:
+    """``--sample-rate``: a finite positive number of Hz."""
+    try:
+        rate = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (rate > 0 and math.isfinite(rate)):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return rate
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -296,7 +320,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_spectrogram(args) -> int:
     sig = read_signal(args.input, args.sample_rate)
     sp = _spectrogram(sig, args)
-    np.save(args.out, sp.magnitude_squared)
+    # the name np.save would give the file
+    target = args.out if args.out.endswith(".npy") else args.out + ".npy"
+    with atomic_open(target, "wb") as fh:
+        np.save(fh, sp.magnitude_squared)
     meta = {
         "shape": list(sp.magnitude_squared.shape),
         "frequency_step_hz": float(sp.frequencies[1] - sp.frequencies[0])
@@ -307,7 +334,7 @@ def _cmd_spectrogram(args) -> int:
         "beta": args.beta,
         "overlap": args.overlap,
         "sample_rate": sig.sample_rate,
-        "matrix_file": args.out if args.out.endswith(".npy") else args.out + ".npy",
+        "matrix_file": target,
     }
     print(json.dumps(meta, indent=2, sort_keys=True))
     return 0
@@ -329,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", default="0.05", help="comma list of levels (default 0.05)")
     p.add_argument("--side", choices=("lower", "upper", "both"), default="both")
     p.add_argument("--reps", type=int, default=100000, help="replications (min 1000)")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2**64)")
     p.add_argument("--quick", action="store_true", help="drop replications to 10000")
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument(
@@ -347,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--f-min", type=float, help="band lower edge, Hz")
     p.add_argument("--f-max", type=float, help="band upper edge, Hz")
-    p.add_argument("--sample-rate", type=float, default=1.0, help="simulated rate, Hz")
+    p.add_argument("--sample-rate", type=_sample_rate, default=1.0, help="simulated rate, Hz")
     p.set_defaults(func=_cmd_quantiles)
 
     p = sub.add_parser("test", help="test one sample from a single-column CSV")
@@ -373,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma list of sample sizes")
     p.add_argument("--c", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=2000, help="replications per point")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2**64)")
     p.add_argument("--quick", action="store_true", help="drop replications to 500")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_power)
@@ -393,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=int, default=0)
     p.add_argument("--f-min", type=float, help="band lower edge, Hz")
     p.add_argument("--f-max", type=float, help="band upper edge, Hz")
-    p.add_argument("--sample-rate", type=float, default=1.0, help="rate for CSV input")
+    p.add_argument("--sample-rate", type=_sample_rate, default=1.0, help="rate for CSV input")
     p.add_argument("--out", help="write the report JSON here instead of stdout")
     p.set_defaults(func=_cmd_analyze)
 
@@ -402,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-length", type=int, required=True)
     p.add_argument("--beta", type=float, default=5.0, help="Kaiser beta (default 5)")
     p.add_argument("--overlap", type=int, default=0)
-    p.add_argument("--sample-rate", type=float, default=1.0, help="rate for CSV input")
+    p.add_argument("--sample-rate", type=_sample_rate, default=1.0, help="rate for CSV input")
     p.add_argument("--out", required=True, help="output .npy path for the matrix")
     p.set_defaults(func=_cmd_spectrogram)
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.quantile imports it on its first call)
 
 from .distributions import DistributionSpec, family_tag, params_dict, sample
 from .rng import RngStream

@@ -18,6 +18,10 @@ The stable law has no closed-form distribution function away from
 ``alpha in {1, 2}``; here it is evaluated by numeric Fourier inversion of the
 characteristic function. That path serves diagnostics and quantile queries
 only; samplers never touch it.
+
+scipy is imported inside the functions that need it (the distribution
+functions, quantiles and the stable tail weight), never at module load, so
+importing the package and sampling do not load it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy import integrate, interpolate, optimize, special
 
 from .rng import RngStream
 
@@ -308,11 +311,15 @@ def stable_tail_weight(alpha: float) -> float:
     """
     if not (0.0 < alpha < 2.0):
         raise ValueError("tail weight defined for alpha in (0, 2)")
+    from scipy import special
+
     return special.gamma(alpha) * math.sin(math.pi * alpha / 2.0) / math.pi
 
 
 def _stable_pdf_unit(z: float, alpha: float) -> float:
     # density by Fourier inversion: (1/pi) * int_0^inf cos(z t) exp(-t**alpha) dt
+    from scipy import integrate, special
+
     z = abs(float(z))
     if z == 0.0:
         return special.gamma(1.0 + 1.0 / alpha) / math.pi
@@ -325,6 +332,8 @@ def _stable_pdf_unit(z: float, alpha: float) -> float:
 def _stable_cdf_unit_exact(z: float, alpha: float) -> float:
     # F(z) = 1/2 + (1/pi) int_0^inf sin(z t)/t exp(-t**alpha) dt, split at t = 1
     # so the infinite piece can use the oscillatory-weight rule.
+    from scipy import integrate
+
     z = float(z)
     if z == 0.0:
         return 0.5
@@ -354,6 +363,8 @@ def _stable_cdf_table(alpha: float):
     goodness-of-fit diagnostics; exact point queries go through
     ``_stable_cdf_unit_exact``.
     """
+    from scipy import interpolate
+
     c = stable_tail_weight(alpha)
     z_max = (c / _STABLE_GRID_TAIL_PROB) ** (1.0 / alpha)
     z_max = max(z_max, 12.0)
@@ -384,6 +395,8 @@ def cdf_function(spec: DistributionSpec, x) -> np.ndarray:
     inversion grid (absolute error around 1e-5; fine for diagnostics, not
     meant for the testing hot path).
     """
+    from scipy import special
+
     x = np.asarray(x, dtype=np.float64)
     if isinstance(spec, Gaussian):
         return special.ndtr((x - spec.mu) / math.sqrt(spec.sigma2))
@@ -404,6 +417,8 @@ def cdf_function(spec: DistributionSpec, x) -> np.ndarray:
 
 def _stable_quantile_unit(p: float, alpha: float) -> float:
     # root of the exact distribution function; symmetric reduction to p >= 1/2
+    from scipy import optimize
+
     if p == 0.5:
         return 0.0
     if p < 0.5:
@@ -425,6 +440,8 @@ def quantile_function(spec: DistributionSpec, p: float) -> float:
     search on the numeric distribution function (absolute tolerance well
     below 1e-8 for routine probability levels).
     """
+    from scipy import special
+
     p = float(p)
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie strictly between 0 and 1")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from numpy.random import Generator, Philox
 
 _MASK64 = (1 << 64) - 1
 
@@ -21,7 +21,8 @@ class RngStream:
 
     The 128-bit Philox key packs ``master_seed`` into the low word and
     ``stream_id`` into the high word, so distinct ids give statistically
-    independent sequences under the same master seed.
+    independent sequences under the same master seed. Both must therefore
+    lie in ``[0, 2**64)``; a larger value would alias a smaller one.
     """
 
     master_seed: int
@@ -32,22 +33,21 @@ class RngStream:
             raise TypeError("master_seed must be an int")
         if not isinstance(self.stream_id, int) or isinstance(self.stream_id, bool):
             raise TypeError("stream_id must be an int")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be nonnegative")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError("master_seed must lie in [0, 2**64)")
+        if not 0 <= self.stream_id <= _MASK64:
+            raise ValueError("stream_id must lie in [0, 2**64)")
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         """Return a fresh generator positioned at the start of this stream.
 
         A new generator is created on every call: sampling through it never
         mutates the stream object, so repeated calls replay the same draws.
         """
-        key = (self.master_seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=self.master_seed | (self.stream_id << 64)))
 
     def substream(self, offset: int) -> "RngStream":
-        """Derive the stream ``offset`` positions after this one."""
+        """Derive the stream ``offset`` positions after this one (ids wrap at 2**64)."""
         if offset < 0:
             raise ValueError("offset must be nonnegative")
         return RngStream(self.master_seed, (self.stream_id + offset) & _MASK64)

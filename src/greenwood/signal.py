@@ -24,6 +24,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  (loaded with the package, not on the first spectrogram)
 
 from .critical import (
     QuantileTable,

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .critical import QuantileTable, _simulate
 from .distributions import GPD, DistributionSpec, Gaussian, StudentT
@@ -209,6 +208,8 @@ def _jb_values(x: np.ndarray) -> np.ndarray:
 
 def _ks_values(x: np.ndarray) -> np.ndarray:
     # sup distance between the empirical CDF and the normal fitted by moments
+    from scipy import special
+
     m, n = x.shape
     xs = np.sort(x, axis=1)
     mean = x.mean(axis=1, keepdims=True)

@@ -1,19 +1,32 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
 import json
+import os
 import shutil
 import struct
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import greenwood
 from greenwood.cli import main
 from greenwood.critical import QuantileTable, TableRequest, build_quantile_table
 from greenwood.distributions import Gaussian, Stable, family_tag, params_dict, spec_from
 from greenwood.power import import_curve, size_check
 from greenwood.rng import RngStream
-from greenwood.signal import Signal, read_signal, write_signal
+from greenwood.signal import (
+    Signal,
+    build_spectrogram_quantile_table,
+    kaiser_window,
+    read_signal,
+    spectrogram,
+    write_signal,
+)
 from greenwood.testing import BASELINE_KINDS, MG_KINDS, TestSpec, null_for
 
 
@@ -32,6 +45,14 @@ def workdir(tmp_path_factory):
     np.savetxt(d / "heavy.csv", heavy)
     write_signal(d / "signal.bin", Signal(RngStream(68).generator().standard_cauchy(300)))
     return d
+
+
+def _exit_code(argv) -> int:
+    """The exit status of ``greenwood argv``: main's return value or its SystemExit code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def _table_doc(**changes) -> dict:
@@ -390,9 +411,58 @@ class TestSpectrogramCommand:
         assert meta["shape"] == [33, 4]  # 64//2+1 bins, (300-64)//64+1 frames
         assert meta["matrix_file"].endswith(".npy")
         assert np.load(out).shape == (33, 4)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_out_gets_the_npy_suffix_and_np_save_bytes(self, workdir, tmp_path, capsys):
+        rc = main(
+            [
+                "spectrogram", "--input", str(workdir / "signal.bin"),
+                "--window-length", "64", "--out", str(tmp_path / "spec"),
+            ]
+        )
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["matrix_file"] == str(tmp_path / "spec.npy")
+        matrix = spectrogram(read_signal(workdir / "signal.bin"), kaiser_window(64, 5.0))
+        np.save(tmp_path / "reference.npy", matrix.magnitude_squared)
+        written = (tmp_path / "spec.npy").read_bytes()
+        assert written == (tmp_path / "reference.npy").read_bytes()
+
+    def test_failed_write_leaves_the_old_matrix(self, workdir, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "spec.npy"
+        out.write_bytes(b"old matrix")
+
+        def broken_save(fh, array):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", broken_save)
+        rc = main(
+            [
+                "spectrogram", "--input", str(workdir / "signal.bin"),
+                "--window-length", "64", "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_bytes() == b"old matrix"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestGlobalBehavior:
+    def test_import_loads_no_scipy(self):
+        # scipy is loaded on first use only; the numpy submodules it used to
+        # load as a side effect are imported with the package instead
+        code = "import json, sys, greenwood, greenwood.cli; print(json.dumps(sorted(sys.modules)))"
+        src = str(Path(greenwood.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        modules = set(json.loads(proc.stdout))
+        assert sorted(m for m in modules if m == "scipy" or m.startswith("scipy.")) == []
+        assert {"numpy.random", "numpy.ma", "numpy.fft"} <= modules
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -440,10 +510,26 @@ class TestGlobalBehavior:
                 ["spectrogram", "--input", "{signal}", "--window-length", "1"],
                 "window must be one-dimensional with at least 2 samples",
             ),
+            (
+                ["spectrogram", "--input", "{heavy}", "--window-length", "2", "--sample-rate", "-1"],
+                "--sample-rate: must be a finite positive number",
+            ),
+            (
+                ["analyze", "--input", "{heavy}", "--table", "{table}", "--sample-rate", "nan"],
+                "--sample-rate: must be a finite positive number",
+            ),
+            (
+                [
+                    "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                    "--signal-length", "1000", "--window-length", "100", "--sample-rate", "inf",
+                ],
+                "--sample-rate: must be a finite positive number",
+            ),
         ],
         ids=[
             "quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c",
-            "analyze_segment_length", "spectrogram_window_length",
+            "analyze_segment_length", "spectrogram_window_length", "spectrogram_sample_rate",
+            "analyze_sample_rate", "quantiles_sample_rate",
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):
@@ -453,8 +539,33 @@ class TestGlobalBehavior:
             "signal": workdir / "signal.bin",
         }
         argv = [a.format(**paths) for a in argv]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551619"])
+    @pytest.mark.parametrize("command", ["quantiles", "power"])
+    def test_seed_outside_64_bits_is_a_usage_error(self, workdir, tmp_path, capsys, command, seed):
+        # 2**64 + 3 used to alias seed 3 while the metadata recorded the larger seed
+        out = tmp_path / "out"
+        argv = {
+            "quantiles": ["quantiles", "--family", "gaussian", "--n", "10", "--reps", "1000"],
+            "power": [
+                "power", "--kind", "mg2", "--table", str(workdir / "raw_table.json"),
+                "--data-family", "stable", "--grid", "1.5", "--n", "10", "--reps", "10",
+            ],
+        }[command]
+        assert _exit_code(argv + ["--seed", seed, "--out", str(out)]) == 2
+        assert "--seed: must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        out = tmp_path / "t.json"
+        argv = [
+            "quantiles", "--family", "gaussian", "--n", "10", "--reps", "1000",
+            "--seed", str(2**64 - 1), "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert QuantileTable.load(out).metadata["master_seed"] == 2**64 - 1
 
     @pytest.mark.parametrize(
         "family, flag", [("stable", "--alpha"), ("student_t", "--nu"), ("gpd", "--gamma")]
@@ -476,3 +587,102 @@ class TestGlobalBehavior:
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "quantiles" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(workdir):
+    """Good, bad and missing inputs for generated command lines, by placeholder."""
+    d = workdir / "fuzz"
+    d.mkdir()
+    np.savetxt(d / "short.csv", RngStream(69).generator().standard_cauchy(10))
+    np.savetxt(d / "multi.csv", np.ones((6, 3)), delimiter=",")
+    (d / "nan.csv").write_text("1.0\nnan\n2.0\ninf\n")
+    (d / "garbage.bin").write_bytes(b"GWSIG\x00\xff" + bytes(range(40)))
+    raw = (workdir / "signal.bin").read_bytes()
+    (d / "truncated.bin").write_bytes(raw[: len(raw) // 2])
+    tf = build_spectrogram_quantile_table(
+        Gaussian(0.0, 1.0), [(0.05, "upper")], 300, 32, 5.0, 0, 2, RngStream(70),
+        created_at="fixed",
+    )
+    tf.save(d / "tf_table.json")
+    return {
+        "{heavy}": str(workdir / "heavy.csv"),
+        "{table}": str(workdir / "raw_table.json"),
+        "{signal}": str(workdir / "signal.bin"),
+        "{short}": str(d / "short.csv"),
+        "{multi}": str(d / "multi.csv"),
+        "{nan}": str(d / "nan.csv"),
+        "{garbage}": str(d / "garbage.bin"),
+        "{truncated}": str(d / "truncated.bin"),
+        "{tf_table}": str(d / "tf_table.json"),
+        "{missing}": str(d / "missing.csv"),
+        "{out}": str(d / "out.json"),
+        "{bad_dir}": str(d / "no-such-dir" / "out.json"),
+    }
+
+
+# (good, bad) values of each flag in a generated command line. Most values
+# are good, so that most lines get past parsing and reach the command. The
+# levels and lengths are few, so the baseline thresholds (simulated once per
+# (n, c) in a process) stay cheap.
+_INPUTS = (["{heavy}", "{signal}", "{short}"],
+           ["{multi}", "{nan}", "{garbage}", "{truncated}", "{table}", "{missing}"])
+_NUMBERS = ["-1", "nan", "inf", "-inf", "x", ""]
+_FLAG_VALUES = {
+    "--input": _INPUTS,
+    "--kind": (["mg2", "mg1", "mg_two_sided", "jarque_bera", "ks_normality"],
+               ["mg3_gpd", "mg4_student_t", "mg5"]),
+    "--table": (["{table}", "{tf_table}"], ["{heavy}", "{garbage}", "{missing}"]),
+    "--c": (["0.05"], ["0.7", "0", "nan", "x"]),
+    "--out": (["{out}"], ["{bad_dir}"]),
+    "--family": (["gaussian", "stable"], ["student_t", "gpd", "cauchy"]),
+    "--alpha": (["1.5", "2"], ["3"] + _NUMBERS),
+    "--nu": (["2", "inf"], ["2.5"] + _NUMBERS),
+    "--mode": (["time", "tf"], ["freq"]),
+    "--segment-length": (["10", "50"], ["2", "1", "1000", "-3", "x"]),
+    "--window-length": (["32", "64"], ["2", "1", "0", "-4", "1000", "x"]),
+    "--beta": (["5", "0"], ["-1", "nan", "inf", "x"]),
+    "--overlap": (["0", "16"], ["31", "32", "-1", "x"]),
+    "--f-min": (["0.1", "0"], ["0.6", "nan", "-inf"]),
+    "--f-max": (["0.4", "0.5"], ["0", "nan", "inf"]),
+    "--sample-rate": (["1", "1000"], ["0", "-1", "nan", "inf", "x"]),
+}
+# (usual, optional) flags of each command; the usual ones include the
+# required flags and are left out only now and then
+_COMMANDS = {
+    "test": (("--input", "--kind", "--table"), ("--c", "--out", "--family", "--alpha", "--nu")),
+    "analyze": (
+        ("--input", "--table", "--mode", "--segment-length", "--window-length"),
+        ("--kind", "--c", "--beta", "--overlap", "--f-min", "--f-max", "--sample-rate",
+         "--out", "--family"),
+    ),
+    "spectrogram": (
+        ("--input", "--window-length", "--out"), ("--beta", "--overlap", "--sample-rate")
+    ),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    usual, optional = _COMMANDS[command]
+    flags = [f for f in usual if draw(st.integers(0, 15)) < 15]
+    flags += draw(st.lists(st.sampled_from(optional), max_size=4, unique=True))
+    argv = [command]
+    for flag in flags:
+        good, bad = _FLAG_VALUES[flag]
+        pool = bad if draw(st.integers(0, 7)) == 7 else good
+        argv += [flag, draw(st.sampled_from(pool))]
+    if draw(st.integers(0, 15)) == 15:  # a stray token somewhere
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_NUMBERS)))
+    return argv
+
+
+class TestFuzzedCommandLines:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_command_lines())
+    def test_any_command_line_exits_0_1_or_2(self, fuzz_files, argv):
+        for placeholder, path in fuzz_files.items():
+            argv = [a.replace(placeholder, path) for a in argv]
+        code = _exit_code(argv)
+        assert code in (0, 1, 2)

@@ -67,3 +67,17 @@ def test_invalid_offsets_rejected():
         RngStream(1).substream(-1)
     with pytest.raises(ValueError):
         RngStream(1, -4)
+
+
+@pytest.mark.parametrize("field", ["master_seed", "stream_id"])
+@pytest.mark.parametrize("value", [2**64, 2**64 + 3, 2**128])
+def test_ids_beyond_64_bits_are_rejected_not_aliased(field, value):
+    # 2**64 + 3 would otherwise key the same Philox stream as 3
+    kwargs = {"master_seed": 1, "stream_id": 0, field: value}
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        RngStream(**kwargs)
+
+
+def test_largest_ids_are_accepted():
+    top = 2**64 - 1
+    assert RngStream(top, top).generator().standard_normal(4).shape == (4,)

@@ -1,9 +1,12 @@
 """Tests for segmentation, spectrograms, batch screening and signal files."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenwood.critical import QuantileTable, TableCoverageError
 from greenwood.distributions import Gaussian, Stable, sample
@@ -334,3 +337,56 @@ class TestSignalFiles:
             path.write_bytes(cut)
             with pytest.raises(ValueError, match="truncated"):
                 read_signal(path)
+
+
+# --------------------------------------------------------------------------
+# files read_signal may be handed: binary files with any header, truncated
+# anywhere or followed by garbage, and CSV text with any number of columns,
+# separators, NaN and infinities
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FLOATS = _FINITE | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _binary_files(draw):
+    # mostly well formed, so that many files read; then maybe a wrong count,
+    # a cut or trailing garbage
+    values = draw(st.lists(_FINITE, max_size=12) | st.lists(_FLOATS, max_size=12))
+    count = len(values)
+    if draw(st.integers(0, 3)) == 3:
+        count = draw(st.integers(0, 16) | st.integers(0, 2**64 - 1))
+    rate = draw(st.floats(1e-3, 1e6) | _FLOATS)
+    raw = b"GWSIG001" + struct.pack("<Qd", count, rate) + struct.pack(f"<{len(values)}d", *values)
+    if draw(st.integers(0, 3)) == 3:
+        raw = raw[: draw(st.integers(0, len(raw)))]
+    if draw(st.integers(0, 3)) == 3:
+        raw += draw(st.binary(min_size=1, max_size=8))
+    return raw
+
+
+_CSV = st.builds(
+    lambda rows, sep: "\n".join(sep.join(repr(v) for v in row) for row in rows).encode(),
+    st.lists(st.lists(_FINITE, min_size=1, max_size=1), max_size=8)
+    | st.lists(st.lists(_FLOATS, min_size=1, max_size=3), max_size=8),
+    st.sampled_from([",", " ", "\t", ";"]),
+)
+ANY_SIGNAL_FILE = _binary_files() | _CSV | st.binary(max_size=64) | st.text(max_size=32).map(str.encode)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "signal"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(ANY_SIGNAL_FILE, st.floats(1e-3, 1e6) | _FLOATS)
+def test_any_file_reads_or_is_a_value_error(fuzz_path, raw, rate):
+    fuzz_path.write_bytes(raw)
+    try:
+        sig = read_signal(fuzz_path, rate)
+    except ValueError:
+        return
+    assert sig.samples.dtype == np.float64 and sig.samples.ndim == 1
+    assert sig.samples.size >= 2 and np.isfinite(sig.samples).all()
+    assert sig.sample_rate > 0 and math.isfinite(sig.sample_rate)
