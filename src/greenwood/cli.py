@@ -40,6 +40,7 @@ from .signal import (
     build_spectrogram_quantile_table,
     frequency_rows,
     kaiser_window,
+    read_csv_column,
     read_signal,
     segment_signal,
     spectrogram,
@@ -87,6 +88,19 @@ def _sample_rate(text: str) -> float:
     if not (rate > 0 and math.isfinite(rate)):
         raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
     return rate
+
+
+def _beta(text: str) -> float:
+    """``--beta``: a Kaiser shape that :func:`~greenwood.signal.kaiser_window` accepts."""
+    try:
+        beta = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    try:
+        kaiser_window(2, beta)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return beta
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -243,10 +257,7 @@ def _cmd_quantiles(args) -> int:
 
 def _cmd_test(args) -> int:
     spec = _test_spec(args)
-    sample = np.loadtxt(args.input, dtype=np.float64, ndmin=1)
-    if sample.ndim != 1:
-        raise ValueError("sample file must contain a single column of numbers")
-    outcome = run_test(spec, sample)
+    outcome = run_test(spec, read_csv_column(args.input))
     _write_or_print(outcome.to_json_dict(), args.out)
     return 0
 
@@ -366,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate plain samples, or rows of a spectrogram",
     )
     p.add_argument("--window-length", type=int, help="spectrogram window length")
-    p.add_argument("--beta", type=float, default=5.0, help="Kaiser beta (default 5)")
+    p.add_argument("--beta", type=_beta, default=5.0, help="Kaiser beta (default 5)")
     p.add_argument("--overlap", type=int, default=0, help="window overlap (default 0)")
     p.add_argument("--signal-length", type=int, help="simulated signal length")
     p.add_argument(
@@ -416,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--segment-length", type=int, default=1000, help="time mode segment length"
     )
     p.add_argument("--window-length", type=int, help="tf mode window length")
-    p.add_argument("--beta", type=float, default=5.0, help="Kaiser beta (default 5)")
+    p.add_argument("--beta", type=_beta, default=5.0, help="Kaiser beta (default 5)")
     p.add_argument("--overlap", type=int, default=0)
     p.add_argument("--f-min", type=float, help="band lower edge, Hz")
     p.add_argument("--f-max", type=float, help="band upper edge, Hz")
@@ -427,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrogram", help="compute and store a spectrogram matrix")
     p.add_argument("--input", required=True, help="signal file (binary or CSV)")
     p.add_argument("--window-length", type=int, required=True)
-    p.add_argument("--beta", type=float, default=5.0, help="Kaiser beta (default 5)")
+    p.add_argument("--beta", type=_beta, default=5.0, help="Kaiser beta (default 5)")
     p.add_argument("--overlap", type=int, default=0)
     p.add_argument("--sample-rate", type=_sample_rate, default=1.0, help="rate for CSV input")
     p.add_argument("--out", required=True, help="output .npy path for the matrix")

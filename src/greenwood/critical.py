@@ -8,9 +8,15 @@ Every Monte Carlo loop of the package (tables, power and size studies,
 baseline thresholds) runs on one engine with one RNG layout, version
 :data:`RNG_LAYOUT`: replications come in blocks of
 ``rows(n) = max(1, BLOCK_VALUES // n)``, and block ``b`` is one
-``(rows(n), n)`` draw from substream ``base + b``. Blocks are always drawn whole, so replication ``r`` depends
-only on the base stream, ``n`` and ``r``: results are bit-identical across
-runs and chunk sizes, and fewer replications give a prefix of more.
+``(rows(n), n)`` draw from substream ``base + b``. Blocks are always drawn
+whole, so replication ``r`` depends only on the base stream, ``n`` and
+``r``: results are bit-identical across runs and chunk sizes, and fewer
+replications give a prefix of more.
+
+The blocks of one call run concurrently on the CPUs in the process's
+affinity mask (``taskset`` narrows it), the calling thread included.
+numpy's generator fills and ufuncs release the GIL, and results are put
+back in block order, so the output is the same for any CPU count.
 
 Tables serialize to a small JSON document (see :meth:`QuantileTable.save`)
 keyed by ``(family, params, n, c, side)``.
@@ -22,6 +28,8 @@ import json
 import math
 import os
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -65,20 +73,69 @@ RNG_LAYOUT = 2
 BLOCK_VALUES = 1 << 16
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, else all of them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _simulate(spec: DistributionSpec, n: int, replications: int, rng: RngStream, row_fn):
     """``row_fn`` applied to ``replications`` size-``n`` samples of ``spec``.
 
     Block ``b`` is ``sample(spec, (rows, n), rng.substream(b))`` with
     ``rows = max(1, BLOCK_VALUES // n)``; ``row_fn`` gets the rows of each
-    block still needed, as one 2-D array, and returns one result per row.
-    The results are concatenated in replication order.
+    block still needed, as one 2-D array it may overwrite, and returns one
+    result per row. The results are concatenated in replication order.
+
+    With more than one block and more than one CPU, the calling thread and
+    ``min(CPUs, blocks) - 1`` helper threads claim blocks from one counter.
+    A failing block stops further claims; once the blocks already claimed
+    are done, the failure of the lowest block is raised, which is the one a
+    serial loop would raise.
     """
     rows = max(1, BLOCK_VALUES // n)
-    out = []
-    for b, start in enumerate(range(0, replications, rows)):
+    blocks = -(-replications // rows)
+
+    def run(b):
         block = sample(spec, (rows, n), rng.substream(b))
-        out.append(row_fn(block[: replications - start]))
-    return np.concatenate(out)
+        return row_fn(block[: replications - b * rows])
+
+    helpers = min(_cpu_count(), blocks) - 1
+    if helpers < 1:
+        return np.concatenate([run(b) for b in range(blocks)])
+
+    results = [None] * blocks
+    errors = {}
+    claims = iter(range(blocks))
+    claim_lock = threading.Lock()
+    stop = threading.Event()
+
+    def drain():
+        while not stop.is_set():
+            with claim_lock:
+                b = next(claims, None)
+            if b is None:
+                return
+            try:
+                results[b] = run(b)
+            except Exception as exc:
+                errors[b] = exc
+                stop.set()
+
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        try:
+            drain()
+        except BaseException:  # an interrupt: the helpers claim nothing more
+            stop.set()
+            raise
+    for f in futures:
+        f.result()
+    if errors:
+        raise errors[min(errors)]
+    return np.concatenate(results)
 
 
 class TableCoverageError(KeyError):
@@ -162,7 +219,10 @@ def estimate_null_distribution(
 
     def statistic(block):
         return np.concatenate(
-            [modified_greenwood_batch(block[i : i + chunk]) for i in range(0, len(block), chunk)]
+            [
+                modified_greenwood_batch(block[i : i + chunk], overwrite_input=True)
+                for i in range(0, len(block), chunk)
+            ]
         )
 
     return _simulate(spec, n, replications, rng, statistic)

@@ -226,15 +226,23 @@ def sample_stable(alpha: float, sigma: float, n, rng: RngStream) -> np.ndarray:
     u = g.uniform(-math.pi / 2.0, math.pi / 2.0, n)
     w = g.standard_exponential(n)
     a = spec.alpha
+    # evaluated in place, in the order of the formula above; the augmented
+    # operators keep numpy's fast paths for exponents such as 0.5
     if a == 1.0:
-        core = np.tan(u)
+        core = np.tan(u, out=u)
     else:
-        core = (
-            np.sin(a * u)
-            / np.cos(u) ** (1.0 / a)
-            * (np.cos((1.0 - a) * u) / w) ** ((1.0 - a) / a)
-        )
-    return spec.sigma * core
+        core = np.multiply(a, u)
+        np.sin(core, out=core)
+        scale = np.cos(u)
+        scale **= 1.0 / a
+        core /= scale
+        u *= 1.0 - a
+        np.cos(u, out=u)
+        u /= w
+        u **= (1.0 - a) / a
+        core *= u
+    core *= spec.sigma
+    return core
 
 
 def sample_student_t(nu: float, n, rng: RngStream) -> np.ndarray:
@@ -247,7 +255,9 @@ def sample_student_t(nu: float, n, rng: RngStream) -> np.ndarray:
     g = rng.generator()
     z = g.standard_normal(n)
     chi2 = g.chisquare(spec.nu, n)
-    return z / np.sqrt(chi2 / spec.nu)
+    chi2 /= spec.nu  # in place, in the order of z / sqrt(chi2 / nu)
+    z /= np.sqrt(chi2, out=chi2)
+    return z
 
 
 def sample_gpd(gamma: float, delta: float, n, rng: RngStream) -> np.ndarray:

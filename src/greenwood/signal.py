@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
     "estimate_spectrogram_null",
     "frequency_rows",
     "kaiser_window",
+    "read_csv_column",
     "read_signal",
     "segment_signal",
     "spectrogram",
@@ -97,8 +99,11 @@ def kaiser_window(length: int, beta: float) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    with np.errstate(all="ignore"):
+        i0 = np.i0(beta)
+    # I0 overflows for beta above about 709, and NaN passes a sign check
+    if beta < 0 or not np.isfinite(i0):
+        raise ValueError(f"beta must be nonnegative with a finite I0(beta), got {beta}")
     return np.kaiser(length, beta)
 
 
@@ -336,7 +341,24 @@ def read_signal(path, sample_rate: float = 1.0) -> Signal:
                 )
             data = np.frombuffer(fh.read(count * 8), dtype="<f8")
             return Signal(data.astype(np.float64), rate)
-    values = np.loadtxt(path, dtype=np.float64, ndmin=1)
-    if values.ndim != 1:
-        raise ValueError("CSV signal must contain a single column")
-    return Signal(values, sample_rate)
+    return Signal(read_csv_column(path), sample_rate)
+
+
+def read_csv_column(path) -> np.ndarray:
+    """The numbers of a single-column CSV text file, one per line.
+
+    Raises ValueError for a file that is not text, holds no numbers or has
+    more than one column.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below, as an error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    except UnicodeDecodeError:
+        raise ValueError(
+            f"{path}: input must be a single-column numeric CSV; it is not text"
+        ) from None
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"{path}: input must be a single-column numeric CSV")
+    return values

@@ -77,12 +77,15 @@ def classical_greenwood(values) -> StatisticValue:
     return modified_greenwood(x)
 
 
-def modified_greenwood_batch(samples) -> np.ndarray:
+def modified_greenwood_batch(samples, overwrite_input: bool = False) -> np.ndarray:
     """Row-wise ``S_n`` over a 2-D array of samples.
 
     The Monte Carlo engines run on this path. Sums use pairwise ufunc
     reduction: deterministic for a fixed shape and independent of thread
     count, but not guaranteed to match the scalar path to the last bit.
+    With ``overwrite_input`` a float64 ``samples`` array is used as scratch
+    space (its values are lost), which saves two block-sized temporaries;
+    the result is the same.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -92,11 +95,12 @@ def modified_greenwood_batch(samples) -> np.ndarray:
         raise ValueError("samples must have at least 2 columns")
     if not np.isfinite(x).all():
         raise ValueError("samples contain NaN or infinite values")
-    ax = np.abs(x)
+    ax = np.abs(x, out=x if overwrite_input else None)
     denom = np.add.reduce(ax, axis=1)
     if (denom == 0.0).any():
         raise ValueError("every sample must contain at least one nonzero value")
-    out = np.add.reduce(ax * ax, axis=1) / (denom * denom)
+    squares = np.multiply(ax, ax, out=ax if overwrite_input else None)
+    out = np.add.reduce(squares, axis=1) / (denom * denom)
     return np.clip(out, 1.0 / n, 1.0)
 
 

@@ -8,6 +8,7 @@ before freezing.
 
 import pytest
 
+from greenwood import critical
 from greenwood.critical import TableRequest, build_quantile_table
 from greenwood.distributions import GPD, Gaussian, Stable, StudentT
 from greenwood.rng import RngStream
@@ -77,3 +78,14 @@ def quick_gaussian_table():
         for side in ("lower", "upper")
     ]
     return build_quantile_table(requests, 2000, RngStream(1101), created_at="fixed")
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """Set the CPU count the Monte Carlo engine sees: ``k`` runs it on the
+    calling thread plus up to ``k - 1`` helper threads; 1 runs it serially."""
+
+    def set_count(k: int) -> None:
+        monkeypatch.setattr(critical, "_cpu_count", lambda: k)
+
+    return set_count

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,15 @@ from hypothesis import strategies as st
 import greenwood
 from greenwood.cli import main
 from greenwood.critical import QuantileTable, TableRequest, build_quantile_table
-from greenwood.distributions import Gaussian, Stable, family_tag, params_dict, spec_from
+from greenwood.distributions import (
+    GPD,
+    Gaussian,
+    Stable,
+    StudentT,
+    family_tag,
+    params_dict,
+    spec_from,
+)
 from greenwood.power import import_curve, size_check
 from greenwood.rng import RngStream
 from greenwood.signal import (
@@ -53,6 +62,13 @@ def _exit_code(argv) -> int:
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def _env_with_package() -> dict:
+    """The environment with this checkout's package first on ``PYTHONPATH``."""
+    src = str(Path(greenwood.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def _table_doc(**changes) -> dict:
@@ -209,6 +225,27 @@ class TestTestCommand:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "command, name, message",
+        [
+            ("test", "empty.csv", "input must be a single-column numeric CSV"),
+            ("test", "signal.bin", "input must be a single-column numeric CSV; it is not text"),
+            ("analyze", "empty.csv", "input must be a single-column numeric CSV"),
+        ],
+    )
+    def test_unusable_csv_is_one_error_line(self, workdir, tmp_path, command, name, message):
+        (tmp_path / "empty.csv").write_text("")
+        path = tmp_path / name if name == "empty.csv" else workdir / name
+        argv = [command, "--kind", "jarque_bera", "--input", str(path)]
+        if command == "analyze":
+            argv += ["--table", str(workdir / "raw_table.json")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "greenwood.cli", *argv],
+            env=_env_with_package(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {path}: {message}\n"
 
 
 class TestPowerCommand:
@@ -449,19 +486,27 @@ class TestSpectrogramCommand:
 
 
 class TestGlobalBehavior:
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, tmp_path):
         # scipy is loaded on first use only; the numpy submodules it used to
-        # load as a side effect are imported with the package instead
-        code = "import json, sys, greenwood, greenwood.cli; print(json.dumps(sorted(sys.modules)))"
-        src = str(Path(greenwood.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        # load as a side effect are imported with the package instead. No
+        # thread starts on import, and a run's helper threads are all joined.
+        code = (
+            "import json, sys, threading, greenwood, greenwood.cli\n"
+            "modules, threads = sorted(sys.modules), threading.active_count()\n"
+            "greenwood.critical._cpu_count = lambda: 3\n"
+            "greenwood.cli.main(['quantiles', '--family', 'stable', '--alpha', '1.5',"
+            " '--n', '50', '--reps', '6000', '--out', sys.argv[1]])\n"
+            "print(json.dumps([modules, threads, threading.active_count()]))\n"
         )
-        modules = set(json.loads(proc.stdout))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "t.json")],
+            env=_env_with_package(), capture_output=True, text=True, check=True,
+        )
+        modules, threads_on_import, threads_after_run = json.loads(proc.stdout.splitlines()[-1])
         assert sorted(m for m in modules if m == "scipy" or m.startswith("scipy.")) == []
-        assert {"numpy.random", "numpy.ma", "numpy.fft"} <= modules
+        assert {"numpy.random", "numpy.ma", "numpy.fft"} <= set(modules)
+        assert threads_on_import == 1
+        assert threads_after_run == 1
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -525,11 +570,30 @@ class TestGlobalBehavior:
                 ],
                 "--sample-rate: must be a finite positive number",
             ),
+            (
+                ["spectrogram", "--input", "{signal}", "--window-length", "64", "--beta", "nan"],
+                "--beta: beta must be nonnegative with a finite I0(beta)",
+            ),
+            (
+                [
+                    "analyze", "--input", "{signal}", "--table", "{table}", "--mode", "tf",
+                    "--window-length", "64", "--beta", "inf",
+                ],
+                "--beta: beta must be nonnegative with a finite I0(beta)",
+            ),
+            (
+                [
+                    "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                    "--signal-length", "1000", "--window-length", "100", "--beta", "800",
+                ],
+                "--beta: beta must be nonnegative with a finite I0(beta)",
+            ),
         ],
         ids=[
             "quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c",
             "analyze_segment_length", "spectrogram_window_length", "spectrogram_sample_rate",
-            "analyze_sample_rate", "quantiles_sample_rate",
+            "analyze_sample_rate", "quantiles_sample_rate", "spectrogram_beta_nan",
+            "analyze_beta_inf", "quantiles_beta_800",
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):
@@ -539,7 +603,9 @@ class TestGlobalBehavior:
             "signal": workdir / "signal.bin",
         }
         argv = [a.format(**paths) for a in argv]
-        assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. an overflow in I0(beta)
+            assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551619"])
@@ -605,6 +671,16 @@ def fuzz_files(workdir):
         created_at="fixed",
     )
     tf.save(d / "tf_table.json")
+    # covers every mg kind at n = 10 and 50, so power studies get to sampling
+    nulls = [(Gaussian(0.0, 1.0), ("lower", "upper")), (GPD(0.5, 1.0), ("lower",)),
+             (StudentT(2), ("lower",))]
+    requests = [
+        TableRequest(spec, n, c, side)
+        for spec, sides in nulls for n in (10, 50) for c in (0.05, 0.025) for side in sides
+    ]
+    build_quantile_table(requests, 1000, RngStream(71), created_at="fixed").save(
+        d / "mg_table.json"
+    )
     return {
         "{heavy}": str(workdir / "heavy.csv"),
         "{table}": str(workdir / "raw_table.json"),
@@ -615,6 +691,7 @@ def fuzz_files(workdir):
         "{garbage}": str(d / "garbage.bin"),
         "{truncated}": str(d / "truncated.bin"),
         "{tf_table}": str(d / "tf_table.json"),
+        "{mg_table}": str(d / "mg_table.json"),
         "{missing}": str(d / "missing.csv"),
         "{out}": str(d / "out.json"),
         "{bad_dir}": str(d / "no-such-dir" / "out.json"),
@@ -624,7 +701,9 @@ def fuzz_files(workdir):
 # (good, bad) values of each flag in a generated command line. Most values
 # are good, so that most lines get past parsing and reach the command. The
 # levels and lengths are few, so the baseline thresholds (simulated once per
-# (n, c) in a process) stay cheap.
+# (n, c) in a process) stay cheap. Sample sizes and replications are small
+# but span several blocks, so quantiles and power lines run the threaded
+# engine, and mg3_gpd on stable or Gaussian data fails inside it.
 _INPUTS = (["{heavy}", "{signal}", "{short}"],
            ["{multi}", "{nan}", "{garbage}", "{truncated}", "{table}", "{missing}"])
 _NUMBERS = ["-1", "nan", "inf", "-inf", "x", ""]
@@ -632,7 +711,7 @@ _FLAG_VALUES = {
     "--input": _INPUTS,
     "--kind": (["mg2", "mg1", "mg_two_sided", "jarque_bera", "ks_normality"],
                ["mg3_gpd", "mg4_student_t", "mg5"]),
-    "--table": (["{table}", "{tf_table}"], ["{heavy}", "{garbage}", "{missing}"]),
+    "--table": (["{table}", "{tf_table}", "{mg_table}"], ["{heavy}", "{garbage}", "{missing}"]),
     "--c": (["0.05"], ["0.7", "0", "nan", "x"]),
     "--out": (["{out}"], ["{bad_dir}"]),
     "--family": (["gaussian", "stable"], ["student_t", "gpd", "cauchy"]),
@@ -646,6 +725,16 @@ _FLAG_VALUES = {
     "--f-min": (["0.1", "0"], ["0.6", "nan", "-inf"]),
     "--f-max": (["0.4", "0.5"], ["0", "nan", "inf"]),
     "--sample-rate": (["1", "1000"], ["0", "-1", "nan", "inf", "x"]),
+    "--gamma": (["0.5", "-0.2"], ["nan", "x"]),
+    "--n": (["10", "50", "10,50"], ["1", "0", "x", ""]),
+    "--reps": (["1000", "3000"], ["999", "99", "-1", "x"]),
+    "--side": (["both", "upper", "lower"], ["left"]),
+    "--seed": (["0", "7"], ["-1", "18446744073709551616", "x"]),
+    "--domain": (["raw", "spectrogram"], ["freq"]),
+    "--signal-length": (["300", "1000"], ["10", "0", "-1", "x"]),
+    "--signals": (["2", "3"], ["0", "-1", "x"]),
+    "--data-family": (["stable", "gaussian", "student_t", "gpd"], ["cauchy"]),
+    "--grid": (["1.5", "1.5,2", "1:0.5:2"], ["2,1", "0:0:1", "nan", "x", ""]),
 }
 # (usual, optional) flags of each command; the usual ones include the
 # required flags and are left out only now and then
@@ -658,6 +747,15 @@ _COMMANDS = {
     ),
     "spectrogram": (
         ("--input", "--window-length", "--out"), ("--beta", "--overlap", "--sample-rate")
+    ),
+    "quantiles": (
+        ("--family", "--n", "--reps", "--out"),
+        ("--c", "--side", "--seed", "--alpha", "--nu", "--gamma", "--domain",
+         "--window-length", "--signal-length", "--signals", "--beta", "--overlap"),
+    ),
+    "power": (
+        ("--kind", "--table", "--data-family", "--grid", "--n", "--reps", "--out"),
+        ("--c", "--seed", "--family", "--alpha"),
     ),
 }
 
@@ -679,7 +777,7 @@ def _command_lines(draw):
 
 
 class TestFuzzedCommandLines:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(derandomize=True, max_examples=500, deadline=None)
     @given(_command_lines())
     def test_any_command_line_exits_0_1_or_2(self, fuzz_files, argv):
         for placeholder, path in fuzz_files.items():

@@ -1,12 +1,16 @@
 import json
 import math
 import stat
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenwood import testing
 from greenwood.critical import (
     ESTIMATOR_ID,
     RNG_LAYOUT,
@@ -14,13 +18,15 @@ from greenwood.critical import (
     QuantileTable,
     TableCoverageError,
     TableRequest,
+    _simulate,
     atomic_open,
     build_quantile_table,
     empirical_quantile,
     estimate_null_distribution,
 )
-from greenwood.distributions import GPD, Gaussian, Stable, StudentT
+from greenwood.distributions import GPD, Gaussian, Stable, StudentT, sample
 from greenwood.rng import RngStream
+from greenwood.statistic import modified_greenwood_batch
 
 _SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 _JSON = st.recursive(
@@ -120,6 +126,86 @@ class TestNullDistribution:
     def test_sample_size_floor(self):
         with pytest.raises(ValueError):
             estimate_null_distribution(Gaussian(0.0, 1.0), 1, 1000, RngStream(1))
+
+
+# CPU counts the engine is run at: serial, then 1, 2 and 3 helper threads
+CPU_COUNTS = (1, 2, 3, 4)
+
+
+class TestThreadedEngine:
+    """Blocks run concurrently, and no output depends on how many threads run them."""
+
+    def test_table_is_identical_for_any_helper_count(self, set_cpus):
+        # 5 and 10 blocks per family, so every helper gets blocks
+        requests = [
+            TableRequest(spec, n, 0.05, side)
+            for spec in (Gaussian(0.0, 1.0), Stable(1.5, 1.0), StudentT(2), GPD(0.5, 1.0))
+            for n in (50, 100)
+            for side in ("lower", "upper")
+        ]
+        docs = []
+        for k in CPU_COUNTS:
+            set_cpus(k)
+            table = build_quantile_table(requests, 6000, RngStream(16), created_at="fixed")
+            docs.append(json.dumps(table.to_json_dict(), sort_keys=True))
+        assert docs[1:] == docs[:1] * 3
+
+    @pytest.mark.parametrize("kind", ["jarque_bera", "ks_normality"])
+    def test_baseline_threshold_is_identical_for_any_helper_count(
+        self, set_cpus, monkeypatch, kind
+    ):
+        thresholds = []
+        for k in CPU_COUNTS:
+            set_cpus(k)
+            monkeypatch.setattr(testing, "_baseline_cache", {})
+            thresholds.append(testing._baseline_threshold(kind, 20, 0.05, 20000))  # 7 blocks
+        assert thresholds[1:] == thresholds[:1] * 3
+
+    def test_stress_eight_threads_switching_every_microsecond(self, set_cpus):
+        spec, n, reps, rng = Stable(1.5, 1.0), 1000, 2000, RngStream(17)  # 31 blocks
+
+        def statistic(rows):
+            return modified_greenwood_batch(rows, overwrite_input=True)
+
+        set_cpus(1)
+        serial = _simulate(spec, n, reps, rng, statistic)
+        set_cpus(8)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # run from a thread of its own, so that a hang fails the test
+            worker = threading.Thread(
+                target=lambda: results.extend(
+                    _simulate(spec, n, reps, rng, statistic) for _ in range(3)
+                ),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive(), "the engine did not finish within 120 s"
+        assert [r.tobytes() for r in results] == [serial.tobytes()] * 3
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_lowest_failing_block_is_raised(self, set_cpus, cpus):
+        spec, n, reps, rng = Gaussian(0.0, 1.0), 1000, 1000, RngStream(18)  # 16 blocks of 65
+        block_of = {sample(spec, (65, n), rng.substream(b))[0, 0]: b for b in range(16)}
+
+        def first_column(rows):
+            b = block_of[rows[0, 0]]
+            if b in (1, 2):
+                if b == 1:  # with threads, block 2 fails first
+                    time.sleep(0.2)
+                raise ValueError(f"block {b}")
+            return rows[:, 0]
+
+        set_cpus(cpus)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^block 1$"):
+            _simulate(spec, n, reps, rng, first_column)
+        assert threading.active_count() == before
 
 
 def _small_requests():

@@ -131,6 +131,26 @@ class TestStable:
             Stable(1.5, 0.0)
 
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_in_place_sampler_equals_the_formula_bit_for_bit(self, alpha):
+        # the sampler evaluates the CMS map in place; the plain expression is
+        # the reference (odd sizes reach the ufuncs' remainder loops)
+        shape, rng = (301, 67), RngStream(113)
+        g = rng.generator()
+        u = g.uniform(-math.pi / 2.0, math.pi / 2.0, shape)
+        w = g.standard_exponential(shape)
+        if alpha == 1.0:
+            core = np.tan(u)
+        else:
+            core = (
+                np.sin(alpha * u)
+                / np.cos(u) ** (1.0 / alpha)
+                * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+            )
+        expected = 3.0 * core
+        assert sample_stable(alpha, 3.0, shape, rng).tobytes() == expected.tobytes()
+
+
 class TestStudentT:
     def test_inf_nu_is_standard_normal_stream(self):
         a = sample_student_t(math.inf, 100, RngStream(6))
@@ -155,6 +175,15 @@ class TestStudentT:
     def test_inf_ks(self):
         x = sample_student_t(math.inf, N_BIG, RngStream(112))
         assert _ks_to(StudentT(math.inf), x) < 0.01
+
+    @pytest.mark.parametrize("nu", [1, 2, 5])
+    def test_in_place_sampler_equals_the_formula_bit_for_bit(self, nu):
+        shape, rng = (301, 67), RngStream(114)
+        g = rng.generator()
+        z = g.standard_normal(shape)
+        chi2 = g.chisquare(nu, shape)
+        expected = z / np.sqrt(chi2 / nu)
+        assert sample_student_t(nu, shape, rng).tobytes() == expected.tobytes()
 
     def test_integer_normalization(self):
         assert StudentT(2.0).nu == 2

@@ -221,6 +221,48 @@ class TestBatchDecisions:
             _rejection_rate(spec, Gaussian(0.0, 1.0), 5, 200, RngStream(92))
 
 
+class TestThreadedStudies:
+    """Studies decide blocks on several threads; no output depends on how many."""
+
+    CPU_COUNTS = (1, 2, 3, 4)  # serial, then 1, 2 and 3 helper threads
+
+    @pytest.mark.parametrize("kind", ["mg2", "jarque_bera"])
+    def test_exports_are_identical_for_any_helper_count(
+        self, quick_gaussian_table, set_cpus, monkeypatch, tmp_path, kind
+    ):
+        spec = TestSpec(kind, 0.05, quick_gaussian_table if kind == "mg2" else None)
+        # n = 50 gives 5 blocks of 1310 rows per grid point
+        cfg = PowerStudyConfig(spec, "stable", (1.5, 2.0), (10, 50), 6000, 4242)
+        files = []
+        for k in self.CPU_COUNTS:
+            set_cpus(k)
+            monkeypatch.setattr(testing, "_baseline_cache", {})
+            path = tmp_path / f"{k}.csv"
+            export_curve(run_power_study(cfg), path)
+            files.append((path.read_bytes(), (tmp_path / f"{k}.csv.json").read_bytes()))
+        assert files[1:] == files[:1] * 3
+
+    def test_size_check_is_identical_for_any_helper_count(self, quick_gaussian_table, set_cpus):
+        rates = []
+        for k in self.CPU_COUNTS:
+            set_cpus(k)
+            rates.append(size_check(mg2_spec(quick_gaussian_table), 50, 6000, RngStream(560)))
+        assert rates[1:] == rates[:1] * 3
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_refused_rows_raise_from_any_thread(self, set_cpus, cpus):
+        table = QuantileTable(
+            {},
+            [{"family": "gpd", "params": {"gamma": 0.5, "delta": 1.0}, "n": 50,
+              "c": 0.05, "side": "lower", "value": 0.2}],
+        )
+        set_cpus(cpus)
+        with pytest.raises(ValueError, match="nonnegative"):
+            _rejection_rate(
+                TestSpec("mg3_gpd", 0.05, table), Stable(1.5, 1.0), 50, 6000, RngStream(93)
+            )
+
+
 class TestSerialization:
     def _curve(self, table, seed=777):
         cfg = PowerStudyConfig(

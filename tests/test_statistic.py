@@ -85,6 +85,14 @@ class TestBatch:
         scalar = np.array([modified_greenwood(row).s_n for row in x])
         np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=0.0)
 
+    def test_input_is_kept_unless_handed_over(self):
+        x = RngStream(306).generator().standard_cauchy((65, 1001))
+        before = x.copy()
+        s = modified_greenwood_batch(x)
+        assert x.tobytes() == before.tobytes()
+        # handing the array over changes the scratch space, not the result
+        assert modified_greenwood_batch(x, overwrite_input=True).tobytes() == s.tobytes()
+
     def test_clamped_into_range(self):
         rows = np.vstack([np.full(9, 1.0), np.eye(9)[0] * 3.0])
         out = modified_greenwood_batch(rows)
