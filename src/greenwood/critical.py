@@ -14,9 +14,13 @@ whole, so replication ``r`` depends only on the base stream, ``n`` and
 replications give a prefix of more.
 
 The blocks of one call run concurrently on the CPUs in the process's
-affinity mask (``taskset`` narrows it), the calling thread included.
-numpy's generator fills and ufuncs release the GIL, and results are put
-back in block order, so the output is the same for any CPU count.
+affinity mask (``taskset`` narrows it), the calling thread included, on
+one block runner, :func:`_map_blocks`. numpy's generator fills, FFTs and
+ufuncs release the GIL, and results are put back in block order, so the
+output is the same for any CPU count. The spectrogram null
+(:func:`greenwood.signal.estimate_spectrogram_null`) runs on the same
+runner with one signal per block: signal ``s`` is drawn whole from
+substream ``s``.
 
 Tables serialize to a small JSON document (see :meth:`QuantileTable.save`)
 keyed by ``(family, params, n, c, side)``.
@@ -81,13 +85,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _simulate(spec: DistributionSpec, n: int, replications: int, rng: RngStream, row_fn):
-    """``row_fn`` applied to ``replications`` size-``n`` samples of ``spec``.
-
-    Block ``b`` is ``sample(spec, (rows, n), rng.substream(b))`` with
-    ``rows = max(1, BLOCK_VALUES // n)``; ``row_fn`` gets the rows of each
-    block still needed, as one 2-D array it may overwrite, and returns one
-    result per row. The results are concatenated in replication order.
+def _map_blocks(run, blocks: int) -> list:
+    """``[run(b) for b in range(blocks)]``, with the blocks spread over the CPUs.
 
     With more than one block and more than one CPU, the calling thread and
     ``min(CPUs, blocks) - 1`` helper threads claim blocks from one counter.
@@ -95,16 +94,9 @@ def _simulate(spec: DistributionSpec, n: int, replications: int, rng: RngStream,
     are done, the failure of the lowest block is raised, which is the one a
     serial loop would raise.
     """
-    rows = max(1, BLOCK_VALUES // n)
-    blocks = -(-replications // rows)
-
-    def run(b):
-        block = sample(spec, (rows, n), rng.substream(b))
-        return row_fn(block[: replications - b * rows])
-
     helpers = min(_cpu_count(), blocks) - 1
     if helpers < 1:
-        return np.concatenate([run(b) for b in range(blocks)])
+        return [run(b) for b in range(blocks)]
 
     results = [None] * blocks
     errors = {}
@@ -135,7 +127,26 @@ def _simulate(spec: DistributionSpec, n: int, replications: int, rng: RngStream,
         f.result()
     if errors:
         raise errors[min(errors)]
-    return np.concatenate(results)
+    return results
+
+
+def _simulate(spec: DistributionSpec, n: int, replications: int, rng: RngStream, row_fn):
+    """``row_fn`` applied to ``replications`` size-``n`` samples of ``spec``.
+
+    Block ``b`` is ``sample(spec, (rows, n), rng.substream(b))`` with
+    ``rows = max(1, BLOCK_VALUES // n)``; ``row_fn`` gets the rows of each
+    block still needed, as one 2-D array it may overwrite, and returns one
+    result per row. The blocks run on :func:`_map_blocks`, and the results
+    are concatenated in replication order.
+    """
+    rows = max(1, BLOCK_VALUES // n)
+    blocks = -(-replications // rows)
+
+    def run(b):
+        block = sample(spec, (rows, n), rng.substream(b))
+        return row_fn(block[: replications - b * rows])
+
+    return np.concatenate(_map_blocks(run, blocks))
 
 
 class TableCoverageError(KeyError):

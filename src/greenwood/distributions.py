@@ -205,7 +205,10 @@ def sample_gaussian(mu: float, sigma2: float, n, rng: RngStream) -> np.ndarray:
     spec = Gaussian(mu, sigma2)
     n = _check_size(n)
     g = rng.generator()
-    return spec.mu + math.sqrt(spec.sigma2) * g.standard_normal(n)
+    z = g.standard_normal(n)
+    z *= math.sqrt(spec.sigma2)  # in place, the same bits as mu + sqrt(sigma2) * z
+    z += spec.mu
+    return z
 
 
 def sample_stable(alpha: float, sigma: float, n, rng: RngStream) -> np.ndarray:

@@ -14,6 +14,13 @@ simulated through the identical spectrogram configuration.
 :func:`build_spectrogram_quantile_table` produces such tables; their entries
 carry the window geometry in the key, which makes accidentally reusing a raw
 table in the time-frequency path a lookup error rather than a wrong answer.
+
+The null simulates its signals concurrently on the CPUs the process may
+use, through the block runner of :mod:`greenwood.critical`: signal ``s`` is
+drawn from substream ``s`` and the pooled values keep signal order, so the
+table is the same for any CPU count. Each signal's spectrogram is computed
+a chunk of frames at a time, which keeps the memory of the signals in
+flight close to that of their power matrices.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import numpy.fft  # noqa: F401  (loaded with the package, not on the first spect
 from .critical import (
     QuantileTable,
     TableRequest,
+    _map_blocks,
     atomic_open,
     quantile_record,
     table_metadata,
@@ -57,6 +65,8 @@ __all__ = [
 ]
 
 _MAGIC = b"GWSIG001"
+# windowed samples per spectrogram chunk (512 KB of float64); at least one frame
+_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +150,14 @@ def spectrogram(signal: Signal, window: np.ndarray, overlap: int = 0) -> Spectro
     hop = w - overlap
     n_frames = (x.size - w) // hop + 1
     frames = np.lib.stride_tricks.sliding_window_view(x, w)[:: hop][:n_frames]
-    spectrum = np.fft.rfft(frames * window, axis=1)
-    power = (spectrum.real**2 + spectrum.imag**2).T
+    # frames are transformed a chunk at a time into one (frames, bins) array,
+    # so the windowed copy and the complex spectrum never exceed one chunk
+    power = np.empty((n_frames, w // 2 + 1))
+    step = max(1, _CHUNK_VALUES // w)
+    for i in range(0, n_frames, step):
+        spectrum = np.fft.rfft(frames[i : i + step] * window, axis=1)
+        np.add(spectrum.real**2, spectrum.imag**2, out=power[i : i + step])
+    power = power.T
     freqs = np.fft.rfftfreq(w, d=1.0 / signal.sample_rate)
     times = (np.arange(n_frames) * hop + (w - 1) / 2.0) / signal.sample_rate
     return Spectrogram(power, freqs, times, window, overlap)
@@ -248,17 +264,22 @@ def estimate_spectrogram_null(
 
     Each simulated signal runs through the exact spectrogram configuration
     under study; every in-band frequency row contributes one statistic value.
+    Signal ``s`` is drawn from ``rng.substream(s)``; the signals run as the
+    blocks of :func:`greenwood.critical._map_blocks`, and their values are
+    pooled in signal order, so the result does not depend on the CPU count.
     """
     if signals < 1:
         raise ValueError("signals must be at least 1")
     window = kaiser_window(window_length, beta)
-    pooled = []
-    for s in range(signals):
+
+    def one_signal(s):
         x = sample(base_spec, signal_length, rng.substream(s))
         sp = spectrogram(Signal(x, sample_rate), window, overlap)
-        rows = frequency_rows(sp, f_min, f_max)
-        pooled.append(modified_greenwood_batch(np.stack([r for _, r in rows])))
-    return np.concatenate(pooled)
+        del x  # free the signal before its rows are stacked
+        rows = np.stack([r for _, r in frequency_rows(sp, f_min, f_max)])
+        return modified_greenwood_batch(rows, overwrite_input=True)
+
+    return np.concatenate(_map_blocks(one_signal, signals))
 
 
 def build_spectrogram_quantile_table(
@@ -284,6 +305,11 @@ def build_spectrogram_quantile_table(
     if not (0 <= overlap < window_length):
         raise ValueError("overlap must satisfy 0 <= overlap < window_length")
     n_frames = (signal_length - window_length) // (window_length - overlap) + 1
+    if n_frames < 2:
+        raise ValueError(
+            f"signal_length {signal_length} gives fewer than 2 frames of"
+            f" window_length {window_length} at overlap {overlap}"
+        )
     requests = [TableRequest(base_spec, n_frames, c, side) for c, side in levels]
     if not requests:
         raise ValueError("levels must be nonempty")

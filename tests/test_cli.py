@@ -464,6 +464,21 @@ class TestSpectrogramCommand:
         written = (tmp_path / "spec.npy").read_bytes()
         assert written == (tmp_path / "reference.npy").read_bytes()
 
+    def test_matrix_is_stored_in_fortran_order(self, workdir, tmp_path, capsys):
+        # the (bins, frames) matrix is the transpose of a (frames, bins) array
+        out = tmp_path / "spec.npy"
+        rc = main(
+            [
+                "spectrogram", "--input", str(workdir / "signal.bin"),
+                "--window-length", "64", "--overlap", "16", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        with open(out, "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        assert (shape, fortran_order, dtype) == ((33, 5), True, np.dtype("<f8"))
+
     def test_failed_write_leaves_the_old_matrix(self, workdir, tmp_path, capsys, monkeypatch):
         out = tmp_path / "spec.npy"
         out.write_bytes(b"old matrix")
@@ -507,6 +522,21 @@ class TestGlobalBehavior:
         assert {"numpy.random", "numpy.ma", "numpy.fft"} <= set(modules)
         assert threads_on_import == 1
         assert threads_after_run == 1
+
+    def test_spectrogram_null_leaves_no_helper_thread(self, tmp_path):
+        code = (
+            "import sys, threading, greenwood.cli\n"
+            "greenwood.critical._cpu_count = lambda: 3\n"
+            "greenwood.cli.main(['quantiles', '--family', 'gaussian', '--domain', 'spectrogram',"
+            " '--window-length', '64', '--signal-length', '1000', '--signals', '7',"
+            " '--out', sys.argv[1]])\n"
+            "print(threading.active_count())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "t.json")],
+            env=_env_with_package(), capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "1"
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -588,12 +618,19 @@ class TestGlobalBehavior:
                 ],
                 "--beta: beta must be nonnegative with a finite I0(beta)",
             ),
+            (
+                [
+                    "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                    "--signal-length", "1000", "--window-length", "2000",
+                ],
+                "signal_length 1000 gives fewer than 2 frames of window_length 2000",
+            ),
         ],
         ids=[
             "quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c",
             "analyze_segment_length", "spectrogram_window_length", "spectrogram_sample_rate",
             "analyze_sample_rate", "quantiles_sample_rate", "spectrogram_beta_nan",
-            "analyze_beta_inf", "quantiles_beta_800",
+            "analyze_beta_inf", "quantiles_beta_800", "quantiles_signal_shorter_than_window",
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):

@@ -64,6 +64,13 @@ class TestGaussian:
         b = sample_gaussian(0.0, 1.0, 50, RngStream(7, 3))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("mu, sigma2", [(0.0, 1.0), (-3.0, 2.5)])
+    @pytest.mark.parametrize("shape", [1001, (301, 67)])
+    def test_in_place_sampler_equals_the_formula_bit_for_bit(self, mu, sigma2, shape):
+        rng = RngStream(114)
+        expected = mu + math.sqrt(sigma2) * rng.generator().standard_normal(shape)
+        assert sample_gaussian(mu, sigma2, shape, rng).tobytes() == expected.tobytes()
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             Gaussian(0.0, 0.0)

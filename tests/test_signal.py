@@ -1,13 +1,17 @@
 """Tests for segmentation, spectrograms, batch screening and signal files."""
 
+import json
 import math
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenwood import signal as signal_module
 from greenwood.critical import QuantileTable, TableCoverageError
 from greenwood.distributions import Gaussian, Stable, sample
 from greenwood.rng import RngStream
@@ -25,6 +29,7 @@ from greenwood.signal import (
     spectrogram_null_params,
     write_signal,
 )
+from greenwood.statistic import modified_greenwood_batch
 from greenwood.testing import TestSpec
 
 
@@ -115,6 +120,25 @@ class TestSpectrogram:
         for k in (0, 3, 6):
             ref = np.abs(np.fft.rfft(x[4 * k : 4 * k + 8] * w)) ** 2
             assert np.allclose(sp.magnitude_squared[:, k], ref, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "length, w, overlap",
+        [
+            (33 * 2000 + 17, 2000, 0),  # 32 frames per chunk, then a short chunk
+            (100_000, 2000, 500),  # overlapping frames: 66 of them
+            (190_000, 70_000, 30_000),  # a window longer than a chunk: one frame each
+        ],
+    )
+    def test_chunks_equal_the_whole_array_transform(self, length, w, overlap):
+        x = RngStream(19).generator().standard_normal(length)
+        window = kaiser_window(w, 5.0)
+        frames = np.lib.stride_tricks.sliding_window_view(x, w)[:: w - overlap]
+        spectrum = np.fft.rfft(frames * window, axis=1)
+        reference = (spectrum.real**2 + spectrum.imag**2).T
+        power = spectrogram(Signal(x), window, overlap).magnitude_squared
+        assert power.shape == reference.shape
+        assert power.flags.f_contiguous
+        assert power.tobytes() == reference.tobytes()
 
     def test_long_record_frame_count(self):
         x = RngStream(12).generator().standard_normal(2_550_000)
@@ -297,9 +321,60 @@ class TestSpectrogramNulls:
             total += len(report.outcomes)
         assert rejected / total > 0.25  # calibrated: 139/310
 
+    def _null(self, signals, rng):
+        return estimate_spectrogram_null(
+            self.BASE, self.L, self.W, self.BETA, self.OV, signals, rng, *self.BAND
+        )
+
+    def test_null_is_identical_for_any_cpu_count(self, set_cpus, monkeypatch):
+        rng = RngStream(31415)
+
+        def slow_first_sample(spec, n, stream):
+            if stream == rng:  # with threads, signal 0 finishes after later ones
+                time.sleep(0.1)
+            return sample(spec, n, stream)
+
+        monkeypatch.setattr(signal_module, "sample", slow_first_sample)
+        pooled, docs = [], []
+        for k in (1, 2, 3):
+            set_cpus(k)
+            pooled.append(self._null(7, rng).tobytes())
+            docs.append(json.dumps(self._table().to_json_dict(), sort_keys=True))
+        assert pooled[1:] == pooled[:1] * 2
+        assert docs[1:] == docs[:1] * 2
+        # signal s is drawn from substream s, and its rows keep signal order
+        values = np.frombuffer(pooled[0])
+        for s in range(7):
+            rows = np.stack(self._rows(sample(self.BASE, self.L, rng.substream(s))))
+            expected = modified_greenwood_batch(rows)
+            assert values[31 * s : 31 * (s + 1)].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    def test_lowest_failing_signal_is_raised(self, set_cpus, monkeypatch, cpus):
+        rng = RngStream(31416)
+
+        def failing_sample(spec, n, stream):
+            s = stream.stream_id - rng.stream_id
+            if s in (1, 2):
+                if s == 1:  # with threads, signal 2 fails first
+                    time.sleep(0.2)
+                raise ValueError(f"signal {s}")
+            return sample(spec, n, stream)
+
+        monkeypatch.setattr(signal_module, "sample", failing_sample)
+        set_cpus(cpus)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^signal 1$"):
+            self._null(6, rng)
+        assert threading.active_count() == before
+
     def test_validation(self):
         with pytest.raises(ValueError, match="signals"):
             estimate_spectrogram_null(self.BASE, 400, 64, 10.0, 0, 0, RngStream(1))
+        with pytest.raises(ValueError, match="signal_length 100 gives fewer than 2 frames"):
+            build_spectrogram_quantile_table(
+                self.BASE, [(0.05, "upper")], 100, 64, 10.0, 0, 2, RngStream(1)
+            )
         with pytest.raises(ValueError, match="levels"):
             build_spectrogram_quantile_table(
                 self.BASE, [], 400, 64, 10.0, 0, 2, RngStream(1)
