@@ -223,6 +223,11 @@ def _cmd_quantiles(args) -> int:
     rng = RngStream(args.seed)
 
     if args.domain == "spectrogram":
+        if args.n is not None:
+            raise _UsageError(
+                "--n applies to the raw domain only; spectrogram entries take n "
+                "from --signal-length and --window-length"
+            )
         if args.window_length is None or args.signal_length is None:
             raise _UsageError(
                 "spectrogram domain requires --window-length and --signal-length"
@@ -242,6 +247,9 @@ def _cmd_quantiles(args) -> int:
                 args.sample_rate,
             )
     else:
+        if args.window_length is not None or args.signal_length is not None:
+            flag = "--window-length" if args.window_length is not None else "--signal-length"
+            raise _UsageError(f"{flag} applies to the spectrogram domain only")
         ns = _parse_int_list(args.n) if args.n else []
         if not ns:
             raise _UsageError("--n must list at least one sample size")
@@ -421,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="signal file (binary or CSV)")
     p.add_argument("--mode", choices=("time", "tf"), default="time")
     p.add_argument("--kind", default="mg2", choices=MG_KINDS + BASELINE_KINDS)
-    p.add_argument("--table", required=True, help="quantile table JSON")
+    p.add_argument("--table", help="quantile table JSON (required for mg kinds)")
     p.add_argument("--c", type=float, default=0.05)
     p.add_argument(
         "--segment-length", type=int, default=1000, help="time mode segment length"

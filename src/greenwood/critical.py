@@ -10,8 +10,8 @@ baseline thresholds) runs on one engine with one RNG layout, version
 ``rows(n) = max(1, BLOCK_VALUES // n)``, and block ``b`` is one
 ``(rows(n), n)`` draw from substream ``base + b``. Blocks are always drawn
 whole, so replication ``r`` depends only on the base stream, ``n`` and
-``r``: results are bit-identical across runs and chunk sizes, and fewer
-replications give a prefix of more.
+``r``: results are bit-identical across runs, and fewer replications give
+a prefix of more.
 
 The blocks of one call run concurrently on the CPUs in the process's
 affinity mask (``taskset`` narrows it), the calling thread included, on
@@ -208,33 +208,20 @@ def empirical_quantile(values, p: float) -> float:
 
 
 def estimate_null_distribution(
-    spec: DistributionSpec,
-    n: int,
-    replications: int,
-    rng: RngStream,
-    chunk: int = 4096,
+    spec: DistributionSpec, n: int, replications: int, rng: RngStream
 ) -> np.ndarray:
     """Statistic values over ``replications`` independent size-``n`` null samples.
 
     With ``rows = max(1, BLOCK_VALUES // n)``, replication ``r`` is row
     ``r % rows`` of the block drawn from ``rng.substream(r // rows)``.
-    ``chunk`` sets how many rows one statistic call takes; the statistic is
-    row-wise, so it cannot change the output.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if replications < 1000:
         raise ValueError("replications must be at least 1000")
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
 
     def statistic(block):
-        return np.concatenate(
-            [
-                modified_greenwood_batch(block[i : i + chunk], overwrite_input=True)
-                for i in range(0, len(block), chunk)
-            ]
-        )
+        return modified_greenwood_batch(block, overwrite_input=True)
 
     return _simulate(spec, n, replications, rng, statistic)
 

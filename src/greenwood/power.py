@@ -145,7 +145,6 @@ def size_check(test: TestSpec, n: int, replications: int, rng: RngStream) -> flo
     """
     if replications < 100:
         raise ValueError("replications must be at least 100")
-    thresholds_for(test, n)
     return _rejection_rate(test, null_for(test.kind, test.null_spec), n, replications, rng)
 
 

@@ -1,7 +1,10 @@
 """Hypothesis tests built on the modified Greenwood statistic, plus baselines.
 
-Five statistic-based tests share one engine: compute ``S_n``, look up the
-Monte Carlo threshold(s) in a quantile table, and compare. Ties reject, so
+Every test, the five statistic-based ones and the two baselines, is decided
+on one path: a :class:`TestSpec` checks the kind, the level, the table and
+the null, and :func:`run_test` computes the statistic, reads its
+threshold(s) with :func:`thresholds_for` and compares. The public
+``*_test`` functions build a spec and call :func:`run_test`. Ties reject, so
 every rejection region is closed.
 
 ==================  =========================  =============  ==============
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import QuantileTable, _simulate
+from .critical import QuantileTable, _simulate, empirical_quantile
 from .distributions import GPD, DistributionSpec, Gaussian, StudentT
 from .rng import RngStream
 from .statistic import modified_greenwood, modified_greenwood_batch
@@ -151,7 +154,7 @@ def mg_gaussianity_test(
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     kind = "mg2" if side == "upper" else "mg1"
-    return _decide(kind, sample, c, table, None, extra_params)
+    return run_test(TestSpec(kind, c, table, extra_params=extra_params), sample)
 
 
 def mg_infinite_variance_test_gpd(
@@ -165,7 +168,7 @@ def mg_infinite_variance_test_gpd(
     Requires nonnegative observations; rejecting (small ``S_n``) is evidence
     of finite variance.
     """
-    return _decide("mg3_gpd", sample, c, table, None, extra_params)
+    return run_test(TestSpec("mg3_gpd", c, table, extra_params=extra_params), sample)
 
 
 def mg_infinite_variance_test_t(
@@ -175,7 +178,7 @@ def mg_infinite_variance_test_t(
     extra_params: dict | None = None,
 ) -> TestOutcome:
     """Test H0: infinite variance within the Student t family (boundary nu = 2)."""
-    return _decide("mg4_student_t", sample, c, table, None, extra_params)
+    return run_test(TestSpec("mg4_student_t", c, table, extra_params=extra_params), sample)
 
 
 def mg_two_sided_test(
@@ -186,7 +189,7 @@ def mg_two_sided_test(
     extra_params: dict | None = None,
 ) -> TestOutcome:
     """Two-sided test against an arbitrary null, level split evenly per tail."""
-    return _decide("mg_two_sided", sample, c, table, null_spec, extra_params)
+    return run_test(TestSpec("mg_two_sided", c, table, null_spec, extra_params), sample)
 
 
 # --------------------------------------------------------------------------
@@ -206,19 +209,20 @@ def _jb_values(x: np.ndarray) -> np.ndarray:
     return n * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
 
 
+def _sup_distance(u: np.ndarray) -> np.ndarray:
+    # per row of u (a reference CDF at the sorted sample): sup distance to the ECDF
+    n = u.shape[-1]
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return np.maximum((i / n - u).max(axis=-1), (u - (i - 1.0) / n).max(axis=-1))
+
+
 def _ks_values(x: np.ndarray) -> np.ndarray:
     # sup distance between the empirical CDF and the normal fitted by moments
     from scipy import special
 
-    m, n = x.shape
-    xs = np.sort(x, axis=1)
     mean = x.mean(axis=1, keepdims=True)
     sd = x.std(axis=1, ddof=1, keepdims=True)
-    u = special.ndtr((xs - mean) / sd)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = (i / n - u).max(axis=1)
-    d_minus = (u - (i - 1.0) / n).max(axis=1)
-    return np.maximum(d_plus, d_minus)
+    return _sup_distance(special.ndtr((np.sort(x, axis=1) - mean) / sd))
 
 
 _BASELINE_VALUES = {"jarque_bera": _jb_values, "ks_normality": _ks_values}
@@ -232,9 +236,7 @@ def ks_distance(probs) -> float:
     u = np.asarray(probs, dtype=np.float64)
     if u.ndim != 1 or u.size == 0:
         raise ValueError("probs must be a nonempty one-dimensional array")
-    n = u.size
-    i = np.arange(1, n + 1, dtype=np.float64)
-    return float(max((i / n - u).max(), (u - (i - 1.0) / n).max()))
+    return float(_sup_distance(u))
 
 
 def _baseline_threshold(kind: str, n: int, c: float, replications: int) -> float:
@@ -252,7 +254,7 @@ def _baseline_threshold(kind: str, n: int, c: float, replications: int) -> float
     kind_code = BASELINE_KINDS.index(kind)
     stream = RngStream(_BASELINE_SEED, (kind_code << 56) | (n << 16))
     values = _simulate(GAUSSIAN_NULL, n, replications, stream, _BASELINE_VALUES[kind])
-    thr = float(np.quantile(values, 1.0 - c, method="linear"))
+    thr = empirical_quantile(values, 1.0 - c)
     _baseline_cache[key] = thr
     return thr
 
@@ -270,14 +272,14 @@ def _baseline_sample(sample) -> np.ndarray:
     return x
 
 
-def jarque_bera_test(sample, c: float = 0.05, replications: int = 100000) -> TestOutcome:
+def jarque_bera_test(sample, c: float = 0.05) -> TestOutcome:
     """Moment-based normality test, Monte Carlo critical value, rejects upward."""
-    return _decide("jarque_bera", sample, c, replications=replications)
+    return run_test(TestSpec("jarque_bera", c), sample)
 
 
-def ks_normality_test(sample, c: float = 0.05, replications: int = 100000) -> TestOutcome:
+def ks_normality_test(sample, c: float = 0.05) -> TestOutcome:
     """Kolmogorov-Smirnov distance to the moment-fitted normal, rejects upward."""
-    return _decide("ks_normality", sample, c, replications=replications)
+    return run_test(TestSpec("ks_normality", c), sample)
 
 
 # --------------------------------------------------------------------------
@@ -307,44 +309,6 @@ def _statistic(kind: str, sample) -> tuple:
     return stat.s_n, stat.n
 
 
-def _thresholds(
-    kind: str,
-    n: int,
-    c: float,
-    table: QuantileTable | None,
-    null_spec: DistributionSpec | None,
-    extra_params: dict | None,
-    replications: int = _BASELINE_REPLICATIONS,
-) -> tuple:
-    """Thresholds of ``kind`` at size ``n``: simulated (baselines) or from ``table``."""
-    if kind in BASELINE_KINDS:
-        return (_baseline_threshold(kind, n, c, replications),)
-    if table is None:
-        raise ValueError("this test requires a quantile table")
-    null, side = null_for(kind, null_spec), _KINDS[kind][1]
-    if side == "both":
-        return (
-            table.value_for(null, n, c / 2.0, "lower", extra_params),
-            table.value_for(null, n, c / 2.0, "upper", extra_params),
-        )
-    return (table.value_for(null, n, c, side, extra_params),)
-
-
-def _decide(
-    kind: str,
-    sample,
-    c: float,
-    table: QuantileTable | None = None,
-    null_spec: DistributionSpec | None = None,
-    extra_params: dict | None = None,
-    replications: int = _BASELINE_REPLICATIONS,
-) -> TestOutcome:
-    """Compute the statistic, read its thresholds, and compare (ties reject)."""
-    s, n = _statistic(kind, sample)
-    t = _thresholds(kind, n, c, table, null_spec, extra_params, replications)
-    return TestOutcome(kind, n, c, s, t, _rejects(kind, s, t))
-
-
 def _rejects(kind: str, s, t: tuple):
     """Whether statistic value(s) ``s`` fall in the rejection region of thresholds ``t``."""
     side = _KINDS[kind][1]
@@ -356,15 +320,24 @@ def _rejects(kind: str, s, t: tuple):
 
 
 def thresholds_for(spec: TestSpec, n: int) -> tuple:
-    """Thresholds ``spec`` would use at sample size ``n`` (coverage check)."""
-    return _thresholds(spec.kind, n, spec.c, spec.table, spec.null_spec, spec.extra_params)
+    """Thresholds of ``spec`` at sample size ``n``: simulated (baselines) or from its table."""
+    kind, c, table, extra = spec.kind, spec.c, spec.table, spec.extra_params
+    if kind in BASELINE_KINDS:
+        return (_baseline_threshold(kind, n, c, _BASELINE_REPLICATIONS),)
+    null, side = null_for(kind, spec.null_spec), _KINDS[kind][1]
+    if side == "both":
+        return (
+            table.value_for(null, n, c / 2.0, "lower", extra),
+            table.value_for(null, n, c / 2.0, "upper", extra),
+        )
+    return (table.value_for(null, n, c, side, extra),)
 
 
 def run_test(spec: TestSpec, sample) -> TestOutcome:
-    """Run the test described by ``spec`` on one sample."""
-    return _decide(
-        spec.kind, sample, spec.c, spec.table, spec.null_spec, spec.extra_params
-    )
+    """Run the test described by ``spec`` on one sample: statistic, thresholds, compare."""
+    s, n = _statistic(spec.kind, sample)
+    t = thresholds_for(spec, n)
+    return TestOutcome(spec.kind, n, spec.c, s, t, _rejects(spec.kind, s, t))
 
 
 def reject_rows(spec: TestSpec, rows, thresholds: tuple) -> np.ndarray:

@@ -410,6 +410,22 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "no table entry" in capsys.readouterr().err
 
+    def test_baseline_needs_no_table(self, workdir, capsys):
+        rc = main(
+            [
+                "analyze", "--input", str(workdir / "signal.bin"), "--kind", "jarque_bera",
+                "--segment-length", "100",
+            ]
+        )
+        assert rc == 0
+        units = json.loads(capsys.readouterr().out)["units"]
+        assert [u["kind"] for u in units] == ["jarque_bera"] * 3
+
+    def test_mg_kind_requires_table(self, workdir, capsys):
+        rc = main(["analyze", "--input", str(workdir / "signal.bin"), "--kind", "mg2"])
+        assert rc == 2
+        assert "--table is required for kind mg2" in capsys.readouterr().err
+
     def test_tf_mode_restricted_to_mg_kinds(self, workdir, capsys):
         rc = main(
             [
@@ -625,12 +641,29 @@ class TestGlobalBehavior:
                 ],
                 "signal_length 1000 gives fewer than 2 frames of window_length 2000",
             ),
+            (
+                [
+                    "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                    "--signal-length", "1000", "--window-length", "100", "--n", "5000",
+                ],
+                "--n applies to the raw domain only",
+            ),
+            (
+                ["quantiles", "--family", "gaussian", "--n", "10", "--window-length", "100"],
+                "--window-length applies to the spectrogram domain only",
+            ),
+            (
+                ["quantiles", "--family", "gaussian", "--n", "10", "--signal-length", "1000"],
+                "--signal-length applies to the spectrogram domain only",
+            ),
         ],
         ids=[
             "quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c",
             "analyze_segment_length", "spectrogram_window_length", "spectrogram_sample_rate",
             "analyze_sample_rate", "quantiles_sample_rate", "spectrogram_beta_nan",
             "analyze_beta_inf", "quantiles_beta_800", "quantiles_signal_shorter_than_window",
+            "quantiles_spectrogram_n", "quantiles_raw_window_length",
+            "quantiles_raw_signal_length",
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):

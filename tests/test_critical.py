@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from greenwood import testing
 from greenwood.critical import (
+    BLOCK_VALUES,
     ESTIMATOR_ID,
     RNG_LAYOUT,
     SCHEMA_VERSION,
@@ -95,12 +96,15 @@ class TestNullDistribution:
         b = estimate_null_distribution(Gaussian(0.0, 1.0), 10, 1000, RngStream(11))
         np.testing.assert_array_equal(a, b)
 
-    def test_chunking_cannot_change_results(self):
-        # the buffer size is a performance knob, not part of the definition
-        spec = StudentT(2)
-        a = estimate_null_distribution(spec, 10, 1000, RngStream(12), chunk=4096)
-        b = estimate_null_distribution(spec, 10, 1000, RngStream(12), chunk=7)
-        np.testing.assert_array_equal(a, b)
+    def test_each_value_is_its_own_rows_statistic(self):
+        # replication r is row r % rows of block r // rows, and the statistic
+        # is row-wise: deciding a whole block at once changes no value
+        spec, n = StudentT(2), 10
+        values = estimate_null_distribution(spec, n, 7000, RngStream(12))
+        rows = BLOCK_VALUES // n
+        blocks = [sample(spec, (rows, n), RngStream(12).substream(b)) for b in (0, 1)]
+        expected = [modified_greenwood_batch(row[None, :])[0] for row in np.vstack(blocks)]
+        np.testing.assert_array_equal(values, expected[:7000])
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_fewer_replications_are_a_prefix(self, n):

@@ -125,15 +125,35 @@ class TestSpecValidation:
         table = synthetic_table([("gaussian", GAUSS_PARAMS, 5, 0.05, "upper", 0.375)])
         with pytest.raises(ValueError, match="c must lie"):
             TestSpec(kind="mg2", c=0.6, table=table)
+        # the public functions check the level the same way, before any lookup
+        # or simulation: no coverage error, no quantile outside [0, 1]
+        x = RngStream(80).generator().standard_normal(50)
+        null = Stable(1.5, 1.0)
+        calls = [
+            lambda c: mg_gaussianity_test(x, c, table, side="upper"),
+            lambda c: mg_infinite_variance_test_gpd(np.abs(x), c, table),
+            lambda c: mg_infinite_variance_test_t(x, c, table),
+            lambda c: mg_two_sided_test(x, null, c, table),
+            lambda c: jarque_bera_test(x, c),
+            lambda c: ks_normality_test(x, c),
+        ]
+        for call in calls:
+            for c in (0.0, 0.6, 1.5):
+                with pytest.raises(ValueError, match="c must lie"):
+                    call(c)
 
     def test_mg_kinds_require_table(self):
         with pytest.raises(ValueError, match="requires a quantile table"):
             TestSpec(kind="mg2")
+        with pytest.raises(ValueError, match="requires a quantile table"):
+            mg_gaussianity_test(TIE_SAMPLE, 0.05, None)
 
     def test_two_sided_requires_null_spec(self):
         table = synthetic_table([("gaussian", GAUSS_PARAMS, 5, 0.05, "upper", 0.375)])
         with pytest.raises(ValueError, match="requires a null spec"):
             TestSpec(kind="mg_two_sided", table=table)
+        with pytest.raises(ValueError, match="requires a null spec"):
+            mg_two_sided_test(TIE_SAMPLE, None, 0.05, table)
 
 
 class TestDispatch:
