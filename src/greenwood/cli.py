@@ -8,6 +8,9 @@ power        run a rejection-rate study over a parameter grid
 analyze      screen a long signal, segment-wise or through a spectrogram
 spectrogram  compute and store a spectrogram matrix
 
+A flag that the command line does not read is a usage error: each mode,
+domain, kind and family accepts only the flags it uses.
+
 Exit codes: 0 success, 1 runtime failure (unreadable or invalid input data,
 or not enough memory for the requested sizes), 2 argument error (bad flags,
 insufficient replications, missing table coverage).
@@ -20,7 +23,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -146,29 +150,53 @@ def _spec_from_args(args) -> DistributionSpec:
     """The ``--family`` spec, each parameter read from the flag of its name."""
     if args.family is None:
         raise _UsageError("--family is required here")
-    cls = FAMILIES[args.family]
-    params = {f.name: getattr(args, f.name) for f in fields(cls)}
-    for name, value in params.items():
-        if value is None:
-            raise _UsageError(f"--{name} is required for the {args.family} family")
+    cls, params = FAMILIES[args.family], {}
+    for f in fields(cls):
+        if getattr(args, f.name) is not None:
+            params[f.name] = getattr(args, f.name)
+        elif f.default is MISSING:
+            raise _UsageError(f"--{f.name} is required for the {args.family} family")
     with _flag_values():
         return cls(**params)
 
 
-def _add_family_flags(parser: argparse.ArgumentParser, required: bool = False) -> None:
-    # one flag per spec field, same name; a field without a default defaults to None
-    parser.add_argument(
-        "--family", choices=tuple(FAMILIES), required=required, help="distribution family"
-    )
-    parser.add_argument("--mu", type=float, default=0.0, help="gaussian mean")
-    parser.add_argument("--sigma2", type=float, default=1.0, help="gaussian variance")
-    parser.add_argument("--alpha", type=float, help="stable tail index in (0, 2]")
-    parser.add_argument("--sigma", type=float, default=1.0, help="stable scale")
-    parser.add_argument(
-        "--nu", type=float, help="student t degrees of freedom (integer or 'inf')"
-    )
-    parser.add_argument("--gamma", type=float, help="gpd shape")
-    parser.add_argument("--delta", type=float, default=1.0, help="gpd scale")
+# the parameter flags of each family, one per spec field and named after it
+_PARAMS = {tag: tuple(f.name for f in fields(cls)) for tag, cls in FAMILIES.items()}
+_FAMILY = ("family", *(name for names in _PARAMS.values() for name in names))
+_SPECTRAL = ("window_length", "beta", "overlap", "f_min", "f_max")
+# defaults of the flags that some command lines do not read, which parse as
+# None until the check; replications are (default, with --quick) per command
+_DEFAULTS = {"beta": 5.0, "overlap": 0, "signals": 100, "sample_rate": 1.0, "segment_length": 1000}
+_REPS = {"quantiles": (100000, 10000), "power": (2000, 500)}
+
+
+def _check_flags(args) -> None:
+    """Refuse each flag that this command line does not read, then fill in defaults."""
+    kind, family = getattr(args, "kind", None), getattr(args, "family", None)
+    domain, mode = getattr(args, "domain", None), getattr(args, "mode", None)
+    if mode == "tf" and kind not in MG_KINDS:
+        raise _UsageError("time-frequency mode supports the mg test kinds only")
+    # (flags, where they apply, whether this command line reads them); a
+    # command without --kind, --domain or --mode reads what they would select
+    scopes = [
+        (_FAMILY, "kind mg_two_sided", kind in (None, "mg_two_sided")),
+        *((names, f"the {tag} family", family == tag) for tag, names in _PARAMS.items()),
+        (("table",), "the mg kinds", kind in MG_KINDS),
+        (("n", "reps", "quick"), "the raw domain", domain != "spectrogram"),
+        (("signal_length", "signals", "sample_rate", *_SPECTRAL), "the spectrogram domain",
+         domain != "raw"),
+        (("segment_length",), "time mode", mode != "tf"),
+        (_SPECTRAL, "tf mode", mode != "time"),
+    ]
+    for names, where, read in scopes:
+        for name in names:
+            if not read and getattr(args, name, None) is not None:
+                raise _UsageError(f"--{name.replace('_', '-')} applies to {where} only")
+    for name, value in _DEFAULTS.items():
+        if getattr(args, name, value) is None:
+            setattr(args, name, value)
+    if args.command in _REPS and args.reps is None:
+        args.reps = _REPS[args.command][bool(args.quick)]
 
 
 def _load_table(path) -> QuantileTable:
@@ -187,9 +215,7 @@ def _test_spec(args) -> TestSpec:
     table = _load_table(args.table) if args.table else None
     if args.kind in MG_KINDS and table is None:
         raise _UsageError(f"--table is required for kind {args.kind}")
-    null = None
-    if args.kind in MG_KINDS:
-        null = null_for(args.kind) or _spec_from_args(args)
+    null = (null_for(args.kind) or _spec_from_args(args)) if args.kind in MG_KINDS else None
     with _flag_values():
         return TestSpec(kind=args.kind, c=args.c, table=table, null_spec=null)
 
@@ -212,9 +238,8 @@ def _write_or_print(doc: dict, out: str | None) -> None:
 
 
 def _cmd_quantiles(args) -> int:
-    reps = 10000 if args.quick else args.reps
-    if reps < 1000:
-        raise _UsageError(f"--reps must be at least 1000 (got {reps})")
+    if args.reps < 1000:
+        raise _UsageError(f"--reps must be at least 1000 (got {args.reps})")
     spec = _spec_from_args(args)
     cs = _parse_float_list(args.c)
     if not cs:
@@ -223,11 +248,6 @@ def _cmd_quantiles(args) -> int:
     rng = RngStream(args.seed)
 
     if args.domain == "spectrogram":
-        if args.n is not None:
-            raise _UsageError(
-                "--n applies to the raw domain only; spectrogram entries take n "
-                "from --signal-length and --window-length"
-            )
         if args.window_length is None or args.signal_length is None:
             raise _UsageError(
                 "spectrogram domain requires --window-length and --signal-length"
@@ -247,9 +267,6 @@ def _cmd_quantiles(args) -> int:
                 args.sample_rate,
             )
     else:
-        if args.window_length is not None or args.signal_length is not None:
-            flag = "--window-length" if args.window_length is not None else "--signal-length"
-            raise _UsageError(f"{flag} applies to the spectrogram domain only")
         ns = _parse_int_list(args.n) if args.n else []
         if not ns:
             raise _UsageError("--n must list at least one sample size")
@@ -257,7 +274,7 @@ def _cmd_quantiles(args) -> int:
             requests = [
                 TableRequest(spec, n, c, side) for n in ns for c in cs for side in sides
             ]
-        table = build_quantile_table(requests, reps, rng)
+        table = build_quantile_table(requests, args.reps, rng)
     table.save(args.out)
     print(f"wrote {len(table)} entries to {args.out}")
     return 0
@@ -271,7 +288,6 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    reps = 500 if args.quick else args.reps
     spec = _test_spec(args)
     grid = _parse_grid(args.grid)
     if not grid:
@@ -283,7 +299,7 @@ def _cmd_power(args) -> int:
             data_family=args.data_family,
             parameter_grid=tuple(grid),
             sample_sizes=tuple(ns),
-            replications=reps,
+            replications=args.reps,
             master_seed=args.seed,
         )
     curve = run_power_study(config)
@@ -301,8 +317,6 @@ def _cmd_analyze(args) -> int:
             segments = segment_signal(sig, args.segment_length)
         report = batch_test(segments, spec, domain="time")
     else:
-        if args.kind not in MG_KINDS:
-            raise _UsageError("time-frequency mode supports the mg test kinds only")
         if args.window_length is None:
             raise _UsageError("time-frequency mode requires --window-length")
         has_tf_entries = any(
@@ -337,6 +351,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectrogram(args) -> int:
+    if args.window_length is None:
+        raise _UsageError("spectrogram requires --window-length")
     sig = read_signal(args.input, args.sample_rate)
     sp = _spectrogram(sig, args)
     # the name np.save would give the file
@@ -362,6 +378,19 @@ def _cmd_spectrogram(args) -> int:
 # --------------------------------------------------------------------------
 
 
+# a parser of flags that several subcommands share, passed to them as a parent
+_parent = partial(argparse.ArgumentParser, add_help=False)
+
+
+def _test_flags(**kind) -> argparse.ArgumentParser:
+    """``--kind``, its ``--table`` and the level ``--c``."""
+    p = _parent()
+    p.add_argument("--kind", choices=MG_KINDS + BASELINE_KINDS, **kind)
+    p.add_argument("--table", help="quantile table JSON (mg kinds only, which need one)")
+    p.add_argument("--c", type=float, default=0.05, help="level (default 0.05)")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greenwood",
@@ -369,14 +398,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("quantiles", help="build a Monte Carlo quantile table")
-    _add_family_flags(p, required=True)
+    # flag groups that several subcommands share; a flag that some command
+    # lines do not read defaults to None here and in _DEFAULTS after the check.
+    # The family flags are --family and one flag per spec field.
+    test = _test_flags(required=True)
+    family = _parent()
+    family.add_argument("--family", choices=tuple(FAMILIES), help="distribution family")
+    for tag, cls in FAMILIES.items():
+        for f in fields(cls):
+            default = "required" if f.default is MISSING else f"default {f.default:g}"
+            family.add_argument(f"--{f.name}", type=float, help=f"{tag} {f.name} ({default})")
+    geometry = _parent()
+    geometry.add_argument("--window-length", type=int, help="spectrogram window length")
+    geometry.add_argument("--beta", type=_beta, help="Kaiser beta (default 5)")
+    geometry.add_argument("--overlap", type=int, help="window overlap (default 0)")
+    geometry.add_argument("--sample-rate", type=_sample_rate, help="CSV or simulated rate, Hz")
+    signal = _parent()
+    signal.add_argument("--input", required=True, help="CSV sample or signal (binary or CSV)")
+    band = _parent()
+    band.add_argument("--f-min", type=float, help="band lower edge, Hz")
+    band.add_argument("--f-max", type=float, help="band upper edge, Hz")
+    study = _parent()
+    study.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2**64)")
+    reps = study.add_mutually_exclusive_group()
+    reps.add_argument("--reps", type=int, help="replications (100000; power: 2000 per point)")
+    reps.add_argument("--quick", action="store_true", default=None, help="10000 reps (power: 500)")
+
+    p = sub.add_parser(
+        "quantiles", parents=[family, study, geometry, band],
+        help="build a Monte Carlo quantile table",
+    )
     p.add_argument("--n", help="comma list of sample sizes (raw domain)")
     p.add_argument("--c", default="0.05", help="comma list of levels (default 0.05)")
     p.add_argument("--side", choices=("lower", "upper", "both"), default="both")
-    p.add_argument("--reps", type=int, default=100000, help="replications (min 1000)")
-    p.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2**64)")
-    p.add_argument("--quick", action="store_true", help="drop replications to 10000")
     p.add_argument("--out", required=True, help="output JSON path")
     p.add_argument(
         "--domain",
@@ -384,31 +438,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="raw",
         help="simulate plain samples, or rows of a spectrogram",
     )
-    p.add_argument("--window-length", type=int, help="spectrogram window length")
-    p.add_argument("--beta", type=_beta, default=5.0, help="Kaiser beta (default 5)")
-    p.add_argument("--overlap", type=int, default=0, help="window overlap (default 0)")
     p.add_argument("--signal-length", type=int, help="simulated signal length")
-    p.add_argument(
-        "--signals", type=int, default=100, help="simulated signals to pool (default 100)"
-    )
-    p.add_argument("--f-min", type=float, help="band lower edge, Hz")
-    p.add_argument("--f-max", type=float, help="band upper edge, Hz")
-    p.add_argument("--sample-rate", type=_sample_rate, default=1.0, help="simulated rate, Hz")
+    p.add_argument("--signals", type=int, help="simulated signals to pool (default 100)")
     p.set_defaults(func=_cmd_quantiles)
 
-    p = sub.add_parser("test", help="test one sample from a single-column CSV")
-    _add_family_flags(p)
-    p.add_argument("--input", required=True, help="sample file (one number per line)")
-    p.add_argument("--kind", required=True, choices=MG_KINDS + BASELINE_KINDS)
-    p.add_argument("--table", help="quantile table JSON (required for mg kinds)")
-    p.add_argument("--c", type=float, default=0.05, help="level (default 0.05)")
+    p = sub.add_parser("test", parents=[family, test, signal], help="test one CSV sample")
     p.add_argument("--out", help="write the outcome JSON here instead of stdout")
     p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("power", help="rejection-rate study over a parameter grid")
-    _add_family_flags(p)
-    p.add_argument("--kind", required=True, choices=MG_KINDS + BASELINE_KINDS)
-    p.add_argument("--table", help="quantile table JSON (required for mg kinds)")
+    p = sub.add_parser(
+        "power", parents=[family, test, study], help="rejection-rate study over a parameter grid"
+    )
     p.add_argument(
         "--data-family",
         required=True,
@@ -417,38 +457,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--grid", required=True, help="start:step:stop or comma list")
     p.add_argument("--n", required=True, help="comma list of sample sizes")
-    p.add_argument("--c", type=float, default=0.05)
-    p.add_argument("--reps", type=int, default=2000, help="replications per point")
-    p.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2**64)")
-    p.add_argument("--quick", action="store_true", help="drop replications to 500")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_power)
 
-    p = sub.add_parser("analyze", help="screen a long signal for heavy tails")
-    _add_family_flags(p)
-    p.add_argument("--input", required=True, help="signal file (binary or CSV)")
-    p.add_argument("--mode", choices=("time", "tf"), default="time")
-    p.add_argument("--kind", default="mg2", choices=MG_KINDS + BASELINE_KINDS)
-    p.add_argument("--table", help="quantile table JSON (required for mg kinds)")
-    p.add_argument("--c", type=float, default=0.05)
-    p.add_argument(
-        "--segment-length", type=int, default=1000, help="time mode segment length"
+    p = sub.add_parser(
+        "analyze", parents=[family, _test_flags(default="mg2"), signal, geometry, band],
+        help="screen a long signal for heavy tails",
     )
-    p.add_argument("--window-length", type=int, help="tf mode window length")
-    p.add_argument("--beta", type=_beta, default=5.0, help="Kaiser beta (default 5)")
-    p.add_argument("--overlap", type=int, default=0)
-    p.add_argument("--f-min", type=float, help="band lower edge, Hz")
-    p.add_argument("--f-max", type=float, help="band upper edge, Hz")
-    p.add_argument("--sample-rate", type=_sample_rate, default=1.0, help="rate for CSV input")
+    p.add_argument("--mode", choices=("time", "tf"), default="time")
+    p.add_argument("--segment-length", type=int, help="time mode segment length (default 1000)")
     p.add_argument("--out", help="write the report JSON here instead of stdout")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("spectrogram", help="compute and store a spectrogram matrix")
-    p.add_argument("--input", required=True, help="signal file (binary or CSV)")
-    p.add_argument("--window-length", type=int, required=True)
-    p.add_argument("--beta", type=_beta, default=5.0, help="Kaiser beta (default 5)")
-    p.add_argument("--overlap", type=int, default=0)
-    p.add_argument("--sample-rate", type=_sample_rate, default=1.0, help="rate for CSV input")
+    p = sub.add_parser(
+        "spectrogram", parents=[signal, geometry], help="compute and store a spectrogram matrix"
+    )
     p.add_argument("--out", required=True, help="output .npy path for the matrix")
     p.set_defaults(func=_cmd_spectrogram)
 
@@ -456,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (_UsageError, TableCoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,6 @@ __all__ = [
     "DistributionSpec",
     "cdf_function",
     "family_tag",
-    "is_gaussian_case",
     "params_dict",
     "quantile_function",
     "sample",
@@ -164,17 +163,6 @@ def spec_from(family: str, params: dict) -> DistributionSpec:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     return FAMILIES[family](**values)
-
-
-def is_gaussian_case(spec: DistributionSpec) -> bool:
-    """True when ``spec`` is Gaussian outright or a Gaussian corner of a family."""
-    if isinstance(spec, Gaussian):
-        return True
-    if isinstance(spec, Stable):
-        return spec.alpha == 2.0
-    if isinstance(spec, StudentT):
-        return math.isinf(spec.nu)
-    return False
 
 
 # --------------------------------------------------------------------------

@@ -144,7 +144,6 @@ def mg_gaussianity_test(
     c: float,
     table: QuantileTable,
     side: str = "upper",
-    extra_params: dict | None = None,
 ) -> TestOutcome:
     """One-sided Gaussianity test.
 
@@ -154,31 +153,21 @@ def mg_gaussianity_test(
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     kind = "mg2" if side == "upper" else "mg1"
-    return run_test(TestSpec(kind, c, table, extra_params=extra_params), sample)
+    return run_test(TestSpec(kind, c, table), sample)
 
 
-def mg_infinite_variance_test_gpd(
-    sample,
-    c: float,
-    table: QuantileTable,
-    extra_params: dict | None = None,
-) -> TestOutcome:
+def mg_infinite_variance_test_gpd(sample, c: float, table: QuantileTable) -> TestOutcome:
     """Test H0: infinite variance within the GPD family (boundary gamma = 0.5).
 
     Requires nonnegative observations; rejecting (small ``S_n``) is evidence
     of finite variance.
     """
-    return run_test(TestSpec("mg3_gpd", c, table, extra_params=extra_params), sample)
+    return run_test(TestSpec("mg3_gpd", c, table), sample)
 
 
-def mg_infinite_variance_test_t(
-    sample,
-    c: float,
-    table: QuantileTable,
-    extra_params: dict | None = None,
-) -> TestOutcome:
+def mg_infinite_variance_test_t(sample, c: float, table: QuantileTable) -> TestOutcome:
     """Test H0: infinite variance within the Student t family (boundary nu = 2)."""
-    return run_test(TestSpec("mg4_student_t", c, table, extra_params=extra_params), sample)
+    return run_test(TestSpec("mg4_student_t", c, table), sample)
 
 
 def mg_two_sided_test(
@@ -186,10 +175,9 @@ def mg_two_sided_test(
     null_spec: DistributionSpec,
     c: float,
     table: QuantileTable,
-    extra_params: dict | None = None,
 ) -> TestOutcome:
     """Two-sided test against an arbitrary null, level split evenly per tail."""
-    return run_test(TestSpec("mg_two_sided", c, table, null_spec, extra_params), sample)
+    return run_test(TestSpec("mg_two_sided", c, table, null_spec), sample)
 
 
 # --------------------------------------------------------------------------

@@ -238,8 +238,6 @@ class TestTestCommand:
         (tmp_path / "empty.csv").write_text("")
         path = tmp_path / name if name == "empty.csv" else workdir / name
         argv = [command, "--kind", "jarque_bera", "--input", str(path)]
-        if command == "analyze":
-            argv += ["--table", str(workdir / "raw_table.json")]
         proc = subprocess.run(
             [sys.executable, "-m", "greenwood.cli", *argv],
             env=_env_with_package(), capture_output=True, text=True,
@@ -308,7 +306,9 @@ class TestPowerCommand:
         two_sided_null = Stable(1.5, 1.0)
         null = null_for(kind, two_sided_null)
         table = None
-        args = ["--kind", kind, "--family", "stable", "--alpha", "1.5"]
+        args = ["--kind", kind]
+        if kind == "mg_two_sided":
+            args += ["--family", "stable", "--alpha", "1.5"]
         if kind in MG_KINDS:
             requests = [
                 TableRequest(null, 10, c, side)
@@ -656,6 +656,55 @@ class TestGlobalBehavior:
                 ["quantiles", "--family", "gaussian", "--n", "10", "--signal-length", "1000"],
                 "--signal-length applies to the spectrogram domain only",
             ),
+            (
+                [
+                    "power", "--kind", "jarque_bera", "--data-family", "stable", "--grid", "1.5",
+                    "--n", "10", "--family", "stable", "--alpha", "1.2",
+                ],
+                "--family applies to kind mg_two_sided only",
+            ),
+            (
+                ["quantiles", "--family", "gaussian", "--n", "10", "--alpha", "1.5"],
+                "--alpha applies to the stable family only",
+            ),
+            (
+                ["test", "--kind", "jarque_bera", "--table", "{missing}", "--input", "{heavy}"],
+                "--table applies to the mg kinds only",
+            ),
+            (
+                ["quantiles", "--family", "gaussian", "--n", "10", "--beta", "9"],
+                "--beta applies to the spectrogram domain only",
+            ),
+            (
+                [
+                    "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                    "--signal-length", "1000", "--window-length", "100", "--reps", "5",
+                ],
+                "--reps applies to the raw domain only",
+            ),
+            (
+                [
+                    "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                    "--signal-length", "1000", "--window-length", "100", "--quick",
+                ],
+                "--quick applies to the raw domain only",
+            ),
+            (
+                ["analyze", "--input", "{signal}", "--table", "{table}", "--window-length", "64"],
+                "--window-length applies to tf mode only",
+            ),
+            (
+                [
+                    "analyze", "--input", "{signal}", "--table", "{table}", "--mode", "tf",
+                    "--window-length", "64", "--segment-length", "100",
+                ],
+                "--segment-length applies to time mode only",
+            ),
+            (
+                ["quantiles", "--family", "gaussian", "--n", "10", "--quick", "--reps", "500"],
+                "argument --reps: not allowed with argument --quick",
+            ),
+            (["spectrogram", "--input", "{signal}"], "spectrogram requires --window-length"),
         ],
         ids=[
             "quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c",
@@ -663,7 +712,10 @@ class TestGlobalBehavior:
             "analyze_sample_rate", "quantiles_sample_rate", "spectrogram_beta_nan",
             "analyze_beta_inf", "quantiles_beta_800", "quantiles_signal_shorter_than_window",
             "quantiles_spectrogram_n", "quantiles_raw_window_length",
-            "quantiles_raw_signal_length",
+            "quantiles_raw_signal_length", "fixed_null_family", "other_family_parameter",
+            "baseline_table", "quantiles_raw_beta", "quantiles_spectrogram_reps",
+            "quantiles_spectrogram_quick", "analyze_time_window_length",
+            "analyze_tf_segment_length", "quick_with_reps", "spectrogram_no_window_length",
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):
@@ -671,6 +723,7 @@ class TestGlobalBehavior:
             "heavy": workdir / "heavy.csv",
             "table": workdir / "raw_table.json",
             "signal": workdir / "signal.bin",
+            "missing": workdir / "missing.json",
         }
         argv = [a.format(**paths) for a in argv]
         with warnings.catch_warnings():
@@ -809,38 +862,51 @@ _FLAG_VALUES = {
 # (usual, optional) flags of each command; the usual ones include the
 # required flags and are left out only now and then
 _COMMANDS = {
-    "test": (("--input", "--kind", "--table"), ("--c", "--out", "--family", "--alpha", "--nu")),
-    "analyze": (
-        ("--input", "--table", "--mode", "--segment-length", "--window-length"),
-        ("--kind", "--c", "--beta", "--overlap", "--f-min", "--f-max", "--sample-rate",
-         "--out", "--family"),
-    ),
+    "test": (("--input", "--kind"), ("--c", "--out")),
+    "analyze": (("--input", "--mode", "--kind"), ("--c", "--sample-rate", "--out")),
     "spectrogram": (
         ("--input", "--window-length", "--out"), ("--beta", "--overlap", "--sample-rate")
     ),
-    "quantiles": (
-        ("--family", "--n", "--reps", "--out"),
-        ("--c", "--side", "--seed", "--alpha", "--nu", "--gamma", "--domain",
-         "--window-length", "--signal-length", "--signals", "--beta", "--overlap"),
-    ),
-    "power": (
-        ("--kind", "--table", "--data-family", "--grid", "--n", "--reps", "--out"),
-        ("--c", "--seed", "--family", "--alpha"),
-    ),
+    "quantiles": (("--family", "--domain", "--out"), ("--c", "--side", "--seed")),
+    "power": (("--kind", "--data-family", "--grid", "--n", "--reps", "--out"), ("--c", "--seed")),
 }
+# (usual, optional) flags that a command line reads once a flag takes a value
+_READS = {
+    ("--mode", "time"): (("--segment-length",), ()),
+    ("--mode", "tf"): (("--window-length",), ("--beta", "--overlap", "--f-min", "--f-max")),
+    ("--domain", "raw"): (("--n", "--reps"), ()),
+    ("--domain", "spectrogram"): (
+        ("--window-length", "--signal-length", "--signals"),
+        ("--beta", "--overlap", "--f-min", "--f-max", "--sample-rate"),
+    ),
+    **{("--kind", kind): (("--table",), ()) for kind in MG_KINDS},
+    ("--kind", "mg_two_sided"): (("--table", "--family"), ()),
+    ("--family", "stable"): (("--alpha",), ()),
+    ("--family", "student_t"): (("--nu",), ()),
+    ("--family", "gpd"): (("--gamma",), ()),
+}
+# the flags that only some command lines read
+_SCOPED = {flag for usual, optional in _READS.values() for flag in usual + optional}
 
 
 @st.composite
 def _command_lines(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    usual, optional = _COMMANDS[command]
-    flags = [f for f in usual if draw(st.integers(0, 15)) < 15]
-    flags += draw(st.lists(st.sampled_from(optional), max_size=4, unique=True))
-    argv = [command]
-    for flag in flags:
-        good, bad = _FLAG_VALUES[flag]
-        pool = bad if draw(st.integers(0, 7)) == 7 else good
-        argv += [flag, draw(st.sampled_from(pool))]
+    flags, argv, reads = [_COMMANDS[command]], [command], set()
+    while flags:
+        usual, optional = flags.pop()
+        reads.update(usual + optional)
+        names = [f for f in usual if draw(st.integers(0, 15)) < 15]
+        if optional:
+            names += draw(st.lists(st.sampled_from(optional), max_size=2, unique=True))
+        for flag in names:
+            good, bad = _FLAG_VALUES[flag]
+            value = draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 7 else good))
+            argv += [flag, value]
+            flags.append(_READS.get((flag, value), ((), ())))
+    if draw(st.integers(0, 3)) == 3:  # now and then, a flag that this line does not read
+        flag = draw(st.sampled_from(sorted(_SCOPED - reads)))
+        argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag][0]))]
     if draw(st.integers(0, 15)) == 15:  # a stray token somewhere
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_NUMBERS)))
     return argv

@@ -22,7 +22,6 @@ from greenwood.distributions import (
     _stable_cdf_unit_exact,
     cdf_function,
     family_tag,
-    is_gaussian_case,
     params_dict,
     quantile_function,
     sample,
@@ -347,14 +346,6 @@ class TestSpecPlumbing:
 
     def test_inf_nu_round_trip_via_string(self):
         assert spec_from("student_t", {"nu": "inf"}) == StudentT(math.inf)
-
-    def test_gaussian_corners(self):
-        assert is_gaussian_case(Gaussian(0.0, 1.0))
-        assert is_gaussian_case(Stable(2.0, 1.0))
-        assert is_gaussian_case(StudentT(math.inf))
-        assert not is_gaussian_case(Stable(1.9, 1.0))
-        assert not is_gaussian_case(StudentT(100))
-        assert not is_gaussian_case(GPD(0.0, 1.0))
 
     @pytest.mark.parametrize(
         "spec",
