@@ -26,14 +26,11 @@ from .distributions import (
     Gaussian,
     Stable,
     StudentT,
-    cdf_function,
-    quantile_function,
     sample,
     sample_gaussian,
     sample_gpd,
     sample_stable,
     sample_student_t,
-    stable_tail_weight,
 )
 from .power import (
     PowerCurve,

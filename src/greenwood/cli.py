@@ -43,6 +43,7 @@ from .signal import (
     batch_test,
     build_spectrogram_quantile_table,
     frequency_rows,
+    is_binary_signal,
     kaiser_window,
     read_csv_column,
     read_signal,
@@ -165,8 +166,9 @@ _PARAMS = {tag: tuple(f.name for f in fields(cls)) for tag, cls in FAMILIES.item
 _FAMILY = ("family", *(name for names in _PARAMS.values() for name in names))
 _SPECTRAL = ("window_length", "beta", "overlap", "f_min", "f_max")
 # defaults of the flags that some command lines do not read, which parse as
-# None until the check; replications are (default, with --quick) per command
-_DEFAULTS = {"beta": 5.0, "overlap": 0, "signals": 100, "sample_rate": 1.0, "segment_length": 1000}
+# None until the check; replications are (default, with --quick) per command.
+# --sample-rate stays None when not given: a binary signal brings its own.
+_DEFAULTS = {"beta": 5.0, "overlap": 0, "signals": 100, "segment_length": 1000}
 _REPS = {"quantiles": (100000, 10000), "power": (2000, 500)}
 
 
@@ -186,7 +188,7 @@ def _check_flags(args) -> None:
         (("signal_length", "signals", "sample_rate", *_SPECTRAL), "the spectrogram domain",
          domain != "raw"),
         (("segment_length",), "time mode", mode != "tf"),
-        (_SPECTRAL, "tf mode", mode != "time"),
+        ((*_SPECTRAL, "sample_rate"), "tf mode", mode != "time"),
     ]
     for names, where, read in scopes:
         for name in names:
@@ -224,6 +226,13 @@ def _spectrogram(sig, args):
     """Spectrogram of ``sig`` under the ``--window-length/--beta/--overlap`` geometry."""
     with _flag_values():  # the geometry is all flags, and must fit the signal
         return spectrogram(sig, kaiser_window(args.window_length, args.beta), args.overlap)
+
+
+def _read_signal(args):
+    """The ``--input`` signal; ``--sample-rate`` is the rate of CSV input, which has none."""
+    if args.sample_rate is not None and is_binary_signal(args.input):
+        raise _UsageError("--sample-rate applies to CSV input only")
+    return read_signal(args.input, args.sample_rate or 1.0)
 
 
 def _write_or_print(doc: dict, out: str | None) -> None:
@@ -264,17 +273,17 @@ def _cmd_quantiles(args) -> int:
                 rng,
                 args.f_min,
                 args.f_max,
-                args.sample_rate,
+                args.sample_rate or 1.0,
             )
     else:
         ns = _parse_int_list(args.n) if args.n else []
         if not ns:
             raise _UsageError("--n must list at least one sample size")
-        with _flag_values():
+        with _flag_values():  # the requests, duplicates included, come from flags
             requests = [
                 TableRequest(spec, n, c, side) for n in ns for c in cs for side in sides
             ]
-        table = build_quantile_table(requests, args.reps, rng)
+            table = build_quantile_table(requests, args.reps, rng)
     table.save(args.out)
     print(f"wrote {len(table)} entries to {args.out}")
     return 0
@@ -310,7 +319,7 @@ def _cmd_power(args) -> int:
 
 def _cmd_analyze(args) -> int:
     spec = _test_spec(args)
-    sig = read_signal(args.input, args.sample_rate)
+    sig = _read_signal(args)
 
     if args.mode == "time":
         with _flag_values():  # the segment length must fit the signal
@@ -333,7 +342,8 @@ def _cmd_analyze(args) -> int:
         )
         spec = replace(spec, extra_params=extra)
         sp = _spectrogram(sig, args)
-        rows = frequency_rows(sp, args.f_min, args.f_max)
+        with _flag_values():  # the band must fit the spectrogram
+            rows = frequency_rows(sp, args.f_min, args.f_max)
         report = batch_test(
             [r for _, r in rows],
             spec,
@@ -353,7 +363,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_spectrogram(args) -> int:
     if args.window_length is None:
         raise _UsageError("spectrogram requires --window-length")
-    sig = read_signal(args.input, args.sample_rate)
+    sig = _read_signal(args)
     sp = _spectrogram(sig, args)
     # the name np.save would give the file
     target = args.out if args.out.endswith(".npy") else args.out + ".npy"

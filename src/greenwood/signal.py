@@ -55,6 +55,7 @@ __all__ = [
     "build_spectrogram_quantile_table",
     "estimate_spectrogram_null",
     "frequency_rows",
+    "is_binary_signal",
     "kaiser_window",
     "read_csv_column",
     "read_signal",
@@ -346,11 +347,18 @@ def write_signal(path, signal: Signal) -> None:
         fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
 
 
+def is_binary_signal(path) -> bool:
+    """Whether ``path`` holds a signal in the binary format, which records its rate."""
+    with open(path, "rb") as fh:
+        return fh.read(len(_MAGIC)) == _MAGIC
+
+
 def read_signal(path, sample_rate: float = 1.0) -> Signal:
     """Read a signal file: the raw binary format, or single-column CSV text.
 
-    CSV files carry no rate, so ``sample_rate`` supplies it (binary files
-    ignore the argument).
+    CSV files carry no rate, so ``sample_rate`` supplies it. A binary file
+    records its own rate and does not use ``sample_rate``; tell the formats
+    apart with :func:`is_binary_signal`.
     """
     path = os.fspath(path)
     with open(path, "rb") as fh:
