@@ -4,10 +4,11 @@ The statistic ``S_n = sum(|x|**2) / (sum(|x|))**2`` separates light tails
 from heavy ones without moment assumptions. This package bundles:
 
 * exact scalar and batched evaluation of the statistic;
-* reproducible samplers for Gaussian, symmetric alpha-stable, Student's t
-  and generalized Pareto data;
+* one reproducible sampler, ``sample(spec, n, rng)``, for Gaussian,
+  symmetric alpha-stable, Student's t and generalized Pareto specs;
 * Monte Carlo rejection regions persisted as quantile tables;
-* one- and two-sided tests plus Jarque-Bera and Kolmogorov-Smirnov baselines;
+* one- and two-sided tests plus Jarque-Bera and Kolmogorov-Smirnov
+  baselines, each decided by ``run_test(TestSpec(kind, ...), x)``;
 * power and size studies over parameter grids;
 * a segmentation and Kaiser-window spectrogram pipeline for long signals.
 """
@@ -27,10 +28,6 @@ from .distributions import (
     Stable,
     StudentT,
     sample,
-    sample_gaussian,
-    sample_gpd,
-    sample_stable,
-    sample_student_t,
 )
 from .power import (
     PowerCurve,
@@ -67,12 +64,6 @@ from .statistic import (
 from .testing import (
     TestOutcome,
     TestSpec,
-    jarque_bera_test,
-    ks_normality_test,
-    mg_gaussianity_test,
-    mg_infinite_variance_test_gpd,
-    mg_infinite_variance_test_t,
-    mg_two_sided_test,
     run_test,
 )
 

@@ -147,7 +147,7 @@ def _parse_grid(text: str) -> list[float]:
     return _parse_float_list(text)
 
 
-def _spec_from_args(args) -> DistributionSpec:
+def _family_spec(args) -> DistributionSpec:
     """The ``--family`` spec, each parameter read from the flag of its name."""
     if args.family is None:
         raise _UsageError("--family is required here")
@@ -217,7 +217,7 @@ def _test_spec(args) -> TestSpec:
     table = _load_table(args.table) if args.table else None
     if args.kind in MG_KINDS and table is None:
         raise _UsageError(f"--table is required for kind {args.kind}")
-    null = (null_for(args.kind) or _spec_from_args(args)) if args.kind in MG_KINDS else None
+    null = (null_for(args.kind) or _family_spec(args)) if args.kind in MG_KINDS else None
     with _flag_values():
         return TestSpec(kind=args.kind, c=args.c, table=table, null_spec=null)
 
@@ -249,7 +249,7 @@ def _write_or_print(doc: dict, out: str | None) -> None:
 def _cmd_quantiles(args) -> int:
     if args.reps < 1000:
         raise _UsageError(f"--reps must be at least 1000 (got {args.reps})")
-    spec = _spec_from_args(args)
+    spec = _family_spec(args)
     cs = _parse_float_list(args.c)
     if not cs:
         raise _UsageError("--c must list at least one level")

@@ -404,18 +404,13 @@ def build_quantile_table(
     ``g * GROUP_STRIDE + b`` of ``rng``, making the table a pure function of
     ``(requests, replications, rng)``.
     """
-    requests = [
-        r if isinstance(r, TableRequest) else TableRequest(*r) for r in requests
-    ]
     seen = set()
+    groups: dict[tuple, list[TableRequest]] = {}
     for r in requests:
         key = _entry_key(family_tag(r.spec), params_dict(r.spec), r.n, r.c, r.side)
         if key in seen:
             raise ValueError(f"duplicate request {key}")
         seen.add(key)
-
-    groups: dict[tuple, list[TableRequest]] = {}
-    for r in requests:
         groups.setdefault((r.spec, r.n), []).append(r)
 
     records = []

@@ -2,9 +2,10 @@
 
 Families covered: Gaussian, symmetric alpha-stable, Student's t (integer
 degrees of freedom plus the Gaussian limit), and the generalized Pareto
-distribution (GPD). Every sampler is a pure function of its parameters, the
-sample size and an :class:`~greenwood.rng.RngStream`; calling it twice with
-the same arguments returns identical arrays.
+distribution (GPD). Each family is a frozen spec dataclass that checks its
+parameters; :func:`sample` is the one sampler, a pure function of the spec,
+the sample size and an :class:`~greenwood.rng.RngStream`: calling it twice
+with the same arguments returns identical arrays.
 
 Conventions
 -----------
@@ -35,11 +36,6 @@ __all__ = [
     "family_tag",
     "params_dict",
     "sample",
-    "sample_gaussian",
-    "sample_gpd",
-    "sample_stable",
-    "sample_student_t",
-    "spec_from",
 ]
 
 
@@ -134,24 +130,6 @@ def params_dict(spec: DistributionSpec) -> dict[str, float]:
     return {name: getattr(spec, name) for name in _family_of(spec)[1]}
 
 
-def spec_from(family: str, params: dict) -> DistributionSpec:
-    """Rebuild a spec from a family tag and parameter dict.
-
-    Accepts the string ``"inf"`` for an infinite ``nu`` so that specs survive
-    a JSON round trip.
-    """
-    values = dict(params)
-    for key, value in values.items():
-        if isinstance(value, str):
-            if value.lower() in ("inf", "infinity"):
-                values[key] = math.inf
-            else:
-                raise ValueError(f"non-numeric parameter {key}={value!r}")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    return FAMILIES[family](**values)
-
-
 # --------------------------------------------------------------------------
 # samplers
 
@@ -169,16 +147,7 @@ def _check_size(n):
     return int(n)
 
 
-# Every sampler takes ``n`` as a sample size or as an ``(m, n)`` shape: m
-# samples of size n, one per row. Each variate array is drawn whole, in the
-# same order for both forms, so ``sampler(..., (1, n), rng)[0]`` equals
-# ``sampler(..., n, rng)`` bit for bit.
-
-
-def sample_gaussian(mu: float, sigma2: float, n, rng: RngStream) -> np.ndarray:
-    """Draw ``n`` values from N(mu, sigma2)."""
-    spec = Gaussian(mu, sigma2)
-    n = _check_size(n)
+def _gaussian(spec: Gaussian, n, rng: RngStream) -> np.ndarray:
     g = rng.generator()
     z = g.standard_normal(n)
     z *= math.sqrt(spec.sigma2)  # in place, the same bits as mu + sqrt(sigma2) * z
@@ -186,8 +155,8 @@ def sample_gaussian(mu: float, sigma2: float, n, rng: RngStream) -> np.ndarray:
     return z
 
 
-def sample_stable(alpha: float, sigma: float, n, rng: RngStream) -> np.ndarray:
-    """Draw ``n`` symmetric alpha-stable values by the Chambers-Mallows-Stuck map.
+def _stable(spec: Stable, n, rng: RngStream) -> np.ndarray:
+    """Chambers-Mallows-Stuck map.
 
     With ``U`` uniform on (-pi/2, pi/2) and ``W`` unit exponential::
 
@@ -195,11 +164,10 @@ def sample_stable(alpha: float, sigma: float, n, rng: RngStream) -> np.ndarray:
         otherwise:   X = sin(alpha U) / cos(U)**(1/alpha)
                          * (cos((1 - alpha) U) / W)**((1 - alpha)/alpha)
 
-    The scale enters as an exact postmultiplier, so ``sample_stable(a, s, ...)``
-    equals ``s * sample_stable(a, 1.0, ...)`` bit for bit.
+    The scale enters as an exact postmultiplier, so a draw of
+    ``Stable(a, s)`` equals ``s`` times the draw of ``Stable(a, 1.0)`` from
+    the same stream, bit for bit.
     """
-    spec = Stable(alpha, sigma)
-    n = _check_size(n)
     g = rng.generator()
     u = g.uniform(-math.pi / 2.0, math.pi / 2.0, n)
     w = g.standard_exponential(n)
@@ -223,15 +191,12 @@ def sample_stable(alpha: float, sigma: float, n, rng: RngStream) -> np.ndarray:
     return core
 
 
-def sample_student_t(nu: float, n, rng: RngStream) -> np.ndarray:
-    """Draw ``n`` Student's t values; ``nu = inf`` falls back to N(0, 1)."""
-    spec = StudentT(nu)
-    n = _check_size(n)
-    if math.isinf(spec.nu):
-        g = rng.generator()
-        return g.standard_normal(n)
+def _student_t(spec: StudentT, n, rng: RngStream) -> np.ndarray:
+    # nu = inf is the standard normal stream itself
     g = rng.generator()
     z = g.standard_normal(n)
+    if math.isinf(spec.nu):
+        return z
     chi2 = g.chisquare(spec.nu, n)
     chi2 /= spec.nu  # in place, in the order of z / sqrt(chi2 / nu)
     z /= np.sqrt(chi2, out=chi2)
@@ -248,27 +213,24 @@ def _gpd_quantile(gamma: float, delta: float, p):
     return out
 
 
-def sample_gpd(gamma: float, delta: float, n, rng: RngStream) -> np.ndarray:
-    """Draw ``n`` GPD values by inverting the distribution function."""
-    spec = GPD(gamma, delta)
-    n = _check_size(n)
-    g = rng.generator()
-    u = g.random(n)
-    return _gpd_quantile(spec.gamma, spec.delta, u)
+def _gpd(spec: GPD, n, rng: RngStream) -> np.ndarray:
+    # inverts the distribution function
+    return _gpd_quantile(spec.gamma, spec.delta, rng.generator().random(n))
+
+
+# spec class -> sampling kernel; a kernel takes a validated spec and size
+_KERNELS = {Gaussian: _gaussian, Stable: _stable, StudentT: _student_t, GPD: _gpd}
 
 
 def sample(spec: DistributionSpec, n, rng: RngStream) -> np.ndarray:
-    """Dispatch to the family sampler for ``spec``.
+    """Draw ``n`` values of ``spec`` from ``rng``.
 
-    ``n`` is a sample size, or an ``(m, n)`` shape for ``m`` samples at once.
+    ``n`` is a sample size, or an ``(m, n)`` shape for ``m`` samples of size
+    ``n``, one per row. Each variate array is drawn whole, in the same order
+    for both forms, so ``sample(spec, (1, n), rng)[0]`` equals
+    ``sample(spec, n, rng)`` bit for bit.
     """
-    if isinstance(spec, Gaussian):
-        return sample_gaussian(spec.mu, spec.sigma2, n, rng)
-    if isinstance(spec, Stable):
-        return sample_stable(spec.alpha, spec.sigma, n, rng)
-    if isinstance(spec, StudentT):
-        return sample_student_t(spec.nu, n, rng)
-    if isinstance(spec, GPD):
-        return sample_gpd(spec.gamma, spec.delta, n, rng)
-    raise TypeError(f"not a distribution spec: {spec!r}")
-
+    kernel = _KERNELS.get(type(spec))
+    if kernel is None:
+        raise TypeError(f"not a distribution spec: {spec!r}")
+    return kernel(spec, _check_size(n), rng)

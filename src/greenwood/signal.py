@@ -174,7 +174,7 @@ def frequency_rows(
     freqs = spec.frequencies
     lo = freqs[0] if f_min is None else f_min
     hi = freqs[-1] if f_max is None else f_max
-    if lo > hi:
+    if f_min is not None and f_max is not None and f_min > f_max:
         raise ValueError("f_min must not exceed f_max")
     mask = (freqs >= lo) & (freqs <= hi)
     if not mask.any():

@@ -3,25 +3,35 @@
 Every test, the five statistic-based ones and the two baselines, is decided
 on one path: a :class:`TestSpec` checks the kind, the level, the table and
 the null, and :func:`run_test` computes the statistic, reads its
-threshold(s) with :func:`thresholds_for` and compares. The public
-``*_test`` functions build a spec and call :func:`run_test`. Ties reject, so
-every rejection region is closed.
+threshold(s) with :func:`thresholds_for` and compares, as in
+``run_test(TestSpec("mg2", 0.05, table), x)``. Ties reject, so every
+rejection region is closed.
 
-==================  =========================  =============  ==============
-kind                null                       rejects when   reads table at
-==================  =========================  =============  ==============
-mg1                 Gaussian                   S_n <= q       (c, lower)
-mg2                 Gaussian                   S_n >= q       (c, upper)
-mg3_gpd             GPD, gamma = 0.5           S_n <= q       (c, lower)
-mg4_student_t       Student t, nu = 2          S_n <= q       (c, lower)
-mg_two_sided        any family                 outside [l,u]  (c/2, both)
-==================  =========================  =============  ==============
+==============  =================  =============  ====================
+kind            null               rejects when   threshold
+==============  =================  =============  ====================
+mg1             Gaussian           S_n <= q       table (c, lower)
+mg2             Gaussian           S_n >= q       table (c, upper)
+mg3_gpd         GPD, gamma = 0.5   S_n <= q       table (c, lower)
+mg4_student_t   Student t, nu = 2  S_n <= q       table (c, lower)
+mg_two_sided    ``null_spec``      outside [l,u]  table (c/2, both)
+jarque_bera     Gaussian           JB >= q        simulated (1 - c)
+ks_normality    Gaussian           D_n >= q       simulated (1 - c)
+==============  =================  =============  ====================
 
-``mg3_gpd`` and ``mg4_student_t`` probe the variance-finiteness boundary of
-their family: small ``S_n`` is evidence of tails lighter than the boundary
-case, i.e. of finite variance. The Jarque-Bera and fitted-normal
-Kolmogorov-Smirnov baselines use Monte Carlo critical values simulated on a
-fixed internal seed and cached per ``(kind, n, c, M)``.
+* ``mg1`` and ``mg2`` test Gaussianity one-sided: ``mg2`` rejects for large
+  ``S_n``, the heavy-tail direction, and ``mg1`` for small ``S_n``.
+* ``mg3_gpd`` and ``mg4_student_t`` test H0: infinite variance, within the
+  GPD family (boundary gamma = 0.5) and the Student t family (boundary
+  nu = 2). Rejecting, for small ``S_n``, is evidence of tails lighter than
+  the boundary case, i.e. of finite variance. ``mg3_gpd`` requires
+  nonnegative observations.
+* ``mg_two_sided`` tests against any tabulated null, given as the spec's
+  ``null_spec``, with the level split evenly between the tails.
+* ``jarque_bera`` is the moment-based normality test and ``ks_normality``
+  the Kolmogorov-Smirnov distance to the normal fitted by moments. Their
+  Monte Carlo critical values are simulated on a fixed internal seed and
+  cached per ``(kind, n, c, M)``, so they need no table.
 
 :func:`reject_rows` decides many samples at once and always reaches the
 decision :func:`run_test` reaches on each of them.
@@ -46,13 +56,7 @@ __all__ = [
     "BASELINE_KINDS",
     "TestOutcome",
     "TestSpec",
-    "jarque_bera_test",
     "ks_distance",
-    "ks_normality_test",
-    "mg_gaussianity_test",
-    "mg_infinite_variance_test_gpd",
-    "mg_infinite_variance_test_t",
-    "mg_two_sided_test",
     "null_for",
     "reject_rows",
     "run_test",
@@ -114,10 +118,11 @@ class TestOutcome:
 class TestSpec:
     """A test kind bound to its level, table and (where needed) null spec.
 
-    ``table`` is required for the mg kinds and ignored by the baselines;
-    ``null_spec`` is only consulted by ``mg_two_sided``. ``extra_params``
-    widens the table key (the spectrogram pipeline uses this to keep
-    time-frequency nulls separate from raw ones).
+    ``table`` is required for the mg kinds and ignored by the baselines.
+    ``null_spec`` is required for ``mg_two_sided``; every other kind has a
+    fixed null (see :func:`null_for`), and ``null_spec`` must be None or
+    equal to it. ``extra_params`` widens the table key (the spectrogram
+    pipeline uses this to keep time-frequency nulls separate from raw ones).
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -135,49 +140,12 @@ class TestSpec:
             raise ValueError("c must lie in (0, 0.5)")
         if self.kind in MG_KINDS and self.table is None:
             raise ValueError(f"kind {self.kind!r} requires a quantile table")
-        if null_for(self.kind, self.null_spec) is None:
-            raise ValueError(f"{self.kind} requires a null spec")
-
-
-def mg_gaussianity_test(
-    sample,
-    c: float,
-    table: QuantileTable,
-    side: str = "upper",
-) -> TestOutcome:
-    """One-sided Gaussianity test.
-
-    ``side="upper"`` (kind ``mg2``) rejects for large ``S_n``, the heavy-tail
-    direction; ``side="lower"`` (kind ``mg1``) rejects for small ``S_n``.
-    """
-    if side not in ("upper", "lower"):
-        raise ValueError("side must be 'upper' or 'lower'")
-    kind = "mg2" if side == "upper" else "mg1"
-    return run_test(TestSpec(kind, c, table), sample)
-
-
-def mg_infinite_variance_test_gpd(sample, c: float, table: QuantileTable) -> TestOutcome:
-    """Test H0: infinite variance within the GPD family (boundary gamma = 0.5).
-
-    Requires nonnegative observations; rejecting (small ``S_n``) is evidence
-    of finite variance.
-    """
-    return run_test(TestSpec("mg3_gpd", c, table), sample)
-
-
-def mg_infinite_variance_test_t(sample, c: float, table: QuantileTable) -> TestOutcome:
-    """Test H0: infinite variance within the Student t family (boundary nu = 2)."""
-    return run_test(TestSpec("mg4_student_t", c, table), sample)
-
-
-def mg_two_sided_test(
-    sample,
-    null_spec: DistributionSpec,
-    c: float,
-    table: QuantileTable,
-) -> TestOutcome:
-    """Two-sided test against an arbitrary null, level split evenly per tail."""
-    return run_test(TestSpec("mg_two_sided", c, table, null_spec), sample)
+        fixed = _KINDS[self.kind][0]
+        if fixed is None:
+            if self.null_spec is None:
+                raise ValueError(f"{self.kind} requires a null spec")
+        elif self.null_spec not in (None, fixed):
+            raise ValueError(f"{self.kind} is calibrated under {fixed!r}, not {self.null_spec!r}")
 
 
 # --------------------------------------------------------------------------
@@ -258,16 +226,6 @@ def _baseline_sample(sample) -> np.ndarray:
     if x.std(ddof=1) == 0.0:
         raise ValueError("sample is degenerate (zero variance)")
     return x
-
-
-def jarque_bera_test(sample, c: float = 0.05) -> TestOutcome:
-    """Moment-based normality test, Monte Carlo critical value, rejects upward."""
-    return run_test(TestSpec("jarque_bera", c), sample)
-
-
-def ks_normality_test(sample, c: float = 0.05) -> TestOutcome:
-    """Kolmogorov-Smirnov distance to the moment-fitted normal, rejects upward."""
-    return run_test(TestSpec("ks_normality", c), sample)
 
 
 # --------------------------------------------------------------------------

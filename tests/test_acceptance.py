@@ -28,13 +28,7 @@ from greenwood.power import PowerStudyConfig, run_power_study, size_check
 from greenwood.rng import RngStream
 from greenwood.signal import Signal, batch_test, segment_signal, spectrogram
 from greenwood.statistic import modified_greenwood, modified_greenwood_batch
-from greenwood.testing import (
-    TestSpec,
-    jarque_bera_test,
-    ks_distance,
-    ks_normality_test,
-    run_test,
-)
+from greenwood.testing import TestSpec, ks_distance, run_test
 
 GAUSSIAN = Gaussian(0.0, 1.0)
 
@@ -182,6 +176,7 @@ def test_criterion_3_power_monotonicity(acceptance_table):
 
 def test_criterion_4_beats_baselines_small_n(acceptance_table):
     mg2 = TestSpec("mg2", 0.05, acceptance_table)
+    jb_spec, ks_spec = TestSpec("jarque_bera"), TestSpec("ks_normality")
     rng = RngStream(20260827)
     replications = 2000
     rows_report = []
@@ -193,8 +188,8 @@ def test_criterion_4_beats_baselines_small_n(acceptance_table):
         for r in range(replications):
             rows[r] = sample(dist, 10, base.substream(r))
         mg = sum(run_test(mg2, row).reject for row in rows) / replications
-        jb = sum(jarque_bera_test(row).reject for row in rows) / replications
-        ks = sum(ks_normality_test(row).reject for row in rows) / replications
+        jb = sum(run_test(jb_spec, row).reject for row in rows) / replications
+        ks = sum(run_test(ks_spec, row).reject for row in rows) / replications
         rows_report.append(f"alpha={alpha}: mg2={mg:.3f} jb={jb:.3f} ks={ks:.3f}")
         if mg < jb + 0.02 or mg < ks + 0.02:
             problems.append((alpha, mg, jb, ks))

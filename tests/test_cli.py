@@ -24,7 +24,6 @@ from greenwood.distributions import (
     StudentT,
     family_tag,
     params_dict,
-    spec_from,
 )
 from greenwood.power import import_curve, size_check
 from greenwood.rng import RngStream
@@ -337,10 +336,10 @@ class TestPowerCommand:
         if kind in BASELINE_KINDS:
             assert recorded is None
         else:
-            assert spec_from(recorded["family"], recorded["params"]) == null
+            assert recorded == {"family": family_tag(null), "params": params_dict(null)}
         # grid point (0, 0) of the study draws its block b of replications
         # from substream b of the master seed, exactly as size_check does
-        spec = TestSpec(kind, 0.05, table, null_spec=two_sided_null)
+        spec = TestSpec(kind, 0.05, table, null_spec=null)
         rate = size_check(spec, 10, 200, RngStream(71))
         assert import_curve(out).points[0].rejection_rate == rate
 
@@ -751,6 +750,13 @@ class TestGlobalBehavior:
                 ],
                 "no frequency rows inside [0.6, 0.9] Hz",
             ),
+            (
+                [
+                    "analyze", "--input", "{signal}", "--table", "{tf_table}", "--mode", "tf",
+                    "--window-length", "32", "--f-min", "0.6",
+                ],
+                "no frequency rows inside [0.6, 0.5] Hz",
+            ),
         ],
         ids=[
             "quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c",
@@ -764,6 +770,7 @@ class TestGlobalBehavior:
             "analyze_tf_segment_length", "quick_with_reps", "spectrogram_no_window_length",
             "spectrogram_binary_sample_rate", "analyze_binary_sample_rate",
             "analyze_time_sample_rate", "quantiles_duplicate_request", "analyze_band_above_nyquist",
+            "analyze_f_min_above_nyquist",
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):

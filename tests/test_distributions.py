@@ -22,13 +22,7 @@ from greenwood.distributions import (
     StudentT,
     _gpd_quantile,
     family_tag,
-    params_dict,
     sample,
-    sample_gaussian,
-    sample_gpd,
-    sample_stable,
-    sample_student_t,
-    spec_from,
 )
 from greenwood.rng import RngStream
 from greenwood.testing import ks_distance
@@ -92,23 +86,23 @@ def _ks_to(spec, draws: np.ndarray) -> float:
 
 class TestGaussian:
     def test_moments(self):
-        x = sample_gaussian(0.0, 1.0, N_BIG, RngStream(101))
+        x = sample(Gaussian(0.0, 1.0), N_BIG, RngStream(101))
         # 5 sigma: se(mean) = 1/sqrt(N), se(var) ~ sqrt(2/N)
         assert abs(x.mean()) < 0.016
         assert abs(x.var(ddof=1) - 1.0) < 0.03
 
     def test_location_scale(self):
-        z = sample_gaussian(0.0, 1.0, 100, RngStream(5))
-        y = sample_gaussian(3.0, 4.0, 100, RngStream(5))
+        z = sample(Gaussian(0.0, 1.0), 100, RngStream(5))
+        y = sample(Gaussian(3.0, 4.0), 100, RngStream(5))
         np.testing.assert_array_equal(y, 3.0 + 2.0 * z)
 
     def test_ks_distance(self):
-        x = sample_gaussian(1.0, 2.0, N_BIG, RngStream(102))
+        x = sample(Gaussian(1.0, 2.0), N_BIG, RngStream(102))
         assert _ks_to(Gaussian(1.0, 2.0), x) < 0.01
 
     def test_determinism(self):
-        a = sample_gaussian(0.0, 1.0, 50, RngStream(7, 3))
-        b = sample_gaussian(0.0, 1.0, 50, RngStream(7, 3))
+        a = sample(Gaussian(0.0, 1.0), 50, RngStream(7, 3))
+        b = sample(Gaussian(0.0, 1.0), 50, RngStream(7, 3))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("mu, sigma2", [(0.0, 1.0), (-3.0, 2.5)])
@@ -116,7 +110,7 @@ class TestGaussian:
     def test_in_place_sampler_equals_the_formula_bit_for_bit(self, mu, sigma2, shape):
         rng = RngStream(114)
         expected = mu + math.sqrt(sigma2) * rng.generator().standard_normal(shape)
-        assert sample_gaussian(mu, sigma2, shape, rng).tobytes() == expected.tobytes()
+        assert sample(Gaussian(mu, sigma2), shape, rng).tobytes() == expected.tobytes()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -124,35 +118,35 @@ class TestGaussian:
         with pytest.raises(ValueError):
             Gaussian(math.nan, 1.0)
         with pytest.raises(ValueError):
-            sample_gaussian(0.0, -1.0, 10, RngStream(1))
+            sample(Gaussian(0.0, -1.0), 10, RngStream(1))
         with pytest.raises(ValueError):
-            sample_gaussian(0.0, 1.0, 0, RngStream(1))
+            sample(Gaussian(0.0, 1.0), 0, RngStream(1))
 
 
 class TestStable:
     def test_gaussian_corner_variance(self):
         # alpha = 2 has variance 2 * sigma**2 under this parameterization
-        x = sample_stable(2.0, 1.0, N_BIG, RngStream(103))
+        x = sample(Stable(2.0, 1.0), N_BIG, RngStream(103))
         assert abs(x.var(ddof=1) - 2.0) < 0.05
 
     def test_gaussian_corner_ks(self):
-        x = sample_stable(2.0, 1.0, N_BIG, RngStream(104))
+        x = sample(Stable(2.0, 1.0), N_BIG, RngStream(104))
         assert _ks_to(Stable(2.0, 1.0), x) < 0.01
 
     def test_cauchy_corner(self):
-        x = sample_stable(1.0, 1.0, N_BIG, RngStream(105))
+        x = sample(Stable(1.0, 1.0), N_BIG, RngStream(105))
         # median se = pi / (2 sqrt(N)) ~ 0.005
         assert abs(np.median(x)) < 0.02
         assert _ks_to(Stable(1.0, 1.0), x) < 0.01
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
     def test_interior_alpha_ks(self, alpha):
-        x = sample_stable(alpha, 1.0, N_BIG, RngStream(106))
+        x = sample(Stable(alpha, 1.0), N_BIG, RngStream(106))
         assert _ks_to(Stable(alpha, 1.0), x) < 0.01
 
     def test_scale_is_exact_postmultiplier(self):
-        base = sample_stable(1.5, 1.0, 1000, RngStream(107))
-        scaled = sample_stable(1.5, 2.5, 1000, RngStream(107))
+        base = sample(Stable(1.5, 1.0), 1000, RngStream(107))
+        scaled = sample(Stable(1.5, 2.5), 1000, RngStream(107))
         np.testing.assert_array_equal(scaled, 2.5 * base)
 
     def test_tail_frequency_matches_power_law(self):
@@ -161,7 +155,7 @@ class TestStable:
         alpha = 1.5
         c_w = _tail_weight(alpha)
         t = (c_w / 2e-3) ** (1.0 / alpha)
-        x = sample_stable(alpha, 1.0, 200000, RngStream(108))
+        x = sample(Stable(alpha, 1.0), 200000, RngStream(108))
         emp = float((x > t).mean())
         exact = float(stats.levy_stable.sf(t, alpha, 0.0))
         asym = c_w * t ** (-alpha)
@@ -195,32 +189,32 @@ class TestStable:
                 * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
             )
         expected = 3.0 * core
-        assert sample_stable(alpha, 3.0, shape, rng).tobytes() == expected.tobytes()
+        assert sample(Stable(alpha, 3.0), shape, rng).tobytes() == expected.tobytes()
 
 
 class TestStudentT:
     def test_inf_nu_is_standard_normal_stream(self):
-        a = sample_student_t(math.inf, 100, RngStream(6))
+        a = sample(StudentT(math.inf), 100, RngStream(6))
         b = RngStream(6).generator().standard_normal(100)
         np.testing.assert_array_equal(a, b)
 
     def test_nu3_variance(self):
         # var = nu / (nu - 2) = 3; heavy tails make this a slow estimate,
         # hence the wide band
-        x = sample_student_t(3, N_BIG, RngStream(109))
+        x = sample(StudentT(3), N_BIG, RngStream(109))
         assert abs(x.var(ddof=1) - 3.0) < 0.3
 
     def test_nu1_median(self):
-        x = sample_student_t(1, N_BIG, RngStream(110))
+        x = sample(StudentT(1), N_BIG, RngStream(110))
         assert abs(np.median(x)) < 0.02
 
     @pytest.mark.parametrize("nu", [1, 2, 5, 50])
     def test_ks_distance(self, nu):
-        x = sample_student_t(nu, N_BIG, RngStream(111))
+        x = sample(StudentT(nu), N_BIG, RngStream(111))
         assert _ks_to(StudentT(nu), x) < 0.01
 
     def test_inf_ks(self):
-        x = sample_student_t(math.inf, N_BIG, RngStream(112))
+        x = sample(StudentT(math.inf), N_BIG, RngStream(112))
         assert _ks_to(StudentT(math.inf), x) < 0.01
 
     @pytest.mark.parametrize("nu", [1, 2, 5])
@@ -230,7 +224,7 @@ class TestStudentT:
         z = g.standard_normal(shape)
         chi2 = g.chisquare(nu, shape)
         expected = z / np.sqrt(chi2 / nu)
-        assert sample_student_t(nu, shape, rng).tobytes() == expected.tobytes()
+        assert sample(StudentT(nu), shape, rng).tobytes() == expected.tobytes()
 
     def test_integer_normalization(self):
         assert StudentT(2.0).nu == 2
@@ -250,7 +244,7 @@ class TestStudentT:
 
 class TestGPD:
     def test_exponential_corner(self):
-        x = sample_gpd(0.0, 2.0, N_BIG, RngStream(113))
+        x = sample(GPD(0.0, 2.0), N_BIG, RngStream(113))
         # mean = delta, se = delta / sqrt(N)
         assert abs(x.mean() - 2.0) < 0.04
         assert _ks_to(GPD(0.0, 2.0), x) < 0.01
@@ -259,18 +253,18 @@ class TestGPD:
     def test_boundary_shape_mean(self):
         # gamma = 0.5: mean = delta / (1 - gamma) = 2, variance infinite,
         # so the band is wide and the seed is pinned
-        x = sample_gpd(0.5, 1.0, N_BIG, RngStream(114))
+        x = sample(GPD(0.5, 1.0), N_BIG, RngStream(114))
         assert abs(x.mean() - 2.0) < 0.1
         assert _ks_to(GPD(0.5, 1.0), x) < 0.01
 
     def test_negative_shape_bounded_support(self):
-        x = sample_gpd(-0.5, 1.0, N_BIG, RngStream(115))
+        x = sample(GPD(-0.5, 1.0), N_BIG, RngStream(115))
         assert (x >= 0.0).all()
         assert x.max() < 2.0  # upper endpoint -delta/gamma
         assert _ks_to(GPD(-0.5, 1.0), x) < 0.01
 
     def test_infinite_mean_shape_ks(self):
-        x = sample_gpd(1.5, 1.0, N_BIG, RngStream(116))
+        x = sample(GPD(1.5, 1.0), N_BIG, RngStream(116))
         assert _ks_to(GPD(1.5, 1.0), x) < 0.01
 
     def test_quantile_at_exponential_corner(self):
@@ -326,13 +320,6 @@ class TestSpecPlumbing:
         assert family_tag(StudentT(2)) == "student_t"
         assert family_tag(GPD(0.5, 1.0)) == "gpd"
 
-    def test_round_trip_through_params(self):
-        for spec in (Gaussian(1.0, 2.0), Stable(1.2, 0.5), StudentT(4), GPD(-0.2, 3.0)):
-            assert spec_from(family_tag(spec), params_dict(spec)) == spec
-
-    def test_inf_nu_round_trip_via_string(self):
-        assert spec_from("student_t", {"nu": "inf"}) == StudentT(math.inf)
-
     @pytest.mark.parametrize(
         "spec",
         [Gaussian(1.0, 2.0), Stable(1.5, 2.0), Stable(1.0, 1.0), StudentT(3), StudentT(math.inf), GPD(0.5, 1.0)],
@@ -342,12 +329,3 @@ class TestSpecPlumbing:
         rng = RngStream(56)
         assert sample(spec, (1, 37), rng)[0].tobytes() == sample(spec, 37, rng).tobytes()
         assert sample(spec, (5, 37), rng).shape == (5, 37)
-
-    def test_dispatch_matches_family_samplers(self):
-        rng = RngStream(55)
-        np.testing.assert_array_equal(
-            sample(Stable(1.5, 2.0), 20, rng), sample_stable(1.5, 2.0, 20, rng)
-        )
-        np.testing.assert_array_equal(
-            sample(GPD(0.5, 1.0), 20, rng), sample_gpd(0.5, 1.0, 20, rng)
-        )

@@ -15,7 +15,6 @@ from greenwood.distributions import (
     StudentT,
     family_tag,
     params_dict,
-    spec_from,
 )
 from greenwood.power import (
     PowerStudyConfig,
@@ -60,7 +59,7 @@ class TestDataSpec:
         spec = self.SPECS[family]
         assert type(spec) is FAMILIES[family]
         assert family_tag(spec) == family
-        assert spec_from(family, params_dict(spec)) == spec
+        assert FAMILIES[family](**params_dict(spec)) == spec
         # the swept parameter is set; every other one keeps its default
         assert data_spec(family, 2.0) == FAMILIES[family](**{self.SWEPT[family]: 2.0})
 

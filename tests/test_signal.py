@@ -196,6 +196,9 @@ class TestFrequencyRows:
             frequency_rows(self._spec(), 1.4, 1.6)
         with pytest.raises(ValueError, match="f_min"):
             frequency_rows(self._spec(), 3.0, 1.0)
+        # a lone limit past the other end of the band is an empty band
+        with pytest.raises(ValueError, match=r"no frequency rows inside \[5.0, 4.0\] Hz"):
+            frequency_rows(self._spec(), 5.0)
 
 
 class TestBatchTest:
