@@ -13,11 +13,15 @@ whole, so replication ``r`` depends only on the base stream, ``n`` and
 ``r``: results are bit-identical across runs, and fewer replications give
 a prefix of more.
 
-The blocks of one call run concurrently on the CPUs in the process's
-affinity mask (``taskset`` narrows it), the calling thread included, on
-one block runner, :func:`_map_blocks`. numpy's generator fills, FFTs and
-ufuncs release the GIL, and results are put back in block order, so the
-output is the same for any CPU count. The spectrogram null
+One command's simulations share one block schedule: the groups of a table
+build, or the grid points of a power study, are the jobs of one
+:func:`_simulate` call, whose ``(job, block)`` pairs, job-major, run
+concurrently on the CPUs in the process's affinity mask (``taskset``
+narrows it), the calling thread included, on one block runner,
+:func:`_map_blocks`. Each job is reduced (to its quantile records, its
+rejection count) from its block results in block order as soon as its
+last block is in. numpy's generator fills, FFTs and ufuncs release the
+GIL, so the output is the same for any CPU count. The spectrogram null
 (:func:`greenwood.signal.estimate_spectrogram_null`) runs on the same
 runner with one signal per block: signal ``s`` is drawn whole from
 substream ``s``.
@@ -28,6 +32,7 @@ keyed by ``(family, params, n, c, side)``.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -130,23 +135,57 @@ def _map_blocks(run, blocks: int) -> list:
     return results
 
 
-def _simulate(spec: DistributionSpec, n: int, replications: int, rng: RngStream, row_fn):
-    """``row_fn`` applied to ``replications`` size-``n`` samples of ``spec``.
+def _values(j, values):
+    return values
 
-    Block ``b`` is ``sample(spec, (rows, n), rng.substream(b))`` with
+
+def _simulate(jobs, reduce=_values) -> list:
+    """``reduce(j, values)`` for each job ``j`` of ``jobs``, all on one block schedule.
+
+    A job is ``(spec, n, replications, stream, row_fn)``: ``row_fn`` applied
+    to ``replications`` size-``n`` samples of ``spec``. Its block ``b`` is
+    ``sample(spec, (rows, n), stream.substream(b))`` with
     ``rows = max(1, BLOCK_VALUES // n)``; ``row_fn`` gets the rows of each
     block still needed, as one 2-D array it may overwrite, and returns one
-    result per row. The blocks run on :func:`_map_blocks`, and the results
-    are concatenated in replication order.
+    result per row. ``values`` is those results concatenated in replication
+    order, so by default a job's result is its values.
+
+    The ``(job, block)`` pairs of all jobs, job-major, are the blocks of one
+    :func:`_map_blocks` call. A job is reduced by the thread that finishes
+    its last outstanding block, and its block results are dropped then, so
+    at any time only the jobs with a block in flight, plus the one whose
+    blocks are being claimed, hold values. Neither the values nor the
+    error raised depend on the CPU count.
     """
-    rows = max(1, BLOCK_VALUES // n)
-    blocks = -(-replications // rows)
+    starts, rows, parts = [], [], []
+    blocks = 0
+    for _, n, replications, _, _ in jobs:
+        rows.append(max(1, BLOCK_VALUES // n))
+        starts.append(blocks)
+        count = -(-replications // rows[-1])
+        parts.append([None] * count)
+        blocks += count
+    outstanding = [len(p) for p in parts]
+    results = [None] * len(jobs)
+    lock = threading.Lock()
 
-    def run(b):
-        block = sample(spec, (rows, n), rng.substream(b))
-        return row_fn(block[: replications - b * rows])
+    def run(i):
+        j = bisect.bisect_right(starts, i) - 1
+        b = i - starts[j]
+        spec, n, replications, stream, row_fn = jobs[j]
+        block = sample(spec, (rows[j], n), stream.substream(b))
+        parts[j][b] = row_fn(block[: replications - b * rows[j]])
+        del block  # not held through the reduce below
+        with lock:
+            outstanding[j] -= 1
+            if outstanding[j]:
+                return
+        values = np.concatenate(parts[j])
+        parts[j] = None
+        results[j] = reduce(j, values)
 
-    return np.concatenate(_map_blocks(run, blocks))
+    _map_blocks(run, blocks)
+    return results
 
 
 class TableCoverageError(KeyError):
@@ -215,15 +254,20 @@ def estimate_null_distribution(
     With ``rows = max(1, BLOCK_VALUES // n)``, replication ``r`` is row
     ``r % rows`` of the block drawn from ``rng.substream(r // rows)``.
     """
+    return _simulate([_null_job(spec, n, replications, rng)])[0]
+
+
+def _null_job(spec: DistributionSpec, n: int, replications: int, rng: RngStream) -> tuple:
+    """The :func:`_simulate` job whose values are the statistic over ``replications`` samples."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if replications < 1000:
         raise ValueError("replications must be at least 1000")
+    return (spec, n, replications, rng, _statistic)
 
-    def statistic(block):
-        return modified_greenwood_batch(block, overwrite_input=True)
 
-    return _simulate(spec, n, replications, rng, statistic)
+def _statistic(block):
+    return modified_greenwood_batch(block, overwrite_input=True)
 
 
 @dataclass(frozen=True)
@@ -402,7 +446,8 @@ def build_quantile_table(
     Requests sharing ``(spec, n)`` reuse one simulated null distribution.
     Group ``g`` (in first-seen order) draws its block ``b`` from substream
     ``g * GROUP_STRIDE + b`` of ``rng``, making the table a pure function of
-    ``(requests, replications, rng)``.
+    ``(requests, replications, rng)``. All groups share one block schedule,
+    and each is reduced to its entries as soon as its last block is in.
     """
     seen = set()
     groups: dict[tuple, list[TableRequest]] = {}
@@ -413,13 +458,18 @@ def build_quantile_table(
         seen.add(key)
         groups.setdefault((r.spec, r.n), []).append(r)
 
-    records = []
-    for g, ((spec, n), members) in enumerate(groups.items()):
-        values = estimate_null_distribution(
-            spec, n, replications, rng.substream(g * GROUP_STRIDE)
-        )
-        records += [quantile_record(r, params_dict(spec), values) for r in members]
-    return QuantileTable(table_metadata(replications, rng, created_at), records)
+    keys, members = list(groups), list(groups.values())
+
+    def records(g, values):
+        params = params_dict(keys[g][0])
+        return [quantile_record(r, params, values) for r in members[g]]
+
+    jobs = [
+        _null_job(spec, n, replications, rng.substream(g * GROUP_STRIDE))
+        for g, (spec, n) in enumerate(keys)
+    ]
+    entries = [rec for group in _simulate(jobs, records) for rec in group]
+    return QuantileTable(table_metadata(replications, rng, created_at), entries)
 
 
 def quantile_record(request: TableRequest, params: dict, values) -> dict:

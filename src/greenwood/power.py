@@ -4,8 +4,11 @@ A study fixes a test, a data family, a parameter grid and sample sizes, then
 counts rejections over ``R`` independent replications per grid point. Grid
 point ``(i, j)`` always runs on its own group of RNG substreams, one per block
 of replications (see :mod:`greenwood.critical`), and decides each block in
-batch with the decisions ``run_test`` would reach, so curves are pure
-functions of the configuration and reruns are bit-identical.
+batch with the decisions ``run_test`` would reach. All grid points of a study
+share one block schedule, so small ones run side by side on the CPUs, and
+each is reduced to its rejection count from its blocks in block order: curves
+are pure functions of the configuration, and reruns are bit-identical on any
+CPU count.
 
 Curves export to CSV with header ``family,param,n,replications,rejection_rate``
 plus a JSON sidecar carrying the configuration echo.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from .critical import GROUP_STRIDE, RNG_LAYOUT, _simulate, atomic_open, json_number, write_json
 from .distributions import FAMILIES, DistributionSpec, family_tag, params_dict
 from .rng import RngStream
-from .testing import TestSpec, null_for, reject_rows, thresholds_for
+from .testing import BASELINE_KINDS, TestSpec, null_for, reject_rows, thresholds_for
 
 __all__ = [
     "PowerCurve",
@@ -69,6 +72,8 @@ class PowerStudyConfig:
             raise ValueError("parameter grid must be strictly increasing")
         if any(n < 2 for n in self.sample_sizes):
             raise ValueError("sample sizes must be at least 2")
+        if self.test.kind in BASELINE_KINDS and any(n < 8 for n in self.sample_sizes):
+            raise ValueError("baseline tests need at least 8 observations")
         if self.replications < 100:
             raise ValueError("replications must be at least 100")
         for p in self.parameter_grid:
@@ -117,24 +122,33 @@ class PowerCurve:
 def run_power_study(config: PowerStudyConfig) -> PowerCurve:
     """Rejection rate at every ``(param, n)`` grid point of ``config``.
 
-    Table coverage is verified for all sample sizes up front, so a study
-    cannot die halfway through. Grid point ``(i, j)`` is group
-    ``g = i * len(sample_sizes) + j``: its block ``b`` of replications
-    samples from substream ``g * GROUP_STRIDE + b``.
+    The thresholds of every sample size are read up front, so a study
+    cannot die halfway through on table coverage. Grid point ``(i, j)`` is
+    group ``g = i * len(sample_sizes) + j``: its block ``b`` of replications
+    samples from substream ``g * GROUP_STRIDE + b``. All grid points share
+    one block schedule (see :func:`~greenwood.critical._simulate`), and each
+    is reduced to its rejection count as soon as its last block is decided.
     """
-    for n in config.sample_sizes:
-        thresholds_for(config.test, n)
-
+    test, reps = config.test, config.replications
+    thresholds = {n: thresholds_for(test, n) for n in config.sample_sizes}
     rng = RngStream(config.master_seed)
-    points = []
-    sizes = config.sample_sizes
-    for i, param in enumerate(config.parameter_grid):
-        dspec = data_spec(config.data_family, param)
-        for j, n in enumerate(sizes):
-            base = rng.substream((i * len(sizes) + j) * GROUP_STRIDE)
-            rate = _rejection_rate(config.test, dspec, n, config.replications, base)
-            points.append(PowerPoint(param, n, rate, config.replications))
-    return PowerCurve(tuple(points), config.to_json_dict())
+    grid = [(param, n) for param in config.parameter_grid for n in config.sample_sizes]
+    jobs = [
+        _decision_job(
+            test,
+            data_spec(config.data_family, param),
+            n,
+            reps,
+            rng.substream(g * GROUP_STRIDE),
+            thresholds[n],
+        )
+        for g, (param, n) in enumerate(grid)
+    ]
+    counts = _simulate(jobs, _rejections)
+    points = tuple(
+        PowerPoint(param, n, count / reps, reps) for (param, n), count in zip(grid, counts)
+    )
+    return PowerCurve(points, config.to_json_dict())
 
 
 def size_check(test: TestSpec, n: int, replications: int, rng: RngStream) -> float:
@@ -156,11 +170,24 @@ def _rejection_rate(
     Block ``b`` of replications is drawn from ``rng.substream(b)`` and
     decided in batch by :func:`~greenwood.testing.reject_rows`.
     """
-    thresholds = thresholds_for(test, n)
-    rejected = _simulate(
-        spec, n, replications, rng, lambda rows: reject_rows(test, rows, thresholds)
-    )
-    return int(rejected.sum()) / replications
+    job = _decision_job(test, spec, n, replications, rng, thresholds_for(test, n))
+    return _simulate([job], _rejections)[0] / replications
+
+
+def _decision_job(
+    test: TestSpec,
+    spec: DistributionSpec,
+    n: int,
+    replications: int,
+    rng: RngStream,
+    thresholds: tuple,
+) -> tuple:
+    """The :func:`~greenwood.critical._simulate` job deciding each sample against ``thresholds``."""
+    return (spec, n, replications, rng, lambda rows: reject_rows(test, rows, thresholds))
+
+
+def _rejections(j, rejected) -> int:
+    return int(rejected.sum())
 
 
 def export_curve(curve: PowerCurve, path) -> None:

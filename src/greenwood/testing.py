@@ -31,7 +31,10 @@ ks_normality    Gaussian           D_n >= q       simulated (1 - c)
 * ``jarque_bera`` is the moment-based normality test and ``ks_normality``
   the Kolmogorov-Smirnov distance to the normal fitted by moments. Their
   Monte Carlo critical values are simulated on a fixed internal seed and
-  cached per ``(kind, n, c, M)``, so they need no table.
+  cached per ``(kind, n, c, M)``, so they need no table. Each is one job of
+  the block engine (:func:`greenwood.critical._simulate`): the statistic is
+  computed in place in each block, and the values are reduced to the
+  quantile in block order, so a threshold does not depend on the CPU count.
 
 :func:`reject_rows` decides many samples at once and always reaches the
 decision :func:`run_test` reaches on each of them.
@@ -152,14 +155,18 @@ class TestSpec:
 # baselines
 
 
-def _jb_values(x: np.ndarray) -> np.ndarray:
-    # rows are samples; moment form n * (skew**2 / 6 + (kurt - 3)**2 / 24)
+def _jb_values(x: np.ndarray, overwrite_input: bool = False) -> np.ndarray:
+    # rows are samples; moment form n * (skew**2 / 6 + (kurt - 3)**2 / 24).
+    # With overwrite_input the deviations are taken in x itself (its values
+    # are lost), which leaves one block-sized temporary; the bits are the same
     n = x.shape[1]
-    d = x - x.mean(axis=1, keepdims=True)
+    d = np.subtract(x, x.mean(axis=1, keepdims=True), out=x if overwrite_input else None)
     d2 = d * d
     m2 = np.mean(d2, axis=1)
-    m3 = np.mean(d2 * d, axis=1)
-    m4 = np.mean(d2 * d2, axis=1)
+    d *= d2
+    m3 = np.mean(d, axis=1)
+    d2 *= d2
+    m4 = np.mean(d2, axis=1)
     skew = m3 / m2**1.5
     kurt = m4 / (m2 * m2)
     return n * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
@@ -172,13 +179,21 @@ def _sup_distance(u: np.ndarray) -> np.ndarray:
     return np.maximum((i / n - u).max(axis=-1), (u - (i - 1.0) / n).max(axis=-1))
 
 
-def _ks_values(x: np.ndarray) -> np.ndarray:
-    # sup distance between the empirical CDF and the normal fitted by moments
+def _ks_values(x: np.ndarray, overwrite_input: bool = False) -> np.ndarray:
+    # sup distance between the empirical CDF and the normal fitted by moments;
+    # with overwrite_input x is sorted and standardized in place (its values
+    # are lost), so no block-sized temporary is made before the distance
     from scipy import special
 
     mean = x.mean(axis=1, keepdims=True)
     sd = x.std(axis=1, ddof=1, keepdims=True)
-    return _sup_distance(special.ndtr((np.sort(x, axis=1) - mean) / sd))
+    if overwrite_input:
+        x.sort(axis=1)
+    else:
+        x = np.sort(x, axis=1)
+    x -= mean
+    x /= sd
+    return _sup_distance(special.ndtr(x, out=x))
 
 
 _BASELINE_VALUES = {"jarque_bera": _jb_values, "ks_normality": _ks_values}
@@ -209,7 +224,9 @@ def _baseline_threshold(kind: str, n: int, c: float, replications: int) -> float
         return cached
     kind_code = BASELINE_KINDS.index(kind)
     stream = RngStream(_BASELINE_SEED, (kind_code << 56) | (n << 16))
-    values = _simulate(GAUSSIAN_NULL, n, replications, stream, _BASELINE_VALUES[kind])
+    kernel = _BASELINE_VALUES[kind]
+    job = (GAUSSIAN_NULL, n, replications, stream, lambda rows: kernel(rows, overwrite_input=True))
+    values = _simulate([job])[0]
     thr = empirical_quantile(values, 1.0 - c)
     _baseline_cache[key] = thr
     return thr

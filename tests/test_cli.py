@@ -757,6 +757,13 @@ class TestGlobalBehavior:
                 ],
                 "no frequency rows inside [0.6, 0.5] Hz",
             ),
+            (
+                [
+                    "power", "--kind", "jarque_bera", "--data-family", "stable",
+                    "--grid", "1.5", "--n", "5", "--reps", "100",
+                ],
+                "baseline tests need at least 8 observations",
+            ),
         ],
         ids=[
             "quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c",
@@ -770,7 +777,7 @@ class TestGlobalBehavior:
             "analyze_tf_segment_length", "quick_with_reps", "spectrogram_no_window_length",
             "spectrogram_binary_sample_rate", "analyze_binary_sample_rate",
             "analyze_time_sample_rate", "quantiles_duplicate_request", "analyze_band_above_nyquist",
-            "analyze_f_min_above_nyquist",
+            "analyze_f_min_above_nyquist", "power_baseline_below_8",
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):

@@ -14,6 +14,7 @@ from greenwood import testing
 from greenwood.critical import (
     BLOCK_VALUES,
     ESTIMATOR_ID,
+    GROUP_STRIDE,
     RNG_LAYOUT,
     SCHEMA_VERSION,
     QuantileTable,
@@ -24,8 +25,9 @@ from greenwood.critical import (
     build_quantile_table,
     empirical_quantile,
     estimate_null_distribution,
+    quantile_record,
 )
-from greenwood.distributions import GPD, Gaussian, Stable, StudentT, sample
+from greenwood.distributions import GPD, Gaussian, Stable, StudentT, params_dict, sample
 from greenwood.rng import RngStream
 from greenwood.statistic import modified_greenwood_batch
 
@@ -172,7 +174,7 @@ class TestThreadedEngine:
             return modified_greenwood_batch(rows, overwrite_input=True)
 
         set_cpus(1)
-        serial = _simulate(spec, n, reps, rng, statistic)
+        serial = _simulate([(spec, n, reps, rng, statistic)])[0]
         set_cpus(8)
         results = []
         interval = sys.getswitchinterval()
@@ -181,7 +183,7 @@ class TestThreadedEngine:
             # run from a thread of its own, so that a hang fails the test
             worker = threading.Thread(
                 target=lambda: results.extend(
-                    _simulate(spec, n, reps, rng, statistic) for _ in range(3)
+                    _simulate([(spec, n, reps, rng, statistic)])[0] for _ in range(3)
                 ),
                 daemon=True,
             )
@@ -208,8 +210,120 @@ class TestThreadedEngine:
         set_cpus(cpus)
         before = threading.active_count()
         with pytest.raises(ValueError, match="^block 1$"):
-            _simulate(spec, n, reps, rng, first_column)
+            _simulate([(spec, n, reps, rng, first_column)])
         assert threading.active_count() == before
+
+
+
+def _first_column(rows):
+    return rows[:, 0]
+
+
+class TestOneSchedule:
+    """The blocks of many jobs share one schedule; each job is reduced as soon as it is done."""
+
+    # (spec, n, replications): 4, 3, 5 and 1 blocks
+    JOBS = [
+        (Gaussian(0.0, 1.0), 100, 2000),
+        (Stable(1.5, 1.0), 50, 3000),
+        (StudentT(3), 1000, 300),
+        (GPD(0.5, 1.0), 10, 100),
+    ]
+
+    def _jobs(self, row_fns):
+        rng = RngStream(19)
+        return [
+            (spec, n, reps, rng.substream(g * GROUP_STRIDE), row_fn)
+            for g, ((spec, n, reps), row_fn) in enumerate(zip(self.JOBS, row_fns))
+        ]
+
+    def test_slow_first_job_gives_the_same_values_for_any_cpu_count(self, set_cpus):
+        slow = threading.Event()
+
+        def slow_once(rows):  # the first block of the first job finishes last
+            if not slow.is_set():
+                slow.set()
+                time.sleep(0.2)
+            return _first_column(rows)
+
+        set_cpus(1)
+        alone = [_simulate([job])[0] for job in self._jobs([_first_column] * 4)]
+        for k in (1, 2, 3):
+            set_cpus(k)
+            slow.clear()
+            got = _simulate(self._jobs([slow_once] + [_first_column] * 3))
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in alone]
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    def test_lowest_failing_job_and_block_is_raised(self, set_cpus, cpus):
+        jobs = self._jobs([_first_column] * 4)
+        block_of = {
+            sample(spec, (max(1, BLOCK_VALUES // n), n), stream.substream(b))[0, 0]: (g, b)
+            for g, (spec, n, reps, stream, _) in enumerate(jobs)
+            for b in range(5)
+        }
+
+        def failing(rows):
+            g, b = block_of[rows[0, 0]]
+            if (g, b) == (0, 2):  # with threads, (1, 1) fails first
+                time.sleep(0.2)
+                raise ValueError("job 0 block 2")
+            if (g, b) == (1, 1):
+                raise ValueError("job 1 block 1")
+            return _first_column(rows)
+
+        set_cpus(cpus)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^job 0 block 2$"):
+            _simulate([job[:4] + (failing,) for job in jobs])
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    def test_jobs_are_reduced_before_the_schedule_ends(self, set_cpus, cpus):
+        spec, n, reps, rng = Gaussian(0.0, 1.0), 100, 1965, RngStream(20)  # 3 blocks
+        lock = threading.Lock()
+        holding, peak = set(), []
+
+        def job(g):
+            def row_fn(rows):
+                with lock:
+                    holding.add(g)
+                    peak.append(len(holding))
+                time.sleep(0.002)
+                return _first_column(rows)
+
+            return (spec, n, reps, rng.substream(g * GROUP_STRIDE), row_fn)
+
+        def reduce(g, values):
+            with lock:
+                holding.remove(g)
+            return values.sum()
+
+        set_cpus(cpus)
+        sums = _simulate([job(g) for g in range(12)], reduce)
+        assert not holding
+        assert max(peak) <= cpus + 1
+        assert sums == [_simulate([job(g)])[0].sum() for g in range(12)]
+
+    def test_table_equals_a_serial_build_per_group(self, set_cpus):
+        requests = [
+            TableRequest(spec, n, c, side)
+            for spec in (Gaussian(0.0, 1.0), StudentT(2))
+            for n in (10, 200)
+            for c, side in ((0.05, "upper"), (0.01, "lower"))
+        ]
+        set_cpus(3)
+        table = build_quantile_table(requests, 3000, RngStream(21), created_at="fixed")
+        set_cpus(1)
+        reference = []
+        for g in range(4):
+            members = requests[2 * g : 2 * g + 2]
+            spec, n = members[0].spec, members[0].n
+            values = estimate_null_distribution(
+                spec, n, 3000, RngStream(21).substream(g * GROUP_STRIDE)
+            )
+            reference += [quantile_record(r, params_dict(spec), values) for r in members]
+        assert json.dumps(table.records) == json.dumps(reference)
 
 
 def _small_requests():

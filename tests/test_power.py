@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from greenwood import testing
-from greenwood.critical import QuantileTable, _simulate
+from greenwood.critical import GROUP_STRIDE, QuantileTable, _simulate, estimate_null_distribution
 from greenwood.distributions import (
     FAMILIES,
     GPD,
@@ -189,7 +189,7 @@ class TestBatchDecisions:
     )
     def test_batch_equals_run_test_at_constructed_ties(self, kind, ulps, monkeypatch):
         rng = RngStream(90)
-        rows = _simulate(self.DATA, self.N, self.R, rng, lambda block: block)
+        rows = _simulate([(self.DATA, self.N, self.R, rng, lambda block: block)])[0]
         batch = (
             testing._jb_values(rows) if kind == "jarque_bera" else modified_greenwood_batch(rows)
         )
@@ -247,6 +247,20 @@ class TestThreadedStudies:
             set_cpus(k)
             rates.append(size_check(mg2_spec(quick_gaussian_table), 50, 6000, RngStream(560)))
         assert rates[1:] == rates[:1] * 3
+
+    def test_study_equals_a_serial_study_per_grid_point(self, quick_gaussian_table, set_cpus):
+        spec = mg2_spec(quick_gaussian_table)
+        grid, sizes, reps = (1.5, 1.8, 2.0), (10, 50), 1000
+        set_cpus(3)
+        curve = run_power_study(PowerStudyConfig(spec, "stable", grid, sizes, reps, 4243))
+        set_cpus(1)
+        rates = []
+        for i, param in enumerate(grid):
+            for j, n in enumerate(sizes):
+                stream = RngStream(4243).substream((i * len(sizes) + j) * GROUP_STRIDE)
+                values = estimate_null_distribution(data_spec("stable", param), n, reps, stream)
+                rates.append(int((values >= thresholds_for(spec, n)[0]).sum()) / reps)
+        assert [pt.rejection_rate for pt in curve.points] == rates
 
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
     def test_refused_rows_raise_from_any_thread(self, set_cpus, cpus):

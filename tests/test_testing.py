@@ -6,8 +6,9 @@ binary-exact, so tie behaviour can be asserted with == comparisons.
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from greenwood import testing
 from greenwood.critical import QuantileTable, TableCoverageError
 from greenwood.distributions import Stable
 from greenwood.rng import RngStream
@@ -17,6 +18,7 @@ from greenwood.testing import (
     TestSpec,
     ks_distance,
     null_for,
+    reject_rows,
     run_test,
     thresholds_for,
 )
@@ -230,3 +232,53 @@ class TestBaselines:
         assert mg.reject
         assert run_test(JB, x).reject
         assert run_test(KS, x).reject
+
+
+def _jb_reference(x):
+    # the Jarque-Bera kernel as it was before it worked in place: four temporaries
+    n = x.shape[1]
+    d = x - x.mean(axis=1, keepdims=True)
+    d2 = d * d
+    m2 = np.mean(d2, axis=1)
+    m3 = np.mean(d2 * d, axis=1)
+    m4 = np.mean(d2 * d2, axis=1)
+    skew = m3 / m2**1.5
+    kurt = m4 / (m2 * m2)
+    return n * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
+
+
+def _ks_reference(x):
+    # the KS kernel as it was before it worked in place
+    mean = x.mean(axis=1, keepdims=True)
+    sd = x.std(axis=1, ddof=1, keepdims=True)
+    return testing._sup_distance(special.ndtr((np.sort(x, axis=1) - mean) / sd))
+
+
+class TestInPlaceKernels:
+    """The baseline kernels may use their input as scratch; no value changes by a bit."""
+
+    KERNELS = [(testing._jb_values, _jb_reference), (testing._ks_values, _ks_reference)]
+
+    @pytest.mark.parametrize("shape", [(6553, 10), (655, 100), (65, 1000)])
+    @pytest.mark.parametrize("kernel, reference", KERNELS, ids=BASELINE_KINDS)
+    def test_overwrite_input_gives_the_same_bits(self, kernel, reference, shape):
+        x = RngStream(80).generator().standard_t(3, shape)  # heavy rows
+        before = x.tobytes()
+        expected = reference(x.copy())
+        assert kernel(x).tobytes() == expected.tobytes()
+        assert x.tobytes() == before  # untouched without the flag
+        assert kernel(x, overwrite_input=True).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_reject_rows_leaves_its_rows(self, kind, monkeypatch):
+        rows = RngStream(81).generator().standard_normal((300, 20))
+        # the threshold sits on row 7's value, inside the tie band, so that
+        # row is decided again on the scalar path from the rows passed in
+        t = float(testing._BASELINE_VALUES[kind](rows)[7])
+        monkeypatch.setitem(testing._baseline_cache, (kind, 20, 0.05, 100000), t)
+        spec = TestSpec(kind, 0.05)
+        before = rows.tobytes()
+        reject = reject_rows(spec, rows, (t,))
+        assert rows.tobytes() == before
+        assert reject[7]
+        assert reject.tolist() == [run_test(spec, row).reject for row in rows]
