@@ -51,7 +51,7 @@ from .signal import (
     spectrogram,
     spectrogram_null_params,
 )
-from .testing import BASELINE_KINDS, MG_KINDS, TestSpec, null_for, run_test
+from .testing import BASELINE_KINDS, BASELINE_MIN_N, MG_KINDS, TestSpec, null_for, run_test
 
 __all__ = ["main"]
 
@@ -319,6 +319,9 @@ def _cmd_power(args) -> int:
 
 def _cmd_analyze(args) -> int:
     spec = _test_spec(args)
+    # a baseline kind runs in time mode only, one test per segment
+    if spec.kind in BASELINE_KINDS and args.segment_length < BASELINE_MIN_N:
+        raise _UsageError(f"--segment-length must be at least {BASELINE_MIN_N} for baseline kinds")
     sig = _read_signal(args)
 
     if args.mode == "time":

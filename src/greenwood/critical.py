@@ -5,26 +5,25 @@ samples of size ``n`` from the null family, compute the statistic for each,
 and read empirical quantiles off the sorted values.
 
 Every Monte Carlo loop of the package (tables, power and size studies,
-baseline thresholds) runs on one engine with one RNG layout, version
-:data:`RNG_LAYOUT`: replications come in blocks of
+baseline thresholds, the spectrogram null) has one entry point,
+:func:`_simulate`, and one RNG layout, version :data:`RNG_LAYOUT`. A
+sampling job (:func:`_sample_job`) takes its replications in blocks of
 ``rows(n) = max(1, BLOCK_VALUES // n)``, and block ``b`` is one
 ``(rows(n), n)`` draw from substream ``base + b``. Blocks are always drawn
 whole, so replication ``r`` depends only on the base stream, ``n`` and
 ``r``: results are bit-identical across runs, and fewer replications give
-a prefix of more.
+a prefix of more. The spectrogram null
+(:func:`greenwood.signal.estimate_spectrogram_null`) is a job with one
+signal per block: signal ``s`` is drawn whole from substream ``s``.
 
 One command's simulations share one block schedule: the groups of a table
 build, or the grid points of a power study, are the jobs of one
 :func:`_simulate` call, whose ``(job, block)`` pairs, job-major, run
 concurrently on the CPUs in the process's affinity mask (``taskset``
-narrows it), the calling thread included, on one block runner,
-:func:`_map_blocks`. Each job is reduced (to its quantile records, its
-rejection count) from its block results in block order as soon as its
-last block is in. numpy's generator fills, FFTs and ufuncs release the
-GIL, so the output is the same for any CPU count. The spectrogram null
-(:func:`greenwood.signal.estimate_spectrogram_null`) runs on the same
-runner with one signal per block: signal ``s`` is drawn whole from
-substream ``s``.
+narrows it), the calling thread included. Each job is reduced (to its
+quantile records, its rejection count) from its block results in block
+order as soon as its last block is in. numpy's generator fills, FFTs and
+ufuncs release the GIL, so the output is the same for any CPU count.
 
 Tables serialize to a small JSON document (see :meth:`QuantileTable.save`)
 keyed by ``(family, params, n, c, side)``.
@@ -32,7 +31,6 @@ keyed by ``(family, params, n, c, side)``.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import os
@@ -90,38 +88,56 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(run, blocks: int) -> list:
-    """``[run(b) for b in range(blocks)]``, with the blocks spread over the CPUs.
+def _simulate(jobs, reduce=None) -> list:
+    """``reduce(j, values)`` for each job ``j`` of ``jobs``, all on one block schedule.
 
-    With more than one block and more than one CPU, the calling thread and
-    ``min(CPUs, blocks) - 1`` helper threads claim blocks from one counter.
-    A failing block stops further claims; once the blocks already claimed
-    are done, the failure of the lowest block is raised, which is the one a
-    serial loop would raise.
+    A job is ``(blocks, block)``: ``block(b)`` returns the results of block
+    ``b`` as an array, and ``values`` is those arrays concatenated in block
+    order. Without ``reduce`` a job's result is its values. Sampling jobs
+    come from :func:`_sample_job`.
+
+    The calling thread and ``min(CPUs, pairs) - 1`` helper threads claim the
+    ``(job, block)`` pairs of all jobs, job-major, from one iterator. A job
+    is reduced by the thread that finishes its last outstanding block, and
+    its block results are dropped then, so at any time only the jobs with a
+    block in flight, plus the one whose blocks are being claimed, hold
+    values. A failing pair stops further claims; once the pairs already
+    claimed are done, the failure of the lowest pair is raised, which is the
+    one a serial loop would raise. Neither the values nor the error raised
+    depend on the CPU count.
     """
-    helpers = min(_cpu_count(), blocks) - 1
-    if helpers < 1:
-        return [run(b) for b in range(blocks)]
-
-    results = [None] * blocks
+    parts = [[None] * blocks for blocks, _ in jobs]
+    outstanding = [blocks for blocks, _ in jobs]
+    results = [None] * len(jobs)
     errors = {}
-    claims = iter(range(blocks))
-    claim_lock = threading.Lock()
+    claims = ((j, b) for j, (blocks, _) in enumerate(jobs) for b in range(blocks))
+    lock = threading.Lock()  # guards the claims and the outstanding counts
     stop = threading.Event()
+
+    def run(j, b):
+        parts[j][b] = jobs[j][1](b)
+        with lock:
+            outstanding[j] -= 1
+            if outstanding[j]:
+                return
+        values = np.concatenate(parts[j])
+        parts[j] = None
+        results[j] = values if reduce is None else reduce(j, values)
 
     def drain():
         while not stop.is_set():
-            with claim_lock:
-                b = next(claims, None)
-            if b is None:
+            with lock:
+                pair = next(claims, None)
+            if pair is None:
                 return
             try:
-                results[b] = run(b)
+                run(*pair)
             except Exception as exc:
-                errors[b] = exc
+                errors[pair] = exc
                 stop.set()
 
-    with ThreadPoolExecutor(helpers) as pool:
+    helpers = min(_cpu_count(), sum(outstanding)) - 1
+    with ThreadPoolExecutor(max(1, helpers)) as pool:  # starts no thread unless submitted to
         futures = [pool.submit(drain) for _ in range(helpers)]
         try:
             drain()
@@ -135,57 +151,23 @@ def _map_blocks(run, blocks: int) -> list:
     return results
 
 
-def _values(j, values):
-    return values
+def _sample_job(
+    spec: DistributionSpec, n: int, replications: int, stream: RngStream, row_fn
+) -> tuple:
+    """The :func:`_simulate` job of ``row_fn`` over ``replications`` samples of ``spec``.
 
-
-def _simulate(jobs, reduce=_values) -> list:
-    """``reduce(j, values)`` for each job ``j`` of ``jobs``, all on one block schedule.
-
-    A job is ``(spec, n, replications, stream, row_fn)``: ``row_fn`` applied
-    to ``replications`` size-``n`` samples of ``spec``. Its block ``b`` is
-    ``sample(spec, (rows, n), stream.substream(b))`` with
+    Every job that samples size-``n`` replications is made here. Its block
+    ``b`` is ``sample(spec, (rows, n), stream.substream(b))`` with
     ``rows = max(1, BLOCK_VALUES // n)``; ``row_fn`` gets the rows of each
     block still needed, as one 2-D array it may overwrite, and returns one
-    result per row. ``values`` is those results concatenated in replication
-    order, so by default a job's result is its values.
-
-    The ``(job, block)`` pairs of all jobs, job-major, are the blocks of one
-    :func:`_map_blocks` call. A job is reduced by the thread that finishes
-    its last outstanding block, and its block results are dropped then, so
-    at any time only the jobs with a block in flight, plus the one whose
-    blocks are being claimed, hold values. Neither the values nor the
-    error raised depend on the CPU count.
+    result per row, so the job's values are in replication order.
     """
-    starts, rows, parts = [], [], []
-    blocks = 0
-    for _, n, replications, _, _ in jobs:
-        rows.append(max(1, BLOCK_VALUES // n))
-        starts.append(blocks)
-        count = -(-replications // rows[-1])
-        parts.append([None] * count)
-        blocks += count
-    outstanding = [len(p) for p in parts]
-    results = [None] * len(jobs)
-    lock = threading.Lock()
+    rows = max(1, BLOCK_VALUES // n)
 
-    def run(i):
-        j = bisect.bisect_right(starts, i) - 1
-        b = i - starts[j]
-        spec, n, replications, stream, row_fn = jobs[j]
-        block = sample(spec, (rows[j], n), stream.substream(b))
-        parts[j][b] = row_fn(block[: replications - b * rows[j]])
-        del block  # not held through the reduce below
-        with lock:
-            outstanding[j] -= 1
-            if outstanding[j]:
-                return
-        values = np.concatenate(parts[j])
-        parts[j] = None
-        results[j] = reduce(j, values)
+    def block(b):
+        return row_fn(sample(spec, (rows, n), stream.substream(b))[: replications - b * rows])
 
-    _map_blocks(run, blocks)
-    return results
+    return (-(-replications // rows), block)
 
 
 class TableCoverageError(KeyError):
@@ -263,7 +245,7 @@ def _null_job(spec: DistributionSpec, n: int, replications: int, rng: RngStream)
         raise ValueError("n must be at least 2")
     if replications < 1000:
         raise ValueError("replications must be at least 1000")
-    return (spec, n, replications, rng, _statistic)
+    return _sample_job(spec, n, replications, rng, _statistic)
 
 
 def _statistic(block):

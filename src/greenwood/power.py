@@ -20,11 +20,27 @@ import csv
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 
-from .critical import GROUP_STRIDE, RNG_LAYOUT, _simulate, atomic_open, json_number, write_json
+from .critical import (
+    GROUP_STRIDE,
+    RNG_LAYOUT,
+    _sample_job,
+    _simulate,
+    atomic_open,
+    json_number,
+    write_json,
+)
 from .distributions import FAMILIES, DistributionSpec, family_tag, params_dict
 from .rng import RngStream
-from .testing import BASELINE_KINDS, TestSpec, null_for, reject_rows, thresholds_for
+from .testing import (
+    BASELINE_KINDS,
+    BASELINE_MIN_N,
+    TestSpec,
+    null_for,
+    reject_rows,
+    thresholds_for,
+)
 
 __all__ = [
     "PowerCurve",
@@ -70,19 +86,23 @@ class PowerStudyConfig:
             raise ValueError("sample sizes must be nonempty")
         if any(b <= a for a, b in zip(self.parameter_grid, self.parameter_grid[1:])):
             raise ValueError("parameter grid must be strictly increasing")
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise ValueError(f"sample sizes must not repeat, got {self.sample_sizes}")
         if any(n < 2 for n in self.sample_sizes):
             raise ValueError("sample sizes must be at least 2")
-        if self.test.kind in BASELINE_KINDS and any(n < 8 for n in self.sample_sizes):
-            raise ValueError("baseline tests need at least 8 observations")
+        if self.test.kind in BASELINE_KINDS and any(n < BASELINE_MIN_N for n in self.sample_sizes):
+            raise ValueError(f"baseline tests need at least {BASELINE_MIN_N} observations")
         if self.replications < 100:
             raise ValueError("replications must be at least 100")
         for p in self.parameter_grid:
             data_spec(self.data_family, p)  # fail fast on invalid grid values
 
     def to_json_dict(self) -> dict:
-        null = self.test.null_spec
+        kind, null = self.test.kind, self.test.null_spec
+        if kind not in BASELINE_KINDS:  # the null an mg test is calibrated under
+            null = null_for(kind, null)
         return {
-            "test_kind": self.test.kind,
+            "test_kind": kind,
             "c": self.test.c,
             "null": None
             if null is None
@@ -134,13 +154,12 @@ def run_power_study(config: PowerStudyConfig) -> PowerCurve:
     rng = RngStream(config.master_seed)
     grid = [(param, n) for param in config.parameter_grid for n in config.sample_sizes]
     jobs = [
-        _decision_job(
-            test,
+        _sample_job(
             data_spec(config.data_family, param),
             n,
             reps,
             rng.substream(g * GROUP_STRIDE),
-            thresholds[n],
+            partial(reject_rows, test, thresholds=thresholds[n]),
         )
         for g, (param, n) in enumerate(grid)
     ]
@@ -170,20 +189,9 @@ def _rejection_rate(
     Block ``b`` of replications is drawn from ``rng.substream(b)`` and
     decided in batch by :func:`~greenwood.testing.reject_rows`.
     """
-    job = _decision_job(test, spec, n, replications, rng, thresholds_for(test, n))
+    decide = partial(reject_rows, test, thresholds=thresholds_for(test, n))
+    job = _sample_job(spec, n, replications, rng, decide)
     return _simulate([job], _rejections)[0] / replications
-
-
-def _decision_job(
-    test: TestSpec,
-    spec: DistributionSpec,
-    n: int,
-    replications: int,
-    rng: RngStream,
-    thresholds: tuple,
-) -> tuple:
-    """The :func:`~greenwood.critical._simulate` job deciding each sample against ``thresholds``."""
-    return (spec, n, replications, rng, lambda rows: reject_rows(test, rows, thresholds))
 
 
 def _rejections(j, rejected) -> int:

@@ -15,8 +15,9 @@ simulated through the identical spectrogram configuration.
 carry the window geometry in the key, which makes accidentally reusing a raw
 table in the time-frequency path a lookup error rather than a wrong answer.
 
-The null simulates its signals concurrently on the CPUs the process may
-use, through the block runner of :mod:`greenwood.critical`: signal ``s`` is
+The null is one job of the Monte Carlo runner
+:func:`greenwood.critical._simulate`, with one signal per block, so its
+signals run concurrently on the CPUs the process may use: signal ``s`` is
 drawn from substream ``s`` and the pooled values keep signal order, so the
 table is the same for any CPU count. Each signal's spectrogram is computed
 a chunk of frames at a time, which keeps the memory of the signals in
@@ -37,7 +38,7 @@ import numpy.fft  # noqa: F401  (loaded with the package, not on the first spect
 from .critical import (
     QuantileTable,
     TableRequest,
-    _map_blocks,
+    _simulate,
     atomic_open,
     quantile_record,
     table_metadata,
@@ -265,9 +266,10 @@ def estimate_spectrogram_null(
 
     Each simulated signal runs through the exact spectrogram configuration
     under study; every in-band frequency row contributes one statistic value.
-    Signal ``s`` is drawn from ``rng.substream(s)``; the signals run as the
-    blocks of :func:`greenwood.critical._map_blocks`, and their values are
-    pooled in signal order, so the result does not depend on the CPU count.
+    Signal ``s`` is drawn from ``rng.substream(s)``; the signals are the
+    blocks of one :func:`greenwood.critical._simulate` job, and their values
+    are pooled in signal order, so the result does not depend on the CPU
+    count.
     """
     if signals < 1:
         raise ValueError("signals must be at least 1")
@@ -280,7 +282,7 @@ def estimate_spectrogram_null(
         rows = np.stack([r for _, r in frequency_rows(sp, f_min, f_max)])
         return modified_greenwood_batch(rows, overwrite_input=True)
 
-    return np.concatenate(_map_blocks(one_signal, signals))
+    return _simulate([(signals, one_signal)])[0]
 
 
 def build_spectrogram_quantile_table(

@@ -43,10 +43,11 @@ decision :func:`run_test` reaches on each of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .critical import QuantileTable, _simulate, empirical_quantile
+from .critical import QuantileTable, _sample_job, _simulate, empirical_quantile
 from .distributions import GPD, DistributionSpec, Gaussian, StudentT
 from .rng import RngStream
 from .statistic import modified_greenwood, modified_greenwood_batch
@@ -57,6 +58,7 @@ __all__ = [
     "STUDENT_T_BOUNDARY",
     "MG_KINDS",
     "BASELINE_KINDS",
+    "BASELINE_MIN_N",
     "TestOutcome",
     "TestSpec",
     "ks_distance",
@@ -72,6 +74,8 @@ STUDENT_T_BOUNDARY = StudentT(2)  # last integer nu with infinite variance
 
 MG_KINDS = ("mg1", "mg2", "mg3_gpd", "mg4_student_t", "mg_two_sided")
 BASELINE_KINDS = ("jarque_bera", "ks_normality")
+# the smallest sample a baseline test decides on
+BASELINE_MIN_N = 8
 
 # kind -> (null it is calibrated under, tail that rejects); mg_two_sided takes
 # its null from the caller and rejects in both tails at c/2 each
@@ -224,9 +228,8 @@ def _baseline_threshold(kind: str, n: int, c: float, replications: int) -> float
         return cached
     kind_code = BASELINE_KINDS.index(kind)
     stream = RngStream(_BASELINE_SEED, (kind_code << 56) | (n << 16))
-    kernel = _BASELINE_VALUES[kind]
-    job = (GAUSSIAN_NULL, n, replications, stream, lambda rows: kernel(rows, overwrite_input=True))
-    values = _simulate([job])[0]
+    kernel = partial(_BASELINE_VALUES[kind], overwrite_input=True)
+    values = _simulate([_sample_job(GAUSSIAN_NULL, n, replications, stream, kernel)])[0]
     thr = empirical_quantile(values, 1.0 - c)
     _baseline_cache[key] = thr
     return thr
@@ -236,8 +239,8 @@ def _baseline_sample(sample) -> np.ndarray:
     x = np.asarray(sample, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("sample must be one-dimensional")
-    if x.size < 8:
-        raise ValueError("baseline tests need at least 8 observations")
+    if x.size < BASELINE_MIN_N:
+        raise ValueError(f"baseline tests need at least {BASELINE_MIN_N} observations")
     if not np.isfinite(x).all():
         raise ValueError("sample contains NaN or infinite values")
     if x.std(ddof=1) == 0.0:
@@ -317,7 +320,7 @@ def reject_rows(spec: TestSpec, rows, thresholds: tuple) -> np.ndarray:
     kind = spec.kind
     clean = np.isfinite(x).all(axis=1)
     if kind in BASELINE_KINDS:
-        clean &= x.shape[1] >= 8
+        clean &= x.shape[1] >= BASELINE_MIN_N
         statistic = _BASELINE_VALUES[kind]
     else:
         clean &= (x != 0.0).any(axis=1)

@@ -25,7 +25,13 @@ from greenwood.distributions import (
     family_tag,
     params_dict,
 )
-from greenwood.power import import_curve, size_check
+from greenwood.power import (
+    PowerStudyConfig,
+    export_curve,
+    import_curve,
+    run_power_study,
+    size_check,
+)
 from greenwood.rng import RngStream
 from greenwood.signal import (
     Signal,
@@ -342,6 +348,25 @@ class TestPowerCommand:
         spec = TestSpec(kind, 0.05, table, null_spec=null)
         rate = size_check(spec, 10, 200, RngStream(71))
         assert import_curve(out).points[0].rejection_rate == rate
+
+    def test_library_study_writes_the_command_line_sidecar(self, workdir, tmp_path):
+        # a TestSpec without a null_spec records the null the kind is calibrated under
+        table = workdir / "raw_table.json"
+        rc = main(
+            [
+                "power", "--kind", "mg2", "--table", str(table), "--data-family", "stable",
+                "--grid", "1.5,2.0", "--n", "10,50", "--reps", "100", "--seed", "72",
+                "--out", str(tmp_path / "cli.csv"),
+            ]
+        )
+        assert rc == 0
+        spec = TestSpec("mg2", 0.05, QuantileTable.load(table))
+        config = PowerStudyConfig(spec, "stable", (1.5, 2.0), (10, 50), 100, 72)
+        export_curve(run_power_study(config), tmp_path / "lib.csv")
+        for name in ("lib.csv", "lib.csv.json"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"cli{name[3:]}").read_bytes()
+        recorded = json.loads((tmp_path / "lib.csv.json").read_text())["null"]
+        assert recorded == {"family": "gaussian", "params": params_dict(Gaussian(0.0, 1.0))}
 
 
 class TestAnalyzeCommand:
@@ -764,6 +789,59 @@ class TestGlobalBehavior:
                 ],
                 "baseline tests need at least 8 observations",
             ),
+            (
+                [
+                    "power", "--kind", "mg2", "--table", "{table}", "--data-family", "stable",
+                    "--grid", "1.5", "--n", "20,20", "--reps", "500",
+                ],
+                "sample sizes must not repeat",
+            ),
+            (
+                [
+                    "analyze", "--input", "{signal}", "--kind", "jarque_bera",
+                    "--segment-length", "5",
+                ],
+                "--segment-length must be at least 8 for baseline kinds",
+            ),
+            (
+                [
+                    "power", "--kind", "jarque_bera", "--data-family", "stable",
+                    "--grid", "1:2", "--n", "10",
+                ],
+                "grid must be start:step:stop or a comma list",
+            ),
+            (
+                [
+                    "power", "--kind", "jarque_bera", "--data-family", "stable",
+                    "--grid", "a:b:c", "--n", "10",
+                ],
+                "non-numeric grid bounds",
+            ),
+            (
+                [
+                    "power", "--kind", "jarque_bera", "--data-family", "stable",
+                    "--grid", "1:0:2", "--n", "10",
+                ],
+                "grid step must be positive",
+            ),
+            (
+                ["quantiles", "--family", "gaussian", "--n", "10", "--c", ","],
+                "--c must list at least one level",
+            ),
+            (
+                [
+                    "power", "--kind", "jarque_bera", "--data-family", "stable",
+                    "--grid", "1.5", "--n", ",",
+                ],
+                "sample sizes must be nonempty",
+            ),
+            (
+                [
+                    "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                    "--signal-length", "1000", "--window-length", "64", "--overlap", "64",
+                ],
+                "overlap must satisfy 0 <= overlap < window_length",
+            ),
         ],
         ids=[
             "quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c",
@@ -777,7 +855,9 @@ class TestGlobalBehavior:
             "analyze_tf_segment_length", "quick_with_reps", "spectrogram_no_window_length",
             "spectrogram_binary_sample_rate", "analyze_binary_sample_rate",
             "analyze_time_sample_rate", "quantiles_duplicate_request", "analyze_band_above_nyquist",
-            "analyze_f_min_above_nyquist", "power_baseline_below_8",
+            "analyze_f_min_above_nyquist", "power_baseline_below_8", "power_repeated_n",
+            "analyze_baseline_segment_below_8", "power_grid_two_pieces", "power_grid_not_numeric",
+            "power_grid_zero_step", "quantiles_no_c", "power_no_n", "quantiles_overlap_window",
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenwood import testing
+from greenwood import critical, testing
 from greenwood.critical import (
     BLOCK_VALUES,
     ESTIMATOR_ID,
@@ -20,6 +20,7 @@ from greenwood.critical import (
     QuantileTable,
     TableCoverageError,
     TableRequest,
+    _sample_job,
     _simulate,
     atomic_open,
     build_quantile_table,
@@ -28,8 +29,11 @@ from greenwood.critical import (
     quantile_record,
 )
 from greenwood.distributions import GPD, Gaussian, Stable, StudentT, params_dict, sample
+from greenwood.power import PowerStudyConfig, run_power_study, size_check
 from greenwood.rng import RngStream
+from greenwood.signal import estimate_spectrogram_null
 from greenwood.statistic import modified_greenwood_batch
+from greenwood.testing import TestSpec
 
 _SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 _JSON = st.recursive(
@@ -174,7 +178,7 @@ class TestThreadedEngine:
             return modified_greenwood_batch(rows, overwrite_input=True)
 
         set_cpus(1)
-        serial = _simulate([(spec, n, reps, rng, statistic)])[0]
+        serial = _simulate([_sample_job(spec, n, reps, rng, statistic)])[0]
         set_cpus(8)
         results = []
         interval = sys.getswitchinterval()
@@ -183,7 +187,7 @@ class TestThreadedEngine:
             # run from a thread of its own, so that a hang fails the test
             worker = threading.Thread(
                 target=lambda: results.extend(
-                    _simulate([(spec, n, reps, rng, statistic)])[0] for _ in range(3)
+                    _simulate([_sample_job(spec, n, reps, rng, statistic)])[0] for _ in range(3)
                 ),
                 daemon=True,
             )
@@ -210,7 +214,7 @@ class TestThreadedEngine:
         set_cpus(cpus)
         before = threading.active_count()
         with pytest.raises(ValueError, match="^block 1$"):
-            _simulate([(spec, n, reps, rng, first_column)])
+            _simulate([_sample_job(spec, n, reps, rng, first_column)])
         assert threading.active_count() == before
 
 
@@ -230,10 +234,13 @@ class TestOneSchedule:
         (GPD(0.5, 1.0), 10, 100),
     ]
 
+    @staticmethod
+    def _stream(g):
+        return RngStream(19).substream(g * GROUP_STRIDE)
+
     def _jobs(self, row_fns):
-        rng = RngStream(19)
         return [
-            (spec, n, reps, rng.substream(g * GROUP_STRIDE), row_fn)
+            _sample_job(spec, n, reps, self._stream(g), row_fn)
             for g, ((spec, n, reps), row_fn) in enumerate(zip(self.JOBS, row_fns))
         ]
 
@@ -256,10 +263,9 @@ class TestOneSchedule:
 
     @pytest.mark.parametrize("cpus", (1, 2, 3))
     def test_lowest_failing_job_and_block_is_raised(self, set_cpus, cpus):
-        jobs = self._jobs([_first_column] * 4)
         block_of = {
-            sample(spec, (max(1, BLOCK_VALUES // n), n), stream.substream(b))[0, 0]: (g, b)
-            for g, (spec, n, reps, stream, _) in enumerate(jobs)
+            sample(spec, (max(1, BLOCK_VALUES // n), n), self._stream(g).substream(b))[0, 0]: (g, b)
+            for g, (spec, n, reps) in enumerate(self.JOBS)
             for b in range(5)
         }
 
@@ -275,7 +281,7 @@ class TestOneSchedule:
         set_cpus(cpus)
         before = threading.active_count()
         with pytest.raises(ValueError, match="^job 0 block 2$"):
-            _simulate([job[:4] + (failing,) for job in jobs])
+            _simulate(self._jobs([failing] * 4))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", (1, 2, 3))
@@ -292,7 +298,7 @@ class TestOneSchedule:
                 time.sleep(0.002)
                 return _first_column(rows)
 
-            return (spec, n, reps, rng.substream(g * GROUP_STRIDE), row_fn)
+            return _sample_job(spec, n, reps, rng.substream(g * GROUP_STRIDE), row_fn)
 
         def reduce(g, values):
             with lock:
@@ -324,6 +330,28 @@ class TestOneSchedule:
             )
             reference += [quantile_record(r, params_dict(spec), values) for r in members]
         assert json.dumps(table.records) == json.dumps(reference)
+
+    def test_every_monte_carlo_loop_runs_on_one_simulate_call(self, monkeypatch):
+        # _simulate reads the CPU count once per call, and nothing else reads it
+        calls = []
+        monkeypatch.setattr(critical, "_cpu_count", lambda: calls.append(1) or 1)
+        monkeypatch.setattr(testing, "_baseline_cache", {})
+        gauss, rng = Gaussian(0.0, 1.0), RngStream(22)
+        requests = [TableRequest(gauss, n, 0.05, "upper") for n in (10, 20)]
+        spec = TestSpec("mg2", 0.05, build_quantile_table(requests, 1000, rng))
+        loops = [
+            lambda: estimate_null_distribution(gauss, 10, 1000, rng),
+            lambda: build_quantile_table(requests, 1000, rng),
+            lambda: run_power_study(PowerStudyConfig(spec, "stable", (1.5, 2.0), (10, 20), 100, 22)),
+            lambda: size_check(spec, 10, 100, rng),
+            lambda: testing._baseline_threshold("jarque_bera", 10, 0.05, 1000),
+            lambda: estimate_spectrogram_null(gauss, 400, 64, 5.0, 0, 3, rng),
+        ]
+        for loop in loops:
+            calls.clear()
+            loop()
+            assert len(calls) == 1
+        assert not hasattr(critical, "_map_blocks")
 
 
 def _small_requests():

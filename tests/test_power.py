@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from greenwood import testing
-from greenwood.critical import GROUP_STRIDE, QuantileTable, _simulate, estimate_null_distribution
+from greenwood.critical import (
+    GROUP_STRIDE,
+    QuantileTable,
+    _sample_job,
+    _simulate,
+    estimate_null_distribution,
+)
 from greenwood.distributions import (
     FAMILIES,
     GPD,
@@ -189,7 +195,7 @@ class TestBatchDecisions:
     )
     def test_batch_equals_run_test_at_constructed_ties(self, kind, ulps, monkeypatch):
         rng = RngStream(90)
-        rows = _simulate([(self.DATA, self.N, self.R, rng, lambda block: block)])[0]
+        rows = _simulate([_sample_job(self.DATA, self.N, self.R, rng, lambda block: block)])[0]
         batch = (
             testing._jb_values(rows) if kind == "jarque_bera" else modified_greenwood_batch(rows)
         )
