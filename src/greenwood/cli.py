@@ -322,37 +322,10 @@ def _cmd_analyze(args) -> int:
     # a baseline kind runs in time mode only, one test per segment
     if spec.kind in BASELINE_KINDS and args.segment_length < BASELINE_MIN_N:
         raise _UsageError(f"--segment-length must be at least {BASELINE_MIN_N} for baseline kinds")
-    sig = _read_signal(args)
-
-    if args.mode == "time":
-        with _flag_values():  # the segment length must fit the signal
-            segments = segment_signal(sig, args.segment_length)
-        report = batch_test(segments, spec, domain="time")
-    else:
-        if args.window_length is None:
-            raise _UsageError("time-frequency mode requires --window-length")
-        has_tf_entries = any(
-            rec["params"].get("domain") == "spectrogram" for rec in spec.table.records
-        )
-        if not has_tf_entries:
-            raise _UsageError(
-                "time-frequency mode needs a table built from spectrogram nulls "
-                "(build one with: greenwood quantiles --domain spectrogram ...); "
-                f"{args.table} holds raw-sample entries only"
-            )
-        extra = spectrogram_null_params(
-            spec.null_spec, args.window_length, args.beta, args.overlap, len(sig)
-        )
-        spec = replace(spec, extra_params=extra)
-        sp = _spectrogram(sig, args)
-        with _flag_values():  # the band must fit the spectrogram
-            rows = frequency_rows(sp, args.f_min, args.f_max)
-        report = batch_test(
-            [r for _, r in rows],
-            spec,
-            domain="time-frequency",
-            labels=[f for f, _ in rows],
-        )
+    # the signal and its spectrogram are freed before the batch runs
+    units, spec, labels = _analysis_units(args, spec)
+    domain = "time" if args.mode == "time" else "time-frequency"
+    report = batch_test(units, spec, domain=domain, labels=labels)
 
     _write_or_print(report.to_json_dict(), args.out)
     print(
@@ -361,6 +334,35 @@ def _cmd_analyze(args) -> int:
         file=sys.stderr,
     )
     return 0
+
+
+def _analysis_units(args, spec: TestSpec) -> tuple:
+    """``(units, spec, labels)`` for ``analyze``: the segments, one per row,
+    or the band's spectrogram rows, with ``spec`` keyed by the geometry."""
+    sig = _read_signal(args)
+    if args.mode == "time":
+        with _flag_values():  # the segment length must fit the signal
+            return segment_signal(sig, args.segment_length), spec, None
+    if args.window_length is None:
+        raise _UsageError("time-frequency mode requires --window-length")
+    has_tf_entries = any(
+        rec["params"].get("domain") == "spectrogram" for rec in spec.table.records
+    )
+    if not has_tf_entries:
+        raise _UsageError(
+            "time-frequency mode needs a table built from spectrogram nulls "
+            "(build one with: greenwood quantiles --domain spectrogram ...); "
+            f"{args.table} holds raw-sample entries only"
+        )
+    extra = spectrogram_null_params(
+        spec.null_spec, args.window_length, args.beta, args.overlap, len(sig)
+    )
+    sp = _spectrogram(sig, args)
+    del sig  # free the signal before the band's rows are stacked
+    with _flag_values():  # the band must fit the spectrogram
+        rows = frequency_rows(sp, args.f_min, args.f_max)
+    units = np.stack([r for _, r in rows])
+    return units, replace(spec, extra_params=extra), [f for f, _ in rows]
 
 
 def _cmd_spectrogram(args) -> int:

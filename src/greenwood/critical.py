@@ -293,6 +293,8 @@ def _canon_value(value) -> str:
 
 
 def _entry_key(family: str, params: dict, n: int, c: float, side: str) -> tuple:
+    if n != int(n):  # int() would answer for a truncated n
+        raise ValueError(f"n must be an integer, got {n!r}")
     canon_params = tuple(sorted((k, _canon_value(v)) for k, v in params.items()))
     return (family, canon_params, int(n), _canon_number(c), side)
 

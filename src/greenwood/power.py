@@ -88,8 +88,8 @@ class PowerStudyConfig:
             raise ValueError("parameter grid must be strictly increasing")
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise ValueError(f"sample sizes must not repeat, got {self.sample_sizes}")
-        if any(n < 2 for n in self.sample_sizes):
-            raise ValueError("sample sizes must be at least 2")
+        if any(n != int(n) or n < 2 for n in self.sample_sizes):
+            raise ValueError(f"sample sizes must be integers of at least 2, got {self.sample_sizes}")
         if self.test.kind in BASELINE_KINDS and any(n < BASELINE_MIN_N for n in self.sample_sizes):
             raise ValueError(f"baseline tests need at least {BASELINE_MIN_N} observations")
         if self.replications < 100:

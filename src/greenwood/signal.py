@@ -2,11 +2,16 @@
 
 Long records are screened for heavy-tailed behavior two ways:
 
-* time domain: split the record into fixed-length segments and run one test
-  per segment;
-* time-frequency domain: compute a magnitude-squared spectrogram and run one
-  test per frequency row, each row being a sample of spectrogram values over
+* time domain: split the record into fixed-length segments, one per row of
+  an array, and test each segment;
+* time-frequency domain: compute a magnitude-squared spectrogram and test
+  each frequency row, each row being a sample of spectrogram values over
   time.
+
+:func:`batch_test` decides all units of one length in one pass on the block
+engine, with row kernels that reproduce the scalar statistic bit for bit,
+so its report equals the one a loop of :func:`greenwood.testing.run_test`
+calls would give.
 
 Spectrogram rows are nonnegative and distributed nothing like raw
 observations, so thresholds for the time-frequency path must come from nulls
@@ -36,6 +41,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (loaded with the package, not on the first spectrogram)
 
 from .critical import (
+    BLOCK_VALUES,
     QuantileTable,
     TableRequest,
     _simulate,
@@ -46,7 +52,15 @@ from .critical import (
 from .distributions import DistributionSpec, params_dict, sample
 from .rng import RngStream
 from .statistic import modified_greenwood_batch
-from .testing import TestSpec, run_test
+from .testing import (
+    TestOutcome,
+    TestSpec,
+    _accepted_rows,
+    _rejects,
+    _statistic_rows,
+    run_test,
+    thresholds_for,
+)
 
 __all__ = [
     "BatchReport",
@@ -119,8 +133,12 @@ def kaiser_window(length: int, beta: float) -> np.ndarray:
     return np.kaiser(length, beta)
 
 
-def segment_signal(signal: Signal, segment_length: int) -> list[np.ndarray]:
-    """Split into consecutive non-overlapping segments, dropping the remainder."""
+def segment_signal(signal: Signal, segment_length: int) -> np.ndarray:
+    """Consecutive non-overlapping segments, one per row of a new array.
+
+    Returns a ``(count, segment_length)`` copy of the record's first
+    ``count * segment_length`` samples; the remainder is dropped.
+    """
     if segment_length < 2:
         raise ValueError("segment_length must be at least 2")
     x = signal.samples
@@ -129,9 +147,7 @@ def segment_signal(signal: Signal, segment_length: int) -> list[np.ndarray]:
         raise ValueError(
             f"signal of length {x.size} is shorter than one segment ({segment_length})"
         )
-    return [
-        x[i * segment_length : (i + 1) * segment_length].copy() for i in range(count)
-    ]
+    return x[: count * segment_length].reshape(count, segment_length).copy()
 
 
 def spectrogram(signal: Signal, window: np.ndarray, overlap: int = 0) -> Spectrogram:
@@ -211,20 +227,94 @@ class BatchReport:
 
 
 def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> BatchReport:
-    """Apply ``test`` to every unit (a segment or a frequency row)."""
+    """Apply ``test`` to every unit (a segment or a frequency row).
+
+    ``units`` is a 2-D array with one unit per row, as
+    :func:`segment_signal` returns, or a sequence of 1-D units of any
+    lengths. Each outcome equals ``run_test(test, unit)`` field for field,
+    bit for bit, and the first unit that :func:`run_test` would refuse, in
+    unit order, raises the error ``run_test`` raises for it.
+
+    Units of one length are decided as one array: its thresholds are read
+    once and its statistic values are computed in blocks of about
+    ``BLOCK_VALUES`` values, with the row kernels that reproduce the scalar
+    statistic exactly. The blocks of every length run as the jobs of one
+    :func:`greenwood.critical._simulate` call, on every CPU.
+    """
     if domain not in ("time", "time-frequency"):
         raise ValueError("domain must be 'time' or 'time-frequency'")
-    units = list(units)
-    if not units:
+    if isinstance(units, np.ndarray) and units.ndim == 2:
+        count = len(units)
+        # C order (copied if need be): the baseline kernels reduce a row as
+        # run_test reduces one unit only when the row is contiguous
+        x = np.ascontiguousarray(units, dtype=np.float64)
+        groups = {x.shape[1]: (np.arange(count), x)}
+        refused = []
+    else:
+        units = list(units)
+        count = len(units)
+        groups, refused = _units_by_length(units)
+    if not count:
         raise ValueError("no units to test")
     if labels is None:
-        labels = list(range(len(units)))
+        labels = list(range(count))
     else:
         labels = list(labels)
-        if len(labels) != len(units):
+        if len(labels) != count:
             raise ValueError("labels must match units one to one")
-    outcomes = tuple(run_test(test, u) for u in units)
-    return BatchReport(domain, test.c, outcomes, tuple(labels))
+
+    kind = test.kind
+    for index, x in groups.values():
+        refused.extend(index[~_accepted_rows(kind, x)])
+    first_refused = min(refused, default=count)
+    thresholds = {}
+    for n, (index, _) in groups.items():  # in the order of each length's first unit
+        if index[0] >= first_refused:
+            break
+        thresholds[n] = thresholds_for(test, n)  # raises where run_test would
+    if refused:
+        run_test(test, units[first_refused])
+        raise AssertionError(f"unit {first_refused} is refused here but not by run_test")
+
+    kernel = _statistic_rows(kind)
+
+    def job(x):
+        rows = max(1, BLOCK_VALUES // x.shape[1])
+        return (-(-len(x) // rows), lambda b: kernel(x[b * rows : (b + 1) * rows]))
+
+    values = _simulate([job(x) for _, x in groups.values()])
+    outcomes = [None] * count
+    for (n, (index, _)), s in zip(groups.items(), values):
+        t = thresholds[n]
+        reject = _rejects(kind, s, t)
+        for i, si, ri in zip(index.tolist(), s.tolist(), reject.tolist()):
+            outcomes[i] = TestOutcome(kind, n, test.c, si, t, ri)
+    return BatchReport(domain, test.c, tuple(outcomes), tuple(labels))
+
+
+def _units_by_length(units: list) -> tuple:
+    """``({n: (indices, rows)}, refused)`` for a list of units.
+
+    The 1-D units of each length ``n`` are stacked into one array, and the
+    lengths keep the order of their first unit; ``refused`` lists the units
+    that do not convert to 1-D float arrays.
+    """
+    members: dict[int, list] = {}
+    refused = []
+    for i, unit in enumerate(units):
+        try:
+            x = np.asarray(unit, dtype=np.float64)
+        except (TypeError, ValueError):
+            x = None
+        if x is None or x.ndim != 1:
+            refused.append(i)
+        else:
+            members.setdefault(x.size, []).append((i, x))
+    groups = {
+        n: (np.array([i for i, _ in m]), np.stack([x for _, x in m]))
+        for n, m in members.items()
+    }
+    return groups, refused
 
 
 # --------------------------------------------------------------------------
@@ -375,8 +465,8 @@ def read_signal(path, sample_rate: float = 1.0) -> Signal:
                 raise ValueError(
                     f"signal file truncated: {available} of {count} samples"
                 )
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-            return Signal(data.astype(np.float64), rate)
+            # read straight into the array, with no second copy of the samples
+            return Signal(np.fromfile(fh, dtype="<f8", count=count), rate)
     return Signal(read_csv_column(path), sample_rate)
 
 

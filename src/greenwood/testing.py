@@ -50,7 +50,7 @@ import numpy as np
 from .critical import QuantileTable, _sample_job, _simulate, empirical_quantile
 from .distributions import GPD, DistributionSpec, Gaussian, StudentT
 from .rng import RngStream
-from .statistic import modified_greenwood, modified_greenwood_batch
+from .statistic import _modified_greenwood_rows, modified_greenwood, modified_greenwood_batch
 
 __all__ = [
     "GAUSSIAN_NULL",
@@ -288,6 +288,8 @@ def _rejects(kind: str, s, t: tuple):
 def thresholds_for(spec: TestSpec, n: int) -> tuple:
     """Thresholds of ``spec`` at sample size ``n``: simulated (baselines) or from its table."""
     kind, c, table, extra = spec.kind, spec.c, spec.table, spec.extra_params
+    if n != int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if kind in BASELINE_KINDS:
         return (_baseline_threshold(kind, n, c, _BASELINE_REPLICATIONS),)
     null, side = null_for(kind, spec.null_spec), _KINDS[kind][1]
@@ -306,6 +308,29 @@ def run_test(spec: TestSpec, sample) -> TestOutcome:
     return TestOutcome(spec.kind, n, spec.c, s, t, _rejects(spec.kind, s, t))
 
 
+def _accepted_rows(kind: str, x: np.ndarray, variance: bool = True) -> np.ndarray:
+    """Which rows of the 2-D array ``x`` :func:`run_test` accepts as samples.
+
+    With ``variance=False`` the baselines' zero-variance check is left out.
+    """
+    accepted = np.isfinite(x).all(axis=1)
+    if kind in BASELINE_KINDS:
+        accepted &= x.shape[1] >= BASELINE_MIN_N
+        if variance:
+            with np.errstate(all="ignore"):  # rows already refused may overflow
+                accepted &= x.std(axis=1, ddof=1) != 0.0
+    else:
+        accepted &= (x.shape[1] >= 2) & (x != 0.0).any(axis=1)
+        if kind == "mg3_gpd":
+            accepted &= ~(x < 0.0).any(axis=1)
+    return accepted
+
+
+def _statistic_rows(kind: str):
+    """The kernel whose value on each accepted row is :func:`run_test`'s statistic, bit for bit."""
+    return _BASELINE_VALUES.get(kind, _modified_greenwood_rows)
+
+
 def reject_rows(spec: TestSpec, rows, thresholds: tuple) -> np.ndarray:
     """``run_test(spec, row).reject`` for every row of ``rows``, decided in batch.
 
@@ -318,15 +343,9 @@ def reject_rows(spec: TestSpec, rows, thresholds: tuple) -> np.ndarray:
     """
     x = np.asarray(rows, dtype=np.float64)
     kind = spec.kind
-    clean = np.isfinite(x).all(axis=1)
-    if kind in BASELINE_KINDS:
-        clean &= x.shape[1] >= BASELINE_MIN_N
-        statistic = _BASELINE_VALUES[kind]
-    else:
-        clean &= (x != 0.0).any(axis=1)
-        if kind == "mg3_gpd":
-            clean &= ~(x < 0.0).any(axis=1)
-        statistic = modified_greenwood_batch
+    # a zero-variance row has no finite baseline statistic; run_test refuses it below
+    clean = _accepted_rows(kind, x, variance=False)
+    statistic = _BASELINE_VALUES.get(kind, modified_greenwood_batch)
     s = np.full(len(x), np.nan)
     with np.errstate(all="ignore"):
         s[clean] = statistic(x if clean.all() else x[clean])

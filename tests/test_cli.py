@@ -189,6 +189,23 @@ class TestTestCommand:
         assert rc == 2
         assert "--family is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sample, expected",
+        [([1e200, 1.0, 2.0], 1.0), ([1e308, 1e308, 1.0], 0.5), ([1e-200, 1e-200, 3e-200], 0.44)],
+    )
+    def test_samples_at_the_ends_of_the_float_range(self, tmp_path, capsys, sample, expected):
+        request = TableRequest(Gaussian(0.0, 1.0), 3, 0.05, "upper")
+        build_quantile_table([request], 1000, RngStream(69), created_at="fixed").save(
+            tmp_path / "t.json"
+        )
+        np.savetxt(tmp_path / "x.csv", sample)
+        rc = main(
+            ["test", "--kind", "mg2", "--table", str(tmp_path / "t.json"),
+             "--input", str(tmp_path / "x.csv")]
+        )
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["statistic"] == pytest.approx(expected, rel=1e-14)
+
     def test_uncovered_sample_size(self, workdir, tmp_path, capsys):
         short = tmp_path / "short.csv"
         np.savetxt(short, np.arange(1.0, 8.0))

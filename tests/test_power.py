@@ -94,6 +94,12 @@ class TestConfigValidation:
                 mg2_spec(quick_gaussian_table), "stable", (1.5, 2.5), (10,), 100, 1
             )
 
+    @pytest.mark.parametrize("kind", ["mg2", "jarque_bera"])
+    def test_sample_sizes_are_integers(self, quick_gaussian_table, kind):
+        spec = TestSpec(kind, 0.05, quick_gaussian_table if kind == "mg2" else None)
+        with pytest.raises(ValueError, match="integers of at least 2"):
+            PowerStudyConfig(spec, "stable", (1.5,), (10, 10.5), 100, 1)
+
     def test_uncovered_sample_size_fails_before_sampling(self, quick_gaussian_table):
         cfg = PowerStudyConfig(
             mg2_spec(quick_gaussian_table), "stable", (1.5,), (10, 37), 100, 1

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenwood import signal as signal_module
-from greenwood.critical import QuantileTable, TableCoverageError
-from greenwood.distributions import Gaussian, Stable, sample
+from greenwood.critical import QuantileTable, TableCoverageError, TableRequest, build_quantile_table
+from greenwood.distributions import GPD, Gaussian, Stable, StudentT, sample
 from greenwood.rng import RngStream
 from greenwood.signal import (
     BatchReport,
@@ -30,7 +30,7 @@ from greenwood.signal import (
     write_signal,
 )
 from greenwood.statistic import modified_greenwood_batch
-from greenwood.testing import TestSpec
+from greenwood.testing import BASELINE_KINDS, MG_KINDS, TestSpec, run_test
 
 
 def bessel_i0(x: float) -> float:
@@ -91,8 +91,8 @@ class TestSegmentation:
 
     def test_exact_division(self):
         parts = segment_signal(Signal(np.arange(25500.0)), 1000)
-        assert len(parts) == 25
-        assert all(p.size == 1000 for p in parts)
+        assert parts.shape == (25, 1000)
+        assert parts.tobytes() == np.arange(25000.0).tobytes()
 
     def test_segments_are_copies(self):
         sig = Signal(np.arange(6.0))
@@ -245,6 +245,112 @@ class TestBatchTest:
             batch_test([], spec)
         with pytest.raises(ValueError, match="labels"):
             batch_test([[1.0, 1.0, 1.0]], spec, labels=[1, 2])
+
+
+def _outcomes_or_error(decide):
+    try:
+        return decide()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestBatchMatchesRunTest:
+    """``batch_test`` returns what ``run_test`` returns unit by unit, or raises what it raises."""
+
+    NS = (3, 10, 20)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        requests = [
+            TableRequest(spec, n, c, side)
+            for n in self.NS
+            for spec, c, side in (
+                (Gaussian(0.0, 1.0), 0.05, "lower"),
+                (Gaussian(0.0, 1.0), 0.05, "upper"),
+                (Gaussian(0.0, 1.0), 0.025, "lower"),
+                (Gaussian(0.0, 1.0), 0.025, "upper"),
+                (GPD(0.5, 1.0), 0.05, "lower"),
+                (StudentT(2), 0.05, "lower"),
+            )
+        ]
+        return build_quantile_table(requests, 1000, RngStream(4040), created_at="fixed")
+
+    def _spec(self, kind, table):
+        if kind in BASELINE_KINDS:
+            return TestSpec(kind, 0.05)
+        null = Gaussian(0.0, 1.0) if kind == "mg_two_sided" else None
+        return TestSpec(kind, 0.05, table, null_spec=null)
+
+    def _time_units(self):
+        # ragged, heavy- and light-tailed, nonnegative (so mg3_gpd accepts them)
+        g = RngStream(4041).generator()
+        return [
+            np.abs(g.standard_cauchy(10) if i % 3 else g.standard_normal(20))
+            for i in range(12)
+        ]
+
+    def _tf_rows(self):
+        # 33 rows of 10 frames: a column-major array and its strided rows
+        x = RngStream(4042).generator().standard_cauchy(640)
+        return spectrogram(Signal(x), kaiser_window(64, 5.0)).magnitude_squared
+
+    def _check(self, units, spec, domain="time"):
+        batch = _outcomes_or_error(lambda: batch_test(units, spec, domain).outcomes)
+        assert batch == _outcomes_or_error(lambda: tuple(run_test(spec, u) for u in units))
+        return batch
+
+    @pytest.mark.parametrize("kind", MG_KINDS + BASELINE_KINDS)
+    def test_time_and_tf_units(self, table, kind):
+        spec = self._spec(kind, table)
+        time_units = self._time_units()
+        assert len(self._check(time_units, spec)) == 12
+        signed = [u * np.where(np.arange(u.size) % 2, 1.0, -1.0) for u in time_units]
+        self._check(signed, spec)  # mg3_gpd refuses the first, the rest decide all
+        rows = self._tf_rows()
+        for units in (rows, list(rows), np.ascontiguousarray(rows)):
+            assert len(self._check(units, spec, "time-frequency")) == 33
+        report = batch_test(rows, spec, "time-frequency", labels=range(33))
+        loop = BatchReport("time-frequency", 0.05, tuple(run_test(spec, r) for r in rows), tuple(range(33)))
+        assert json.dumps(report.to_json_dict()) == json.dumps(loop.to_json_dict())
+
+    @pytest.mark.parametrize("kind", MG_KINDS + BASELINE_KINDS)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[np.nan] * 10],
+            [np.zeros(10)],
+            [-np.ones(10)],
+            [np.full(10, 2.5)],  # zero variance
+            [np.ones(5)],  # too short for a baseline, not in the table
+            [np.ones((2, 10))],
+            ["abc"],
+            [np.arange(1.0, 13.0), [np.nan] * 10],  # not in the table, then a bad unit
+            [[np.nan] * 10, np.arange(1.0, 13.0)],  # a bad unit, then one not in the table
+        ],
+        ids=[
+            "nan", "zeros", "negative", "constant", "short", "2-d", "text",
+            "uncovered-first", "uncovered-second",
+        ],
+    )
+    def test_the_first_refused_unit_raises_run_tests_error(self, table, kind, bad):
+        units = self._time_units()
+        units[5:5] = bad
+        self._check(units, self._spec(kind, table))
+
+    def test_identical_on_any_cpu_count(self, table, set_cpus, monkeypatch):
+        monkeypatch.setattr(signal_module, "BLOCK_VALUES", 40)  # 4 rows of 10 per block
+        g = RngStream(4043).generator()
+        rows = g.standard_cauchy((150, 10))
+        ragged = [g.standard_normal(20) for _ in range(30)] + list(rows)
+        spec = self._spec("mg_two_sided", table)
+        docs = []
+        for k in (1, 2, 3):
+            set_cpus(k)
+            docs.append(
+                [json.dumps(batch_test(units, spec).to_json_dict()) for units in (rows, ragged)]
+            )
+        assert docs[1:] == docs[:1] * 2
+        assert self._check(ragged, spec) == batch_test(ragged, spec).outcomes
 
 
 class TestSpectrogramNulls:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenwood.rng import RngStream
 from greenwood.statistic import (
     StatisticValue,
+    _modified_greenwood_rows,
     classical_greenwood,
     modified_greenwood,
     modified_greenwood_batch,
@@ -109,6 +112,90 @@ class TestBatch:
             modified_greenwood_batch(np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError):
             modified_greenwood_batch(np.array([[1.0, 2.0], [0.0, 0.0]]))
+
+
+# The sums of these samples leave the float range unless they are scaled:
+# squares overflow, the sum overflows, or the squares underflow to zero.
+OUT_OF_RANGE = [
+    ([1e200, 1.0, 2.0], 1.0),
+    ([1e308, 1e308, 1.0], 0.5),
+    ([1e-200, 1e-200, 3e-200], 0.44),
+    # the squares fit, their sum's square does not
+    ([1e153] * 19 + [1e154], (19 + 10**2) / 29**2),
+]
+
+
+class TestRange:
+    @pytest.mark.parametrize("sample, expected", OUT_OF_RANGE)
+    def test_every_path_scales_into_range(self, sample, expected):
+        rows = np.array([sample, sample])
+        assert modified_greenwood(sample).s_n == pytest.approx(expected, rel=1e-14)
+        assert modified_greenwood_batch(rows) == pytest.approx(expected, rel=1e-14)
+        assert _modified_greenwood_rows(rows) == pytest.approx(expected, rel=1e-14)
+
+    def test_scaling_keeps_a_row_among_clean_ones(self):
+        x = RngStream(307).generator().standard_normal((5, 3))
+        clean = modified_greenwood_batch(x)
+        x[2] = [1e200, 1.0, 2.0]
+        out = modified_greenwood_batch(x)
+        assert out[2] == pytest.approx(1.0, rel=1e-14)
+        assert np.delete(out, 2).tobytes() == np.delete(clean, 2).tobytes()
+
+
+# magnitudes across the whole float range, subnormals, zeros, and small
+# integers, whose sums fall on exact ties
+_VALUES = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.integers(0, 8).map(float),
+    st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+)
+
+
+@st.composite
+def _adversarial_rows(draw):
+    n = draw(st.sampled_from([2, 3]) | st.integers(2, 70))
+    m = draw(st.integers(1, 4))
+    style = draw(st.sampled_from(["any", "ties", "constant", "gaussian"]))
+    if style == "any":
+        x = np.array(draw(st.lists(_VALUES, min_size=m * n, max_size=m * n)))
+    elif style == "ties":  # small integers times one power of two
+        ints = draw(st.lists(st.integers(0, 8), min_size=m * n, max_size=m * n))
+        x = np.ldexp(np.array(ints, dtype=np.float64), draw(st.integers(-1070, 1015)))
+    elif style == "constant":
+        x = np.full(m * n, draw(_VALUES))
+    else:
+        x = RngStream(draw(st.integers(0, 2**32))).generator().standard_normal(m * n)
+        x *= draw(_VALUES)
+    x = x.reshape(m, n)
+    x[~(x != 0.0).any(axis=1), 0] = 1.0
+    signs = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    return np.where(np.reshape(signs, (m, n)), -x, x)
+
+
+class TestExactRows:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_adversarial_rows())
+    # err rounds away the 2**-110 that lifts these sums (of |x|, of the
+    # squares) above a tie, so the cascade alone rounds them down
+    @example(np.array([[1.5, 2.0**-53, 2.0**-110]]))
+    @example(np.array([[1.0, 2.0**-27, 2.0**-27, 2.0**-55]]))
+    def test_equals_the_scalar_path_bit_for_bit(self, x):
+        before = x.tobytes()
+        scalar = np.array([modified_greenwood(row).s_n for row in x])
+        assert _modified_greenwood_rows(x).tobytes() == scalar.tobytes()
+        assert x.tobytes() == before
+
+    def test_certifies_typical_rows_without_the_scalar_path(self, monkeypatch):
+        import greenwood.statistic as statistic
+
+        def refuse(values):
+            raise AssertionError("scalar fallback")
+
+        x = RngStream(308).generator().standard_cauchy((200, 1000))
+        scalar = np.array([modified_greenwood(row).s_n for row in x])
+        monkeypatch.setattr(statistic, "modified_greenwood", refuse)
+        assert _modified_greenwood_rows(x).tobytes() == scalar.tobytes()
 
 
 class TestClassical:

@@ -169,6 +169,15 @@ class TestDispatch:
         two = TestSpec("mg_two_sided", 0.05, table, null_spec=Stable(1.5, 1.0))
         assert thresholds_for(two, 5) == (0.25, 0.9)
 
+    def test_sample_size_must_be_an_integer(self):
+        table = synthetic_table([("gaussian", GAUSS_PARAMS, 10, 0.05, "upper", 0.375)])
+        for spec in (TestSpec("mg2", 0.05, table), TestSpec("jarque_bera", 0.05)):
+            with pytest.raises(ValueError, match="n must be an integer, got 10.5"):
+                thresholds_for(spec, 10.5)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            table.value_for(testing.GAUSSIAN_NULL, 10.5, 0.05, "upper")
+        assert thresholds_for(TestSpec("mg2", 0.05, table), 10.0) == (0.375,)
+
     def test_outcome_json_shape(self):
         table = synthetic_table([("gaussian", GAUSS_PARAMS, 5, 0.05, "upper", 0.375)])
         doc = run_test(TestSpec("mg2", 0.05, table), TIE_SAMPLE).to_json_dict()
