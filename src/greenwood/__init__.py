@@ -55,11 +55,8 @@ from .signal import (
 )
 from .statistic import (
     StatisticValue,
-    classical_greenwood,
     modified_greenwood,
     modified_greenwood_batch,
-    normalized_statistic,
-    normalized_statistic_batch,
 )
 from .testing import (
     TestOutcome,

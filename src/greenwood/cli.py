@@ -236,10 +236,12 @@ def _read_signal(args):
 
 
 def _write_or_print(doc: dict, out: str | None) -> None:
+    """``doc`` as JSON in the file ``out``, or on stdout; a NaN or infinite
+    number is a ValueError, and then nothing is written or printed."""
     if out:
         write_json(out, doc)
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +388,7 @@ def _cmd_spectrogram(args) -> int:
         "sample_rate": sig.sample_rate,
         "matrix_file": target,
     }
-    print(json.dumps(meta, indent=2, sort_keys=True))
+    _write_or_print(meta, None)
     return 0
 
 

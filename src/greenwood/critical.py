@@ -208,9 +208,13 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc`` atomically as indented, key-sorted JSON plus a newline."""
+    """Write ``doc`` atomically as indented, key-sorted JSON plus a newline.
+
+    A NaN or infinite number, which JSON cannot hold, is a ``ValueError``,
+    and then ``path`` is left as it was.
+    """
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

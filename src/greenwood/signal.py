@@ -8,10 +8,11 @@ Long records are screened for heavy-tailed behavior two ways:
   each frequency row, each row being a sample of spectrogram values over
   time.
 
-:func:`batch_test` decides all units of one length in one pass on the block
-engine, with row kernels that reproduce the scalar statistic bit for bit,
-so its report equals the one a loop of :func:`greenwood.testing.run_test`
-calls would give.
+:func:`batch_test` decides units that stack into one 2-D array, all of them
+accepted by :func:`greenwood.testing.run_test`, in one pass on the block
+engine on every CPU, with row kernels that reproduce the scalar statistic
+bit for bit. Anything else goes through ``run_test`` unit by unit. Either
+way the outcomes and errors are those of a loop of ``run_test`` calls.
 
 Spectrogram rows are nonnegative and distributed nothing like raw
 observations, so thresholds for the time-frequency path must come from nulls
@@ -230,30 +231,21 @@ def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> Batc
     """Apply ``test`` to every unit (a segment or a frequency row).
 
     ``units`` is a 2-D array with one unit per row, as
-    :func:`segment_signal` returns, or a sequence of 1-D units of any
-    lengths. Each outcome equals ``run_test(test, unit)`` field for field,
-    bit for bit, and the first unit that :func:`run_test` would refuse, in
-    unit order, raises the error ``run_test`` raises for it.
+    :func:`segment_signal` returns, or a sequence of 1-D units. Each outcome
+    equals ``run_test(test, unit)`` field for field, bit for bit, and the
+    first unit that :func:`run_test` refuses, in unit order, raises the
+    error ``run_test`` raises for it.
 
-    Units of one length are decided as one array: its thresholds are read
-    once and its statistic values are computed in blocks of about
-    ``BLOCK_VALUES`` values, with the row kernels that reproduce the scalar
-    statistic exactly. The blocks of every length run as the jobs of one
-    :func:`greenwood.critical._simulate` call, on every CPU.
+    Units that stack into one 2-D array, all of whose rows ``run_test``
+    accepts, are decided in one pass: the thresholds are read once and the
+    statistic values are computed in blocks of about ``BLOCK_VALUES``
+    values, with the row kernels that reproduce the scalar statistic
+    exactly, as one :func:`greenwood.critical._simulate` job on every CPU.
+    Any other input goes through ``run_test`` unit by unit.
     """
     if domain not in ("time", "time-frequency"):
         raise ValueError("domain must be 'time' or 'time-frequency'")
-    if isinstance(units, np.ndarray) and units.ndim == 2:
-        count = len(units)
-        # C order (copied if need be): the baseline kernels reduce a row as
-        # run_test reduces one unit only when the row is contiguous
-        x = np.ascontiguousarray(units, dtype=np.float64)
-        groups = {x.shape[1]: (np.arange(count), x)}
-        refused = []
-    else:
-        units = list(units)
-        count = len(units)
-        groups, refused = _units_by_length(units)
+    count = len(units)
     if not count:
         raise ValueError("no units to test")
     if labels is None:
@@ -264,57 +256,25 @@ def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> Batc
             raise ValueError("labels must match units one to one")
 
     kind = test.kind
-    for index, x in groups.values():
-        refused.extend(index[~_accepted_rows(kind, x)])
-    first_refused = min(refused, default=count)
-    thresholds = {}
-    for n, (index, _) in groups.items():  # in the order of each length's first unit
-        if index[0] >= first_refused:
-            break
-        thresholds[n] = thresholds_for(test, n)  # raises where run_test would
-    if refused:
-        run_test(test, units[first_refused])
-        raise AssertionError(f"unit {first_refused} is refused here but not by run_test")
-
-    kernel = _statistic_rows(kind)
-
-    def job(x):
-        rows = max(1, BLOCK_VALUES // x.shape[1])
-        return (-(-len(x) // rows), lambda b: kernel(x[b * rows : (b + 1) * rows]))
-
-    values = _simulate([job(x) for _, x in groups.values()])
-    outcomes = [None] * count
-    for (n, (index, _)), s in zip(groups.items(), values):
-        t = thresholds[n]
-        reject = _rejects(kind, s, t)
-        for i, si, ri in zip(index.tolist(), s.tolist(), reject.tolist()):
-            outcomes[i] = TestOutcome(kind, n, test.c, si, t, ri)
+    try:
+        # C order (copied if need be): the baseline kernels reduce a row as
+        # run_test reduces one unit only when the row is contiguous
+        x = np.ascontiguousarray(units, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged units, or units that are not numbers
+        x = None
+    if x is None or x.ndim != 2 or not _accepted_rows(kind, x).all():
+        outcomes = [run_test(test, unit) for unit in units]
+    else:
+        n = x.shape[1]
+        t = thresholds_for(test, n)
+        kernel = _statistic_rows(kind)
+        rows = max(1, BLOCK_VALUES // n)
+        s = _simulate([(-(-count // rows), lambda b: kernel(x[b * rows : (b + 1) * rows]))])[0]
+        outcomes = [
+            TestOutcome(kind, n, test.c, si, t, ri)
+            for si, ri in zip(s.tolist(), _rejects(kind, s, t).tolist())
+        ]
     return BatchReport(domain, test.c, tuple(outcomes), tuple(labels))
-
-
-def _units_by_length(units: list) -> tuple:
-    """``({n: (indices, rows)}, refused)`` for a list of units.
-
-    The 1-D units of each length ``n`` are stacked into one array, and the
-    lengths keep the order of their first unit; ``refused`` lists the units
-    that do not convert to 1-D float arrays.
-    """
-    members: dict[int, list] = {}
-    refused = []
-    for i, unit in enumerate(units):
-        try:
-            x = np.asarray(unit, dtype=np.float64)
-        except (TypeError, ValueError):
-            x = None
-        if x is None or x.ndim != 1:
-            refused.append(i)
-        else:
-            members.setdefault(x.size, []).append((i, x))
-    groups = {
-        n: (np.array([i for i, _ in m]), np.stack([x for _, x in m]))
-        for n, m in members.items()
-    }
-    return groups, refused
 
 
 # --------------------------------------------------------------------------

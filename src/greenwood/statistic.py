@@ -1,12 +1,11 @@
-"""The modified Greenwood statistic and its classical and normalized forms.
+"""The modified Greenwood statistic, for one sample and row by row.
 
 For a sample ``x_1, ..., x_n`` the modified Greenwood statistic is
 
     S_n = sum(|x_i|**2) / (sum(|x_i|))**2,
 
 a scale-free ratio in ``[1/n, 1]`` that concentrates near ``1/n`` for light
-tails and drifts toward 1 when a few observations dominate the sum. The
-classical variant is the same ratio restricted to strictly positive samples.
+tails and drifts toward 1 when a few observations dominate the sum.
 """
 
 from __future__ import annotations
@@ -18,11 +17,8 @@ import numpy as np
 
 __all__ = [
     "StatisticValue",
-    "classical_greenwood",
     "modified_greenwood",
     "modified_greenwood_batch",
-    "normalized_statistic",
-    "normalized_statistic_batch",
 ]
 
 # samples whose max|x| lies in [_LOW, _HIGH / n] are summed unscaled: no
@@ -95,14 +91,6 @@ def modified_greenwood(values) -> StatisticValue:
     s = math.fsum((ax * ax).tolist()) / (denom * denom)
     # the exact ratio lives in [1/n, 1]; final roundings may leak a few ulps past
     return StatisticValue(min(1.0, max(1.0 / n, s)), n)
-
-
-def classical_greenwood(values) -> StatisticValue:
-    """Compute the classical statistic; defined for strictly positive samples only."""
-    x = _validated(values)
-    if (x <= 0.0).any():
-        raise ValueError("classical statistic requires strictly positive values")
-    return modified_greenwood(x)
 
 
 def modified_greenwood_batch(samples, overwrite_input: bool = False) -> np.ndarray:
@@ -213,19 +201,3 @@ def _modified_greenwood_rows(samples) -> np.ndarray:
         out[i] = modified_greenwood(x[i]).s_n
     return out
 
-
-def normalized_statistic(stat: StatisticValue) -> float:
-    """Centered and scaled form ``sqrt(n) * (n * S_n / 2 - 1)``.
-
-    Under Gaussian data this converges to a standard normal as ``n`` grows,
-    although the approach is slow enough to matter at practical sizes.
-    """
-    return math.sqrt(stat.n) * (stat.n * stat.s_n / 2.0 - 1.0)
-
-
-def normalized_statistic_batch(s_values, n: int) -> np.ndarray:
-    """Vectorized :func:`normalized_statistic` for values sharing one ``n``."""
-    s = np.asarray(s_values, dtype=np.float64)
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return math.sqrt(n) * (n * s / 2.0 - 1.0)

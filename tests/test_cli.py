@@ -272,6 +272,26 @@ class TestTestCommand:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {path}: {message}\n"
 
+    def test_nan_statistic_is_an_error_not_invalid_json(self, tmp_path):
+        # the baseline's moments overflow on values this large, so its statistic is NaN
+        data = tmp_path / "huge.csv"
+        np.savetxt(data, np.linspace(1e200, 1e201, 10))
+        kept = tmp_path / "kept.json"
+        kept.write_text('{"previous": true}\n')
+        for out in (None, kept, tmp_path / "new.json"):
+            argv = ["test", "--kind", "jarque_bera", "--input", str(data)]
+            argv += ["--out", str(out)] if out else []
+            proc = subprocess.run(
+                [sys.executable, "-W", "ignore", "-m", "greenwood.cli", *argv],
+                env=_env_with_package(), capture_output=True, text=True,
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: Out of range float values")
+            assert proc.stderr.count("\n") == 1
+        assert kept.read_text() == '{"previous": true}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.csv", "kept.json"]
+
 
 class TestPowerCommand:
     def test_study_csv_and_sidecar(self, workdir, tmp_path, capsys):

@@ -27,6 +27,7 @@ from greenwood.critical import (
     empirical_quantile,
     estimate_null_distribution,
     quantile_record,
+    write_json,
 )
 from greenwood.distributions import GPD, Gaussian, Stable, StudentT, params_dict, sample
 from greenwood.power import PowerStudyConfig, run_power_study, size_check
@@ -498,6 +499,17 @@ class TestAtomicOpen:
                 raise RuntimeError("mid-write")
         assert path.read_text() == "previous contents\n"
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_is_an_error_and_nothing_is_written(self, tmp_path, number):
+        path = tmp_path / "report.json"
+        path.write_text("previous contents\n")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, {"statistic": number, "thresholds": [1.0]})
+        assert path.read_text() == "previous contents\n"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(tmp_path / "new.json", {"nested": {"values": [0.5, number]}})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
     def test_saved_table_gets_plain_open_permissions(self, tmp_path):
         plain = tmp_path / "plain.json"

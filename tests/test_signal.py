@@ -281,11 +281,13 @@ class TestBatchMatchesRunTest:
         null = Gaussian(0.0, 1.0) if kind == "mg_two_sided" else None
         return TestSpec(kind, 0.05, table, null_spec=null)
 
-    def _time_units(self):
-        # ragged, heavy- and light-tailed, nonnegative (so mg3_gpd accepts them)
+    def _time_units(self, lengths="ragged"):
+        # heavy- and light-tailed, nonnegative (so mg3_gpd accepts them); ragged
+        # units go through run_test, equal ones stack into one batched array
+        long = 20 if lengths == "ragged" else 10
         g = RngStream(4041).generator()
         return [
-            np.abs(g.standard_cauchy(10) if i % 3 else g.standard_normal(20))
+            np.abs(g.standard_cauchy(10) if i % 3 else g.standard_normal(long))
             for i in range(12)
         ]
 
@@ -302,10 +304,12 @@ class TestBatchMatchesRunTest:
     @pytest.mark.parametrize("kind", MG_KINDS + BASELINE_KINDS)
     def test_time_and_tf_units(self, table, kind):
         spec = self._spec(kind, table)
-        time_units = self._time_units()
-        assert len(self._check(time_units, spec)) == 12
-        signed = [u * np.where(np.arange(u.size) % 2, 1.0, -1.0) for u in time_units]
-        self._check(signed, spec)  # mg3_gpd refuses the first, the rest decide all
+        for lengths in ("ragged", "equal"):
+            time_units = self._time_units(lengths)
+            assert len(self._check(time_units, spec)) == 12
+            signed = [u * np.where(np.arange(u.size) % 2, 1.0, -1.0) for u in time_units]
+            self._check(signed, spec)  # mg3_gpd refuses the first, the rest decide all
+        self._check(np.stack(signed), spec)  # one 2-D array, as analyze passes
         rows = self._tf_rows()
         for units in (rows, list(rows), np.ascontiguousarray(rows)):
             assert len(self._check(units, spec, "time-frequency")) == 33
@@ -326,16 +330,21 @@ class TestBatchMatchesRunTest:
             ["abc"],
             [np.arange(1.0, 13.0), [np.nan] * 10],  # not in the table, then a bad unit
             [[np.nan] * 10, np.arange(1.0, 13.0)],  # a bad unit, then one not in the table
+            # two faults in one unit pin the order of run_test's checks
+            [np.r_[-1.0, np.nan, np.ones(8)]],  # negative (mg3_gpd) and not finite
+            [[np.nan] * 5],  # too short for a baseline and not finite
+            [np.r_[np.zeros(9), np.inf]],  # not finite and (but for inf) all zero
         ],
         ids=[
             "nan", "zeros", "negative", "constant", "short", "2-d", "text",
-            "uncovered-first", "uncovered-second",
+            "uncovered-first", "uncovered-second", "negative-nan", "short-nan", "zeros-inf",
         ],
     )
     def test_the_first_refused_unit_raises_run_tests_error(self, table, kind, bad):
-        units = self._time_units()
-        units[5:5] = bad
-        self._check(units, self._spec(kind, table))
+        for lengths in ("ragged", "equal"):
+            units = self._time_units(lengths)
+            units[5:5] = bad
+            self._check(units, self._spec(kind, table))
 
     def test_identical_on_any_cpu_count(self, table, set_cpus, monkeypatch):
         monkeypatch.setattr(signal_module, "BLOCK_VALUES", 40)  # 4 rows of 10 per block

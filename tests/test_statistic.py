@@ -9,11 +9,8 @@ from greenwood.rng import RngStream
 from greenwood.statistic import (
     StatisticValue,
     _modified_greenwood_rows,
-    classical_greenwood,
     modified_greenwood,
     modified_greenwood_batch,
-    normalized_statistic,
-    normalized_statistic_batch,
 )
 
 
@@ -196,36 +193,6 @@ class TestExactRows:
         scalar = np.array([modified_greenwood(row).s_n for row in x])
         monkeypatch.setattr(statistic, "modified_greenwood", refuse)
         assert _modified_greenwood_rows(x).tobytes() == scalar.tobytes()
-
-
-class TestClassical:
-    def test_equals_modified_on_positive_samples(self):
-        g = RngStream(306).generator()
-        for _ in range(50):
-            x = g.random(12) + 0.01
-            assert classical_greenwood(x) == modified_greenwood(x)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            classical_greenwood([1.0, 0.0, 2.0])
-        with pytest.raises(ValueError):
-            classical_greenwood([1.0, -2.0])
-
-
-class TestNormalized:
-    def test_center_value(self):
-        # s = 2/n makes the centered term vanish
-        assert normalized_statistic(StatisticValue(0.5, 4)) == 0.0
-
-    def test_hand_value(self):
-        got = normalized_statistic(StatisticValue(0.0175, 100))
-        assert math.isclose(got, -1.25, rel_tol=1e-12)
-
-    def test_batch_agrees_with_scalar(self):
-        vals = np.array([0.011, 0.02, 0.3])
-        batch = normalized_statistic_batch(vals, 100)
-        scalar = [normalized_statistic(StatisticValue(v, 100)) for v in vals]
-        np.testing.assert_allclose(batch, scalar, rtol=1e-15)
 
 
 class TestValidation:
