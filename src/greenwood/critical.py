@@ -8,11 +8,13 @@ Every Monte Carlo loop of the package (tables, power and size studies,
 baseline thresholds, the spectrogram null) has one entry point,
 :func:`_simulate`, and one RNG layout, version :data:`RNG_LAYOUT`. A
 sampling job (:func:`_sample_job`) takes its replications in blocks of
-``rows(n) = max(1, BLOCK_VALUES // n)``, and block ``b`` is one
-``(rows(n), n)`` draw from substream ``base + b``. Blocks are always drawn
-whole, so replication ``r`` depends only on the base stream, ``n`` and
-``r``: results are bit-identical across runs, and fewer replications give
-a prefix of more. The spectrogram null
+``rows(n) = max(1, BLOCK_VALUES // n)``, and block ``b`` draws its rows
+from substream ``base + b``. A block draws only the rows it uses: each
+variate of a draw has its own counter range of the substream (see
+:meth:`greenwood.rng.RngStream.generator`), so a short last block is the
+first rows of a whole one. Replication ``r`` depends only on the base
+stream, ``n`` and ``r``: results are bit-identical across runs, and fewer
+replications give a prefix of more. The spectrogram null
 (:func:`greenwood.signal.estimate_spectrogram_null`) is a job with one
 signal per block: signal ``s`` is drawn whole from substream ``s``.
 
@@ -74,8 +76,9 @@ _SIDES = ("lower", "upper")
 GROUP_STRIDE = 1 << 32
 
 # version of the replication-to-substream layout; recorded in every table
-# and power sidecar
-RNG_LAYOUT = 2
+# and power sidecar. Layout 3 gives each variate of a draw its own counter
+# range and draws only the rows a block uses.
+RNG_LAYOUT = 3
 # values per block draw (512 KB of float64)
 BLOCK_VALUES = 1 << 16
 
@@ -156,16 +159,20 @@ def _sample_job(
 ) -> tuple:
     """The :func:`_simulate` job of ``row_fn`` over ``replications`` samples of ``spec``.
 
-    Every job that samples size-``n`` replications is made here. Its block
-    ``b`` is ``sample(spec, (rows, n), stream.substream(b))`` with
-    ``rows = max(1, BLOCK_VALUES // n)``; ``row_fn`` gets the rows of each
-    block still needed, as one 2-D array it may overwrite, and returns one
-    result per row, so the job's values are in replication order.
+    Every job that samples size-``n`` replications is made here. With
+    ``rows = max(1, BLOCK_VALUES // n)``, its block ``b`` is
+    ``sample(spec, (k, n), stream.substream(b))`` for the
+    ``k = min(rows, replications - b * rows)`` rows it still needs; being
+    the first ``k`` rows of the whole ``(rows, n)`` draw, they do not
+    depend on ``replications``. ``row_fn`` gets each block as one 2-D array
+    it may overwrite and returns one result per row, so the job's values
+    are in replication order.
     """
     rows = max(1, BLOCK_VALUES // n)
 
     def block(b):
-        return row_fn(sample(spec, (rows, n), stream.substream(b))[: replications - b * rows])
+        k = min(rows, replications - b * rows)
+        return row_fn(sample(spec, (k, n), stream.substream(b)))
 
     return (-(-replications // rows), block)
 
@@ -211,11 +218,12 @@ def write_json(path, doc) -> None:
     """Write ``doc`` atomically as indented, key-sorted JSON plus a newline.
 
     A NaN or infinite number, which JSON cannot hold, is a ``ValueError``,
-    and then ``path`` is left as it was.
+    and then ``path`` is left as it was. The text is encoded whole and
+    written in one call.
     """
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def empirical_quantile(values, p: float) -> float:

@@ -158,7 +158,8 @@ def _gaussian(spec: Gaussian, n, rng: RngStream) -> np.ndarray:
 def _stable(spec: Stable, n, rng: RngStream) -> np.ndarray:
     """Chambers-Mallows-Stuck map.
 
-    With ``U`` uniform on (-pi/2, pi/2) and ``W`` unit exponential::
+    With ``U`` uniform on (-pi/2, pi/2) from variate 0 of the stream and
+    ``W`` unit exponential from variate 1::
 
         alpha == 1:  X = tan(U)
         otherwise:   X = sin(alpha U) / cos(U)**(1/alpha)
@@ -168,9 +169,8 @@ def _stable(spec: Stable, n, rng: RngStream) -> np.ndarray:
     ``Stable(a, s)`` equals ``s`` times the draw of ``Stable(a, 1.0)`` from
     the same stream, bit for bit.
     """
-    g = rng.generator()
-    u = g.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    w = g.standard_exponential(n)
+    u = rng.generator().uniform(-math.pi / 2.0, math.pi / 2.0, n)
+    w = rng.generator(variate=1).standard_exponential(n)
     a = spec.alpha
     # evaluated in place, in the order of the formula above; the augmented
     # operators keep numpy's fast paths for exponents such as 0.5
@@ -192,12 +192,11 @@ def _stable(spec: Stable, n, rng: RngStream) -> np.ndarray:
 
 
 def _student_t(spec: StudentT, n, rng: RngStream) -> np.ndarray:
-    # nu = inf is the standard normal stream itself
-    g = rng.generator()
-    z = g.standard_normal(n)
+    # nu = inf is the standard normal stream itself; chi2 comes from variate 1
+    z = rng.generator().standard_normal(n)
     if math.isinf(spec.nu):
         return z
-    chi2 = g.chisquare(spec.nu, n)
+    chi2 = rng.generator(variate=1).chisquare(spec.nu, n)
     chi2 /= spec.nu  # in place, in the order of z / sqrt(chi2 / nu)
     z /= np.sqrt(chi2, out=chi2)
     return z
@@ -226,9 +225,13 @@ def sample(spec: DistributionSpec, n, rng: RngStream) -> np.ndarray:
     """Draw ``n`` values of ``spec`` from ``rng``.
 
     ``n`` is a sample size, or an ``(m, n)`` shape for ``m`` samples of size
-    ``n``, one per row. Each variate array is drawn whole, in the same order
-    for both forms, so ``sample(spec, (1, n), rng)[0]`` equals
-    ``sample(spec, n, rng)`` bit for bit.
+    ``n``, one per row. Each variate (the one draw of a Gaussian or GPD, the
+    uniforms and exponentials of a stable, the normals and chi-squares of a
+    Student's t) is read in row-major order from its own counter range of
+    ``rng`` (see :meth:`~greenwood.rng.RngStream.generator`). So
+    ``sample(spec, (1, n), rng)[0]`` equals ``sample(spec, n, rng)`` bit for
+    bit, and for ``k < m`` ``sample(spec, (k, n), rng)`` is the first ``k``
+    rows of ``sample(spec, (m, n), rng)``.
     """
     kernel = _KERNELS.get(type(spec))
     if kernel is None:

@@ -3,7 +3,9 @@
 A stream is identified by ``(master_seed, stream_id)`` and nothing else, so
 any piece of work (a Monte Carlo replication, a simulated signal) can be
 given its own substream and reproduced in isolation, in any order, on any
-number of workers.
+number of workers. Within a stream, each variate of a draw starts at its own
+counter offset (:meth:`RngStream.generator`), the counter-based addressing
+of Salmon et al., *Parallel random numbers: as easy as 1, 2, 3* (SC'11).
 """
 
 from __future__ import annotations
@@ -38,13 +40,21 @@ class RngStream:
         if not 0 <= self.stream_id <= _MASK64:
             raise ValueError("stream_id must lie in [0, 2**64)")
 
-    def generator(self) -> Generator:
-        """Return a fresh generator positioned at the start of this stream.
+    def generator(self, variate: int = 0) -> Generator:
+        """Return a fresh generator positioned at the start of ``variate``'s range.
+
+        Each variate of a draw (the uniforms and the exponentials of a stable
+        sample, say) has its own range of this stream's Philox counter:
+        variate ``k`` starts at counter ``k << 62``, which leaves it 2**64
+        values before it would reach the next. A draw can therefore stop
+        early in one variate without shifting another. Variate 0 starts at
+        counter 0, the plain Philox stream of the key.
 
         A new generator is created on every call: sampling through it never
         mutates the stream object, so repeated calls replay the same draws.
         """
-        return Generator(Philox(key=self.master_seed | (self.stream_id << 64)))
+        key = self.master_seed | (self.stream_id << 64)
+        return Generator(Philox(key=key, counter=variate << 62))
 
     def substream(self, offset: int) -> "RngStream":
         """Derive the stream ``offset`` positions after this one (ids wrap at 2**64)."""

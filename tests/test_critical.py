@@ -115,10 +115,27 @@ class TestNullDistribution:
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_fewer_replications_are_a_prefix(self, n):
-        # blocks are drawn whole, so replication r never depends on the total
+        # a short last block is the first rows of a whole one, so replication
+        # r never depends on the total
         more = estimate_null_distribution(Stable(1.5, 1.0), n, 2000, RngStream(15))
         fewer = estimate_null_distribution(Stable(1.5, 1.0), n, 1000, RngStream(15))
         np.testing.assert_array_equal(more[:1000], fewer)
+
+    @pytest.mark.parametrize("n, replications", [(10, 14000), (1000, 1001)])
+    def test_blocks_draw_only_the_rows_they_use(self, monkeypatch, n, replications):
+        # rows = 6553 at n = 10 and 65 at n = 1000; neither divides the total
+        assert replications % (BLOCK_VALUES // n)
+        shapes = []
+
+        def counting(spec, shape, rng):
+            shapes.append(shape)
+            return sample(spec, shape, rng)
+
+        monkeypatch.setattr(critical, "sample", counting)
+        values = estimate_null_distribution(Stable(1.5, 1.0), n, replications, RngStream(16))
+        assert values.shape == (replications,)
+        assert all(cols == n for _, cols in shapes)
+        assert sum(rows for rows, _ in shapes) == replications
 
     def test_values_inside_statistic_range(self):
         vals = estimate_null_distribution(GPD(0.5, 1.0), 10, 2000, RngStream(13))
@@ -451,7 +468,7 @@ class TestTableRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
         assert set(doc["metadata"]) >= {"M", "master_seed", "estimator", "created_at"}
-        assert doc["metadata"]["rng_layout"] == RNG_LAYOUT == 2
+        assert doc["metadata"]["rng_layout"] == RNG_LAYOUT == 3
         entry = doc["entries"][0]
         assert set(entry) == {"family", "params", "n", "c", "side", "value"}
 

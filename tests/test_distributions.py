@@ -29,6 +29,12 @@ from greenwood.testing import ks_distance
 
 N_BIG = 100000
 
+EVERY_FAMILY = pytest.mark.parametrize(
+    "spec",
+    [Gaussian(1.0, 2.0), Stable(1.5, 2.0), Stable(1.0, 1.0), StudentT(3), StudentT(math.inf), GPD(0.5, 1.0)],
+    ids=["gaussian", "stable", "cauchy", "student_t", "student_t_inf", "gpd"],
+)
+
 # the stable grid ends where the tail mass is about this much
 _STABLE_GRID_TAIL_MASS = 2e-4
 
@@ -175,11 +181,11 @@ class TestStable:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_in_place_sampler_equals_the_formula_bit_for_bit(self, alpha):
         # the sampler evaluates the CMS map in place; the plain expression is
-        # the reference (odd sizes reach the ufuncs' remainder loops)
+        # the reference (odd sizes reach the ufuncs' remainder loops), with
+        # U from variate 0 of the stream and W from variate 1
         shape, rng = (301, 67), RngStream(113)
-        g = rng.generator()
-        u = g.uniform(-math.pi / 2.0, math.pi / 2.0, shape)
-        w = g.standard_exponential(shape)
+        u = rng.generator().uniform(-math.pi / 2.0, math.pi / 2.0, shape)
+        w = rng.generator(variate=1).standard_exponential(shape)
         if alpha == 1.0:
             core = np.tan(u)
         else:
@@ -220,9 +226,8 @@ class TestStudentT:
     @pytest.mark.parametrize("nu", [1, 2, 5])
     def test_in_place_sampler_equals_the_formula_bit_for_bit(self, nu):
         shape, rng = (301, 67), RngStream(114)
-        g = rng.generator()
-        z = g.standard_normal(shape)
-        chi2 = g.chisquare(nu, shape)
+        z = rng.generator().standard_normal(shape)
+        chi2 = rng.generator(variate=1).chisquare(nu, shape)
         expected = z / np.sqrt(chi2 / nu)
         assert sample(StudentT(nu), shape, rng).tobytes() == expected.tobytes()
 
@@ -320,12 +325,16 @@ class TestSpecPlumbing:
         assert family_tag(StudentT(2)) == "student_t"
         assert family_tag(GPD(0.5, 1.0)) == "gpd"
 
-    @pytest.mark.parametrize(
-        "spec",
-        [Gaussian(1.0, 2.0), Stable(1.5, 2.0), Stable(1.0, 1.0), StudentT(3), StudentT(math.inf), GPD(0.5, 1.0)],
-        ids=["gaussian", "stable", "cauchy", "student_t", "student_t_inf", "gpd"],
-    )
+    @EVERY_FAMILY
     def test_shape_form_first_row_is_the_plain_sample(self, spec):
         rng = RngStream(56)
         assert sample(spec, (1, 37), rng)[0].tobytes() == sample(spec, 37, rng).tobytes()
         assert sample(spec, (5, 37), rng).shape == (5, 37)
+
+    @EVERY_FAMILY
+    @pytest.mark.parametrize("k, m, n", [(2000, 6553, 10), (3, 11, 37), (1, 2, 1000)])
+    def test_fewer_rows_are_the_first_rows_of_more(self, spec, k, m, n):
+        # each variate has its own counter range, so a short draw of one
+        # variate cannot shift the next: a Monte Carlo block may stop early
+        rng = RngStream(57, 3)
+        assert sample(spec, (k, n), rng).tobytes() == sample(spec, (m, n), rng)[:k].tobytes()

@@ -18,13 +18,20 @@ def test_generator_calls_do_not_mutate_the_stream():
 
 
 def test_key_packing_matches_philox_directly():
-    # the stream id occupies the high 64 bits of the 128-bit key
+    # the stream id occupies the high 64 bits of the 128-bit key; variate 0
+    # is the key's own stream (so Gaussian and GPD draws keep their bits),
+    # and variate k starts k << 62 counter steps into it
     seed, sid = 777, 3
-    ours = RngStream(seed, sid).generator().standard_normal(8)
-    direct = np.random.Generator(
-        np.random.Philox(key=(seed & (2**64 - 1)) | (sid << 64))
-    ).standard_normal(8)
-    np.testing.assert_array_equal(ours, direct)
+    key = (seed & (2**64 - 1)) | (sid << 64)
+    stream = RngStream(seed, sid)
+    direct = np.random.Generator(np.random.Philox(key=key)).standard_normal(8)
+    np.testing.assert_array_equal(stream.generator().standard_normal(8), direct)
+    np.testing.assert_array_equal(stream.generator(variate=0).standard_normal(8), direct)
+    bits = np.random.Philox(key=key)
+    bits.advance(1 << 62)
+    second = np.random.Generator(bits).standard_normal(8)
+    np.testing.assert_array_equal(stream.generator(variate=1).standard_normal(8), second)
+    assert not np.array_equal(second, direct)
 
 
 def test_distinct_stream_ids_give_distinct_sequences():

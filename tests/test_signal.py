@@ -432,12 +432,15 @@ class TestSpectrogramNulls:
         spec = TestSpec("mg2", 0.05, self._table(), extra_params=extra)
         rng = RngStream(2719)
         rejected = total = 0
-        for s in range(10):
+        # pooled over enough signals that the rate, not one seed's luck, is
+        # tested: 200 signals read 0.30-0.41 over seeds 100-119, where 10
+        # signals fell under the bound for 9 of 40 seeds
+        for s in range(200):
             rows = self._rows(sample(Stable(1.5, 1.0), self.L, rng.substream(s)))
             report = batch_test(rows, spec, domain="time-frequency")
             rejected += sum(o.reject for o in report.outcomes)
             total += len(report.outcomes)
-        assert rejected / total > 0.25  # calibrated: 139/310
+        assert rejected / total > 0.25  # calibrated: 2439/6200
 
     def _null(self, signals, rng):
         return estimate_spectrogram_null(
