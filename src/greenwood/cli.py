@@ -19,7 +19,6 @@ insufficient replications, missing table coverage).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from contextlib import contextmanager
@@ -34,7 +33,7 @@ from .critical import (
     TableRequest,
     atomic_open,
     build_quantile_table,
-    write_json,
+    json_text,
 )
 from .distributions import FAMILIES, DistributionSpec
 from .power import PowerStudyConfig, export_curve, run_power_study
@@ -235,13 +234,13 @@ def _read_signal(args):
     return read_signal(args.input, args.sample_rate or 1.0)
 
 
-def _write_or_print(doc: dict, out: str | None) -> None:
-    """``doc`` as JSON in the file ``out``, or on stdout; a NaN or infinite
-    number is a ValueError, and then nothing is written or printed."""
+def _write_or_print(text: str, out: str | None) -> None:
+    """``text`` in the file ``out``, written atomically, or on stdout."""
     if out:
-        write_json(out, doc)
+        with atomic_open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        sys.stdout.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def _cmd_quantiles(args) -> int:
 def _cmd_test(args) -> int:
     spec = _test_spec(args)
     outcome = run_test(spec, read_csv_column(args.input))
-    _write_or_print(outcome.to_json_dict(), args.out)
+    _write_or_print(json_text(outcome.to_json_dict()), args.out)
     return 0
 
 
@@ -329,7 +328,7 @@ def _cmd_analyze(args) -> int:
     domain = "time" if args.mode == "time" else "time-frequency"
     report = batch_test(units, spec, domain=domain, labels=labels)
 
-    _write_or_print(report.to_json_dict(), args.out)
+    _write_or_print(report.json_text(), args.out)
     print(
         f"{report.domain}: {len(report.outcomes)} units, "
         f"{report.rejection_percentage:.2f}% rejected at c={args.c}",
@@ -388,7 +387,7 @@ def _cmd_spectrogram(args) -> int:
         "sample_rate": sig.sample_rate,
         "matrix_file": target,
     }
-    _write_or_print(meta, None)
+    sys.stdout.write(json_text(meta))
     return 0
 
 

@@ -62,6 +62,7 @@ __all__ = [
     "build_quantile_table",
     "empirical_quantile",
     "estimate_null_distribution",
+    "json_text",
     "write_json",
 ]
 
@@ -214,14 +215,47 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
-def write_json(path, doc) -> None:
-    """Write ``doc`` atomically as indented, key-sorted JSON plus a newline.
+def json_text(doc) -> str:
+    """``doc`` as the package writes JSON: indented by 2, keys sorted, plus a newline.
 
-    A NaN or infinite number, which JSON cannot hold, is a ``ValueError``,
+    A NaN or infinite number, which JSON cannot hold, is a ``ValueError``
+    that names its key path, such as ``statistic`` or ``units[17].statistic``.
+    """
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        # a circular document fails too, and has no end to walk
+        found = _non_finite(doc, "") if str(exc).startswith("Out of range float") else None
+        if found is None:
+            raise
+        raise ValueError(f"{found[0]} is {found[1]}, which JSON cannot hold") from None
+
+
+def _non_finite(node, path: str):
+    """``(path, value)`` of the first non-finite float in ``node``, in the encoder's order."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else (path, node)
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}" if path else str(k), node[k]) for k in sorted(node))
+    elif isinstance(node, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return None
+    for p, v in items:
+        found = _non_finite(v, p)
+        if found:
+            return found
+    return None
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` atomically as :func:`json_text` gives it.
+
+    A NaN or infinite number is the ``ValueError`` of :func:`json_text`,
     and then ``path`` is left as it was. The text is encoded whole and
     written in one call.
     """
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json_text(doc)
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -37,6 +37,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import numpy.fft  # noqa: F401  (loaded with the package, not on the first spectrogram)
@@ -47,6 +48,7 @@ from .critical import (
     TableRequest,
     _simulate,
     atomic_open,
+    json_text,
     quantile_record,
     table_metadata,
 )
@@ -202,7 +204,12 @@ def frequency_rows(
 
 @dataclass(frozen=True)
 class BatchReport:
-    """Per-unit outcomes of one test applied across segments or frequency rows."""
+    """Per-unit outcomes of one test applied across segments or frequency rows.
+
+    Its JSON document is :meth:`to_json_dict`, and :meth:`json_text` is that
+    document as the package writes it, which ``greenwood analyze`` writes or
+    prints.
+    """
 
     domain: str  # "time" or "time-frequency"
     c: float
@@ -225,6 +232,87 @@ class BatchReport:
             ],
             "rejection_percentage": self.rejection_percentage,
         }
+
+    def json_text(self) -> str:
+        """:func:`greenwood.critical.json_text` of :meth:`to_json_dict`, byte for byte.
+
+        The standard library indents JSON with its pure-Python encoder, so
+        the units, which make up nearly all of a report, are written here
+        from one fixed layout instead. A unit outside that layout (an
+        outcome that is not a plain :class:`TestOutcome` of ``str``, ``int``,
+        ``bool`` and finite ``float`` fields, or a label that is not an
+        ``int``, a ``str`` or a finite ``float``) sends the whole report
+        through :func:`~greenwood.critical.json_text`, whose bytes and errors
+        are the encoder's.
+        """
+        try:
+            if type(self.domain) is not str:
+                raise _Irregular
+            c, percentage = _float_text(self.c), _float_text(self.rejection_percentage)
+            units = _units_text(self.labels, self.outcomes)
+        except _Irregular:
+            return json_text(self.to_json_dict())
+        units = "[\n" + ",\n".join(units) + "\n  ]" if units else "[]"
+        return (
+            f'{{\n  "c": {c},\n  "domain": {encode_basestring_ascii(self.domain)},\n'
+            f'  "rejection_percentage": {percentage},\n  "units": {units}\n}}\n'
+        )
+
+
+class _Irregular(Exception):
+    """A report value outside the layout that :meth:`BatchReport.json_text` writes."""
+
+
+# one unit of a report's "units" list, its keys sorted, as json.dumps(indent=2)
+# writes it: the fields up to "reject", then the rest
+_UNIT_HEAD = '    {\n      "c": %s,\n      "kind": %s,\n      "n": %s,\n      "reject": '
+_UNIT_TAIL = ',\n      "statistic": %s,\n      "thresholds": %s,\n      "unit": %s\n    }'
+
+
+def _float_text(v) -> str:
+    """A finite float as JSON writes it; anything else is :class:`_Irregular`."""
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    raise _Irregular
+
+
+def _units_text(labels, outcomes) -> list:
+    """Each unit as ``json.dumps(..., indent=2)`` writes it inside a report's ``units``."""
+    texts = []
+    # the outcomes of one test share their c, kind, n and thresholds objects,
+    # so those are written once per distinct set; each set's first outcome
+    # is kept with its text, so that no id in a key can be reused
+    shared = {}
+    for label, o in zip(labels, outcomes):
+        if type(o) is not TestOutcome:
+            raise _Irregular
+        key = (id(o.c), id(o.kind), id(o.n), id(o.thresholds))
+        if key not in shared:
+            shared[key] = (*_shared_text(o), o)
+        head, thresholds, _ = shared[key]
+        if o.reject is True:
+            reject = "true"
+        elif o.reject is False:
+            reject = "false"
+        else:
+            raise _Irregular
+        if type(label) is int:
+            label = int.__repr__(label)
+        elif type(label) is str:
+            label = encode_basestring_ascii(label)
+        else:
+            label = _float_text(label)
+        texts.append(head + reject + _UNIT_TAIL % (_float_text(o.statistic), thresholds, label))
+    return texts
+
+
+def _shared_text(o: TestOutcome) -> tuple:
+    """The text of ``o``'s fields before ``reject``, and of its thresholds."""
+    if type(o.kind) is not str or type(o.n) is not int:
+        raise _Irregular
+    head = _UNIT_HEAD % (_float_text(o.c), encode_basestring_ascii(o.kind), int.__repr__(o.n))
+    thresholds = ",\n        ".join(map(_float_text, o.thresholds))
+    return head, f"[\n        {thresholds}\n      ]" if thresholds else "[]"
 
 
 def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> BatchReport:

@@ -287,8 +287,7 @@ class TestTestCommand:
             )
             assert proc.returncode == 1
             assert proc.stdout == ""
-            assert proc.stderr.startswith("error: Out of range float values")
-            assert proc.stderr.count("\n") == 1
+            assert proc.stderr == "error: statistic is nan, which JSON cannot hold\n"
         assert kept.read_text() == '{"previous": true}\n'
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.csv", "kept.json"]
 
@@ -421,6 +420,36 @@ class TestAnalyzeCommand:
         assert doc["domain"] == "time"
         assert len(doc["units"]) == 3
         assert "3 units" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode", [["--segment-length", "100"], ["--mode", "tf", "--window-length", "32"]],
+        ids=["time", "tf"],
+    )
+    def test_stdout_and_out_file_hold_the_same_bytes(self, workdir, tmp_path, capsys, mode):
+        table = "tf_table.json" if "tf" in mode else "raw_table.json"
+        argv = ["analyze", "--input", str(workdir / "signal.bin"), "--table", str(workdir / table)]
+        out = tmp_path / "report.json"
+        assert main(argv + mode + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv + mode) == 0
+        printed = capsys.readouterr().out
+        assert printed.encode() == out.read_bytes()
+        assert printed == json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the moments overflow
+    def test_nan_statistic_is_an_error_and_nothing_is_written(self, tmp_path, capsys):
+        signal = tmp_path / "huge.bin"
+        write_signal(signal, Signal(np.linspace(1e200, 1.9e200, 40)))
+        kept = tmp_path / "kept.json"
+        kept.write_text('{"previous": true}\n')
+        argv = ["analyze", "--input", str(signal), "--kind", "jarque_bera", "--segment-length", "10"]
+        for out in ([], ["--out", str(kept)], ["--out", str(tmp_path / "new.json")]):
+            assert main(argv + out) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: units[0].statistic is nan, which JSON cannot hold\n"
+        assert kept.read_text() == '{"previous": true}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.bin", "kept.json"]
 
     def test_tf_mode_rejects_raw_table(self, workdir, tmp_path, capsys):
         rc = main(

@@ -26,6 +26,7 @@ from greenwood.critical import (
     build_quantile_table,
     empirical_quantile,
     estimate_null_distribution,
+    json_text,
     quantile_record,
     write_json,
 )
@@ -521,12 +522,24 @@ class TestAtomicOpen:
     def test_non_finite_number_is_an_error_and_nothing_is_written(self, tmp_path, number):
         path = tmp_path / "report.json"
         path.write_text("previous contents\n")
-        with pytest.raises(ValueError, match="not JSON compliant"):
+        with pytest.raises(ValueError, match=f"^statistic is {number}, which JSON cannot hold$"):
             write_json(path, {"statistic": number, "thresholds": [1.0]})
         assert path.read_text() == "previous contents\n"
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            write_json(tmp_path / "new.json", {"nested": {"values": [0.5, number]}})
+        with pytest.raises(ValueError, match=rf"^nested\.values\[1\] is {number}, which JSON"):
+            write_json(tmp_path / "new.json", {"nested": {"z": number, "values": [0.5, number]}})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_json_text_is_the_written_layout(self, tmp_path):
+        doc = {"b": [1, 2.5, "x"], "a": {"d": None, "c": True}, "e": []}
+        text = json_text(doc)
+        assert text == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert text.startswith('{\n  "a": {\n    "c": true,')
+        write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == text
+        circular = []
+        circular.append(circular)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            json_text({"a": circular})
 
     def test_saved_table_gets_plain_open_permissions(self, tmp_path):
         plain = tmp_path / "plain.json"

@@ -2,9 +2,11 @@
 
 import json
 import math
+import re
 import struct
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from greenwood.signal import (
     write_signal,
 )
 from greenwood.statistic import modified_greenwood_batch
-from greenwood.testing import BASELINE_KINDS, MG_KINDS, TestSpec, run_test
+from greenwood.testing import BASELINE_KINDS, MG_KINDS, TestOutcome, TestSpec, run_test
 
 
 def bessel_i0(x: float) -> float:
@@ -254,6 +256,11 @@ def _outcomes_or_error(decide):
         return type(exc), str(exc)
 
 
+def _encoded(report: BatchReport) -> str:
+    """The report as the standard library's encoder writes it."""
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 class TestBatchMatchesRunTest:
     """``batch_test`` returns what ``run_test`` returns unit by unit, or raises what it raises."""
 
@@ -318,6 +325,20 @@ class TestBatchMatchesRunTest:
         assert json.dumps(report.to_json_dict()) == json.dumps(loop.to_json_dict())
 
     @pytest.mark.parametrize("kind", MG_KINDS + BASELINE_KINDS)
+    def test_report_text_is_the_encoders_without_the_encoder(self, table, kind, monkeypatch):
+        reports = [batch_test(self._time_units(lengths), self._spec(kind, table))
+                   for lengths in ("ragged", "equal")]
+        assert len({o.n for o in reports[0].outcomes}) == 2  # decided by the run_test loop
+        freqs = np.linspace(0.0, 0.5, 33).tolist()
+        reports.append(batch_test(self._tf_rows(), self._spec(kind, table), "time-frequency", freqs))
+        thresholds = 2 if kind == "mg_two_sided" else 1
+        assert {len(o.thresholds) for r in reports for o in r.outcomes} == {thresholds}
+        expected = [_encoded(r) for r in reports]
+        # every report batch_test makes is written from the layout, never by the encoder
+        monkeypatch.setattr(signal_module, "json_text", lambda doc: pytest.fail("encoded"))
+        assert [r.json_text() for r in reports] == expected
+
+    @pytest.mark.parametrize("kind", MG_KINDS + BASELINE_KINDS)
     @pytest.mark.parametrize(
         "bad",
         [
@@ -360,6 +381,90 @@ class TestBatchMatchesRunTest:
             )
         assert docs[1:] == docs[:1] * 2
         assert self._check(ragged, spec) == batch_test(ragged, spec).outcomes
+
+
+class TestReportText:
+    """``BatchReport.json_text`` is the encoder's text of ``to_json_dict``, or its error."""
+
+    OUTCOME = TestOutcome("mg2", 10, 0.05, 0.25, (0.375,), False)
+
+    def _report(self, labels, outcomes=None, c=0.05):
+        outcomes = [self.OUTCOME] * len(labels) if outcomes is None else outcomes
+        return BatchReport("time", c, tuple(outcomes), tuple(labels))
+
+    def _check(self, report):
+        text = _outcomes_or_error(report.json_text)
+        assert text == _outcomes_or_error(lambda: _encoded(report))
+        return text
+
+    def test_caller_labels(self):
+        for labels in (["a", "", 'caf\u00e9 "\\\n'], [None, 1, 2.5, "z"], [True, False, 0]):
+            assert isinstance(self._check(self._report(labels)), str)
+        assert self._check(self._report([0, np.int64(1)]))[0] is TypeError
+
+    def test_report_without_outcomes(self):
+        for domain, c in (("time", 0.05), ("time-frequency", 0.25)):
+            text = self._check(BatchReport(domain, c, (), ()))
+            assert text.endswith('"units": []\n}\n')
+
+    def test_values_outside_the_layout(self):
+        class Tagged(TestOutcome):
+            def to_json_dict(self):
+                return {**super().to_json_dict(), "tag": "extra"}
+
+        o = self.OUTCOME
+        for outcome in (
+            replace(o, statistic=np.float64(0.25)),
+            replace(o, c=np.float64(0.05)),
+            replace(o, thresholds=[0.375, np.float64(0.5)]),
+            replace(o, thresholds=()),
+            replace(o, n=np.int64(10)),
+            replace(o, n=10.0),
+            replace(o, reject=np.bool_(True)),
+            replace(o, reject=1),
+            replace(o, kind=None),
+            Tagged(*vars(o).values()),
+        ):
+            self._check(self._report([0, 1], [o, outcome]))
+        self._check(self._report([0], c=np.float64(0.05)))
+        self._check(BatchReport(None, 0.05, (o,), (0,)))
+
+    @pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_names_its_path(self, number):
+        o = self.OUTCOME
+        for report, path in (
+            (self._report(range(18), [o] * 17 + [replace(o, statistic=number)]), "units[17].statistic"),
+            (self._report([0, number]), "units[1].unit"),
+            (self._report([0], [replace(o, thresholds=(0.1, number))]), "units[0].thresholds[1]"),
+            (self._report([0], c=number), "c"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{re.escape(path)} is {number}, which JSON"):
+                report.json_text()
+
+    FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers() | FINITE | st.text(max_size=3),
+                st.builds(
+                    TestOutcome,
+                    st.text(max_size=3),
+                    st.integers(),
+                    FINITE,
+                    FINITE,
+                    st.lists(FINITE, max_size=3).map(tuple),
+                    st.booleans(),
+                ),
+            ),
+            max_size=5,
+        ),
+        FINITE,
+    )
+    def test_any_plain_report(self, units, c):
+        report = BatchReport("time", c, tuple(o for _, o in units), tuple(u for u, _ in units))
+        assert report.json_text() == _encoded(report)
 
 
 class TestSpectrogramNulls:
