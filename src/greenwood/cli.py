@@ -359,11 +359,10 @@ def _analysis_units(args, spec: TestSpec) -> tuple:
         spec.null_spec, args.window_length, args.beta, args.overlap, len(sig)
     )
     sp = _spectrogram(sig, args)
-    del sig  # free the signal before the band's rows are stacked
+    del sig  # free the signal before the band is copied
     with _flag_values():  # the band must fit the spectrogram
-        rows = frequency_rows(sp, args.f_min, args.f_max)
-    units = np.stack([r for _, r in rows])
-    return units, replace(spec, extra_params=extra), [f for f, _ in rows]
+        freqs, rows = frequency_rows(sp, args.f_min, args.f_max)
+    return rows, replace(spec, extra_params=extra), freqs
 
 
 def _cmd_spectrogram(args) -> int:
@@ -377,9 +376,7 @@ def _cmd_spectrogram(args) -> int:
         np.save(fh, sp.magnitude_squared)
     meta = {
         "shape": list(sp.magnitude_squared.shape),
-        "frequency_step_hz": float(sp.frequencies[1] - sp.frequencies[0])
-        if sp.frequencies.size > 1
-        else 0.0,
+        "frequency_step_hz": float(sp.frequencies[1] - sp.frequencies[0]),
         "frame_count": int(sp.times.size),
         "window_length": int(sp.window.size),
         "beta": args.beta,

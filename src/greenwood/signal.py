@@ -84,8 +84,6 @@ __all__ = [
 ]
 
 _MAGIC = b"GWSIG001"
-# windowed samples per spectrogram chunk (512 KB of float64); at least one frame
-_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +172,7 @@ def spectrogram(signal: Signal, window: np.ndarray, overlap: int = 0) -> Spectro
     # frames are transformed a chunk at a time into one (frames, bins) array,
     # so the windowed copy and the complex spectrum never exceed one chunk
     power = np.empty((n_frames, w // 2 + 1))
-    step = max(1, _CHUNK_VALUES // w)
+    step = max(1, BLOCK_VALUES // w)
     for i in range(0, n_frames, step):
         spectrum = np.fft.rfft(frames[i : i + step] * window, axis=1)
         np.add(spectrum.real**2, spectrum.imag**2, out=power[i : i + step])
@@ -186,10 +184,11 @@ def spectrogram(signal: Signal, window: np.ndarray, overlap: int = 0) -> Spectro
 
 def frequency_rows(
     spec: Spectrogram, f_min: float | None = None, f_max: float | None = None
-) -> list[tuple[float, np.ndarray]]:
+) -> tuple[list[float], np.ndarray]:
     """Rows of the spectrogram whose frequency lies in ``[f_min, f_max]``.
 
-    Returns ``(frequency, row)`` pairs; the full band when no limits given.
+    Returns ``(frequencies, rows)``, a list and a C-contiguous 2-D copy of
+    their rows; the full band when no limits given.
     """
     freqs = spec.frequencies
     lo = freqs[0] if f_min is None else f_min
@@ -199,7 +198,7 @@ def frequency_rows(
     mask = (freqs >= lo) & (freqs <= hi)
     if not mask.any():
         raise ValueError(f"no frequency rows inside [{lo}, {hi}] Hz")
-    return [(float(f), spec.magnitude_squared[i]) for i, f in enumerate(freqs) if mask[i]]
+    return freqs[mask].tolist(), spec.magnitude_squared[mask]
 
 
 @dataclass(frozen=True)
@@ -416,9 +415,8 @@ def estimate_spectrogram_null(
     def one_signal(s):
         x = sample(base_spec, signal_length, rng.substream(s))
         sp = spectrogram(Signal(x, sample_rate), window, overlap)
-        del x  # free the signal before its rows are stacked
-        rows = np.stack([r for _, r in frequency_rows(sp, f_min, f_max)])
-        return modified_greenwood_batch(rows, overwrite_input=True)
+        del x  # free the signal before its band is copied
+        return modified_greenwood_batch(frequency_rows(sp, f_min, f_max)[1], overwrite_input=True)
 
     return _simulate([(signals, one_signal)])[0]
 

@@ -52,14 +52,14 @@ def _validated(values) -> np.ndarray:
     return x
 
 
-def _scaled(ax: np.ndarray) -> np.ndarray:
-    """Each row of ``ax`` times the power of two that brings its max into ``[0.5, 1)``.
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` times the power of two that brings its max ``|x|`` into ``[0.5, 1)``.
 
     The scaling is exact for every value it keeps in the normal range and
-    leaves the ratio unchanged, while squares and the squared sum no longer
-    overflow or underflow.
+    leaves any scale-free statistic unchanged, while squares, powers and
+    sums no longer overflow or underflow.
     """
-    return np.ldexp(ax, -np.frexp(ax.max(axis=-1, keepdims=True))[1])
+    return np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1])
 
 
 def _in_range(denom, n: int):

@@ -50,7 +50,12 @@ import numpy as np
 from .critical import QuantileTable, _sample_job, _simulate, empirical_quantile
 from .distributions import GPD, DistributionSpec, Gaussian, StudentT
 from .rng import RngStream
-from .statistic import _modified_greenwood_rows, modified_greenwood, modified_greenwood_batch
+from .statistic import (
+    _modified_greenwood_rows,
+    _scaled,
+    modified_greenwood,
+    modified_greenwood_batch,
+)
 
 __all__ = [
     "GAUSSIAN_NULL",
@@ -95,6 +100,12 @@ _BASELINE_REPLICATIONS = 100000
 # again on the scalar path; the two paths differ by a few ulps at most
 _TIE_BAND = 1e-12
 _baseline_cache: dict[tuple, float] = {}
+# A baseline kernel computes a row unscaled when its fourth central moment
+# (Jarque-Bera) or its variance (KS) is finite and at least _MOMENT_LOW: then
+# no power of a deviation overflows, and the largest ones lie far above the
+# underflow range. Any other row is computed again, scaled by a power of two;
+# once scaled, only a row whose values are all equal is still out of range.
+_MOMENT_LOW = 2.0**-900
 
 
 @dataclass(frozen=True)
@@ -162,18 +173,25 @@ class TestSpec:
 def _jb_values(x: np.ndarray, overwrite_input: bool = False) -> np.ndarray:
     # rows are samples; moment form n * (skew**2 / 6 + (kurt - 3)**2 / 24).
     # With overwrite_input the deviations are taken in x itself (its values
-    # are lost), which leaves one block-sized temporary; the bits are the same
+    # are lost), which leaves one block-sized temporary; the bits are the same,
+    # but rows out of range (see _MOMENT_LOW) cannot be computed again. Only
+    # standard normal draws, whose rows are never out of range, use it
     n = x.shape[1]
-    d = np.subtract(x, x.mean(axis=1, keepdims=True), out=x if overwrite_input else None)
-    d2 = d * d
-    m2 = np.mean(d2, axis=1)
-    d *= d2
-    m3 = np.mean(d, axis=1)
-    d2 *= d2
-    m4 = np.mean(d2, axis=1)
-    skew = m3 / m2**1.5
-    kurt = m4 / (m2 * m2)
-    return n * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
+    with np.errstate(all="ignore"):  # rows out of range are computed again below
+        d = np.subtract(x, x.mean(axis=1, keepdims=True), out=x if overwrite_input else None)
+        d2 = d * d
+        m2 = np.mean(d2, axis=1)
+        d *= d2
+        m3 = np.mean(d, axis=1)
+        d2 *= d2
+        m4 = np.mean(d2, axis=1)
+        skew = m3 / m2**1.5
+        kurt = m4 / (m2 * m2)
+        out = n * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
+    far = ~(np.isfinite(m4) & (m4 >= _MOMENT_LOW))
+    if far.any() and not overwrite_input:  # the scaled copy is scratch, and in range
+        out[far] = _jb_values(_scaled(x[far]), overwrite_input=True)
+    return out
 
 
 def _sup_distance(u: np.ndarray) -> np.ndarray:
@@ -186,18 +204,22 @@ def _sup_distance(u: np.ndarray) -> np.ndarray:
 def _ks_values(x: np.ndarray, overwrite_input: bool = False) -> np.ndarray:
     # sup distance between the empirical CDF and the normal fitted by moments;
     # with overwrite_input x is sorted and standardized in place (its values
-    # are lost), so no block-sized temporary is made before the distance
+    # are lost), so no block-sized temporary is made before the distance. As
+    # in _jb_values, rows out of range are computed again unless overwrite_input
     from scipy import special
 
-    mean = x.mean(axis=1, keepdims=True)
-    sd = x.std(axis=1, ddof=1, keepdims=True)
-    if overwrite_input:
-        x.sort(axis=1)
-    else:
-        x = np.sort(x, axis=1)
-    x -= mean
-    x /= sd
-    return _sup_distance(special.ndtr(x, out=x))
+    with np.errstate(all="ignore"):  # rows out of range are computed again below
+        mean = x.mean(axis=1, keepdims=True)
+        sd = x.std(axis=1, ddof=1, keepdims=True)
+        z = x if overwrite_input else x.copy()
+        z.sort(axis=1)
+        z -= mean
+        z /= sd
+        out = _sup_distance(special.ndtr(z, out=z))
+        far = ~(np.isfinite(sd) & (sd * sd >= _MOMENT_LOW))[:, 0]
+    if far.any() and not overwrite_input:
+        out[far] = _ks_values(_scaled(x[far]), overwrite_input=True)
+    return out
 
 
 _BASELINE_VALUES = {"jarque_bera": _jb_values, "ks_normality": _ks_values}
@@ -243,9 +265,15 @@ def _baseline_sample(sample) -> np.ndarray:
         raise ValueError(f"baseline tests need at least {BASELINE_MIN_N} observations")
     if not np.isfinite(x).all():
         raise ValueError("sample contains NaN or infinite values")
-    if x.std(ddof=1) == 0.0:
-        raise ValueError("sample is degenerate (zero variance)")
+    if not _varies(x[None, :])[0]:
+        raise ValueError("sample is degenerate (all values equal)")
     return x
+
+
+def _varies(x: np.ndarray) -> np.ndarray:
+    """Whether each row of ``x`` holds two different values: the baselines'
+    statistics are finite on exactly those finite rows, at any magnitude."""
+    return (x != x[:, :1]).any(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -308,17 +336,11 @@ def run_test(spec: TestSpec, sample) -> TestOutcome:
     return TestOutcome(spec.kind, n, spec.c, s, t, _rejects(spec.kind, s, t))
 
 
-def _accepted_rows(kind: str, x: np.ndarray, variance: bool = True) -> np.ndarray:
-    """Which rows of the 2-D array ``x`` :func:`run_test` accepts as samples.
-
-    With ``variance=False`` the baselines' zero-variance check is left out.
-    """
+def _accepted_rows(kind: str, x: np.ndarray) -> np.ndarray:
+    """Which rows of the 2-D array ``x`` :func:`run_test` accepts as samples."""
     accepted = np.isfinite(x).all(axis=1)
     if kind in BASELINE_KINDS:
-        accepted &= x.shape[1] >= BASELINE_MIN_N
-        if variance:
-            with np.errstate(all="ignore"):  # rows already refused may overflow
-                accepted &= x.std(axis=1, ddof=1) != 0.0
+        accepted &= (x.shape[1] >= BASELINE_MIN_N) & _varies(x)
     else:
         accepted &= (x.shape[1] >= 2) & (x != 0.0).any(axis=1)
         if kind == "mg3_gpd":
@@ -343,12 +365,10 @@ def reject_rows(spec: TestSpec, rows, thresholds: tuple) -> np.ndarray:
     """
     x = np.asarray(rows, dtype=np.float64)
     kind = spec.kind
-    # a zero-variance row has no finite baseline statistic; run_test refuses it below
-    clean = _accepted_rows(kind, x, variance=False)
+    clean = _accepted_rows(kind, x)
     statistic = _BASELINE_VALUES.get(kind, modified_greenwood_batch)
     s = np.full(len(x), np.nan)
-    with np.errstate(all="ignore"):
-        s[clean] = statistic(x if clean.all() else x[clean])
+    s[clean] = statistic(x if clean.all() else x[clean])
     t = np.asarray(thresholds, dtype=np.float64)
     near = (np.abs(s[:, None] - t) <= _TIE_BAND * np.abs(t)).any(axis=1)
     reject = _rejects(kind, s, thresholds)

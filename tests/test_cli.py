@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
 import json
+import math
 import os
 import shutil
 import struct
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenwood
+from greenwood import testing
 from greenwood.cli import main
 from greenwood.critical import QuantileTable, TableRequest, build_quantile_table
 from greenwood.distributions import (
@@ -79,6 +81,37 @@ def _env_with_package() -> dict:
     src = str(Path(greenwood.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+@pytest.fixture
+def nan_jarque_bera(monkeypatch):
+    """Make the Jarque-Bera statistic NaN on samples whose first value is 0.125.
+
+    No sample gives a baseline a NaN statistic, since far samples are scaled
+    into range; this stands in for one, so the refusal to write NaN is tested.
+    """
+    real = testing._jb_values
+
+    def kernel(x, overwrite_input=False):
+        marked = x[:, 0] == 0.125
+        out = real(x, overwrite_input)
+        out[marked] = np.nan
+        return out
+
+    monkeypatch.setitem(testing._BASELINE_VALUES, "jarque_bera", kernel)
+
+
+# 10-value samples whose deviations' powers, or whose sum, overflow or underflow
+FAR_SAMPLES = {
+    "1e200": np.linspace(1e200, 1e201, 10),
+    "1e-200": np.linspace(1e-200, 1e-199, 10),
+    "sum-overflows": np.linspace(-2.0, 17.0, 10) * 1e307,
+}
+
+
+def _into_range(x):
+    """``x`` times the power of two that brings its max ``|x|`` into ``[2**9, 2**10)``."""
+    return np.ldexp(x, 10 - np.frexp(np.abs(x).max())[1])
 
 
 def _table_doc(**changes) -> dict:
@@ -272,24 +305,33 @@ class TestTestCommand:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {path}: {message}\n"
 
-    def test_nan_statistic_is_an_error_not_invalid_json(self, tmp_path):
-        # the baseline's moments overflow on values this large, so its statistic is NaN
-        data = tmp_path / "huge.csv"
-        np.savetxt(data, np.linspace(1e200, 1e201, 10))
+    def test_nan_statistic_is_an_error_not_invalid_json(self, tmp_path, capsys, nan_jarque_bera):
+        data = tmp_path / "marked.csv"
+        np.savetxt(data, np.r_[0.125, np.arange(9.0)])
         kept = tmp_path / "kept.json"
         kept.write_text('{"previous": true}\n')
         for out in (None, kept, tmp_path / "new.json"):
             argv = ["test", "--kind", "jarque_bera", "--input", str(data)]
             argv += ["--out", str(out)] if out else []
-            proc = subprocess.run(
-                [sys.executable, "-W", "ignore", "-m", "greenwood.cli", *argv],
-                env=_env_with_package(), capture_output=True, text=True,
-            )
-            assert proc.returncode == 1
-            assert proc.stdout == ""
-            assert proc.stderr == "error: statistic is nan, which JSON cannot hold\n"
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: statistic is nan, which JSON cannot hold\n"
         assert kept.read_text() == '{"previous": true}\n'
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.csv", "kept.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "marked.csv"]
+
+    @pytest.mark.parametrize("name", FAR_SAMPLES)
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_baselines_at_any_magnitude(self, tmp_path, capsys, kind, name):
+        outcomes = []
+        for x in (FAR_SAMPLES[name], _into_range(FAR_SAMPLES[name])):
+            np.savetxt(tmp_path / "x.csv", x)
+            assert main(["test", "--kind", kind, "--input", str(tmp_path / "x.csv")]) == 0
+            outcomes.append(json.loads(capsys.readouterr().out))
+        assert outcomes[0] == outcomes[1]  # floats round-trip through JSON exactly
+        if kind == "ks_normality" and name == "1e200":
+            assert outcomes[0]["statistic"] == pytest.approx(0.0955, abs=1e-4)
+            assert not outcomes[0]["reject"]
 
 
 class TestPowerCommand:
@@ -436,10 +478,11 @@ class TestAnalyzeCommand:
         assert printed.encode() == out.read_bytes()
         assert printed == json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the moments overflow
-    def test_nan_statistic_is_an_error_and_nothing_is_written(self, tmp_path, capsys):
-        signal = tmp_path / "huge.bin"
-        write_signal(signal, Signal(np.linspace(1e200, 1.9e200, 40)))
+    def test_nan_statistic_is_an_error_and_nothing_is_written(
+        self, tmp_path, capsys, nan_jarque_bera
+    ):
+        signal = tmp_path / "marked.bin"
+        write_signal(signal, Signal(np.r_[0.125, np.arange(39.0)]))
         kept = tmp_path / "kept.json"
         kept.write_text('{"previous": true}\n')
         argv = ["analyze", "--input", str(signal), "--kind", "jarque_bera", "--segment-length", "10"]
@@ -449,7 +492,20 @@ class TestAnalyzeCommand:
             assert captured.out == ""
             assert captured.err == "error: units[0].statistic is nan, which JSON cannot hold\n"
         assert kept.read_text() == '{"previous": true}\n'
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.bin", "kept.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "marked.bin"]
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_baselines_at_any_magnitude(self, tmp_path, capsys, kind):
+        # one segment per far sample, then the same segments scaled into range
+        reports = []
+        for scale in (lambda x: x, _into_range):
+            x = np.concatenate([scale(x) for x in FAR_SAMPLES.values()])
+            write_signal(tmp_path / "far.bin", Signal(x))
+            argv = ["analyze", "--input", str(tmp_path / "far.bin"), "--kind", kind]
+            assert main(argv + ["--segment-length", "10"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert all(math.isfinite(u["statistic"]) for u in reports[0]["units"])
 
     def test_tf_mode_rejects_raw_table(self, workdir, tmp_path, capsys):
         rc = main(

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenwood import signal as signal_module
-from greenwood.critical import QuantileTable, TableCoverageError, TableRequest, build_quantile_table
+from greenwood.critical import (
+    QuantileTable,
+    TableCoverageError,
+    TableRequest,
+    _simulate,
+    build_quantile_table,
+)
 from greenwood.distributions import GPD, Gaussian, Stable, StudentT, sample
 from greenwood.rng import RngStream
 from greenwood.signal import (
@@ -32,7 +38,15 @@ from greenwood.signal import (
     write_signal,
 )
 from greenwood.statistic import modified_greenwood_batch
-from greenwood.testing import BASELINE_KINDS, MG_KINDS, TestOutcome, TestSpec, run_test
+from greenwood.testing import (
+    BASELINE_KINDS,
+    MG_KINDS,
+    TestOutcome,
+    TestSpec,
+    reject_rows,
+    run_test,
+    thresholds_for,
+)
 
 
 def bessel_i0(x: float) -> float:
@@ -181,17 +195,26 @@ class TestFrequencyRows:
         return spectrogram(Signal(x, 8.0), np.ones(8), overlap=0)
 
     def test_band_selection_is_inclusive(self):
-        rows = frequency_rows(self._spec(), 1.0, 3.0)
-        assert [f for f, _ in rows] == [1.0, 2.0, 3.0]
-        assert all(r.size == 8 for _, r in rows)
+        freqs, rows = frequency_rows(self._spec(), 1.0, 3.0)
+        assert freqs == [1.0, 2.0, 3.0]
+        assert all(type(f) is float for f in freqs)
+        assert rows.shape == (3, 8)
 
     def test_default_is_full_band(self):
-        assert [f for f, _ in frequency_rows(self._spec())] == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_row_values_match_matrix(self):
         sp = self._spec()
-        rows = dict(frequency_rows(sp, 2.0, 2.0))
-        assert np.array_equal(rows[2.0], sp.magnitude_squared[2])
+        freqs, rows = frequency_rows(sp)
+        assert freqs == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert rows.tobytes() == sp.magnitude_squared.tobytes(order="C")
+
+    @pytest.mark.parametrize("band", [(2.0, 2.0), (1.0, 3.0), (0.0, 4.0)])
+    def test_rows_are_the_stacked_band(self, band):
+        sp = self._spec()
+        freqs, rows = frequency_rows(sp, *band)
+        stacked = np.stack([sp.magnitude_squared[int(f)] for f in freqs])
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == stacked.tobytes()
+        rows[:] = -1.0  # a copy: the spectrogram keeps its values
+        assert (sp.magnitude_squared >= 0.0).all()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="no frequency rows"):
@@ -382,6 +405,26 @@ class TestBatchMatchesRunTest:
         assert docs[1:] == docs[:1] * 2
         assert self._check(ragged, spec) == batch_test(ragged, spec).outcomes
 
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_baseline_units_in_late_blocks_on_helper_threads(self, kind, set_cpus, monkeypatch):
+        monkeypatch.setattr(signal_module, "BLOCK_VALUES", 40)  # 4 rows of 10 per block
+        set_cpus(3)
+        spec = TestSpec(kind, 0.05)
+        rows = RngStream(4044).generator().standard_cauchy((40, 10))  # 10 blocks
+        # units far from 1, decided as the same units scaled by a power of two
+        far = rows.copy()
+        far[33] *= 2.0**700
+        far[38] *= 2.0**-1000
+        assert self._check(far, spec) == batch_test(rows, spec).outcomes
+        # a degenerate unit in block 8 raises run_test's error, from batch_test
+        # and from reject_rows run on a helper thread
+        rows[33] = 2.5
+        assert self._check(rows, spec) == (ValueError, "sample is degenerate (all values equal)")
+        t = thresholds_for(spec, 10)
+        blocks = rows.reshape(10, 4, 10)
+        with pytest.raises(ValueError, match="degenerate"):
+            _simulate([(10, lambda b: reject_rows(spec, blocks[b], t))])
+
 
 class TestReportText:
     """``BatchReport.json_text`` is the encoder's text of ``to_json_dict``, or its error."""
@@ -489,7 +532,7 @@ class TestSpectrogramNulls:
 
     def _rows(self, x):
         sp = spectrogram(Signal(x), kaiser_window(self.W, self.BETA), self.OV)
-        return [r for _, r in frequency_rows(sp, *self.BAND)]
+        return frequency_rows(sp, *self.BAND)[1]
 
     def test_table_is_keyed_by_geometry(self):
         table = self._table()
@@ -571,7 +614,7 @@ class TestSpectrogramNulls:
         # signal s is drawn from substream s, and its rows keep signal order
         values = np.frombuffer(pooled[0])
         for s in range(7):
-            rows = np.stack(self._rows(sample(self.BASE, self.L, rng.substream(s))))
+            rows = self._rows(sample(self.BASE, self.L, rng.substream(s)))
             expected = modified_greenwood_batch(rows)
             assert values[31 * s : 31 * (s + 1)].tobytes() == expected.tobytes()
 

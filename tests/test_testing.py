@@ -9,7 +9,7 @@ import pytest
 from scipy import special, stats
 
 from greenwood import testing
-from greenwood.critical import QuantileTable, TableCoverageError
+from greenwood.critical import QuantileTable, TableCoverageError, _simulate
 from greenwood.distributions import Stable
 from greenwood.rng import RngStream
 from greenwood.testing import (
@@ -291,3 +291,63 @@ class TestInPlaceKernels:
         assert rows.tobytes() == before
         assert reject[7]
         assert reject.tolist() == [run_test(spec, row).reject for row in rows]
+
+
+def _into_range(x):
+    """``x`` times the power of two that brings its max ``|x|`` into ``[2**9, 2**10)``."""
+    return np.ldexp(x, 10 - np.frexp(np.abs(x).max())[1])
+
+
+# samples whose deviations' powers, or whose sum, overflow or underflow
+FAR_SAMPLES = {
+    "1e200": np.linspace(1e200, 1e201, 10),
+    "1e-200": np.linspace(1e-200, 1e-199, 10),
+    "sum-overflows": np.linspace(-2.0, 17.0, 10) * 1e307,
+    "subnormal": np.linspace(1e-320, 1e-315, 10),
+}
+
+
+class TestBaselinesAtAnyMagnitude:
+    """Both baselines are scale-free: a sample far from 1 is decided as the same
+    sample scaled into range by a power of two, to the last bit."""
+
+    @pytest.mark.parametrize("name", FAR_SAMPLES)
+    @pytest.mark.parametrize("spec", [JB, KS], ids=BASELINE_KINDS)
+    def test_statistic_is_that_of_the_scaled_sample(self, spec, name):
+        x = FAR_SAMPLES[name]
+        out = run_test(spec, x)
+        assert np.isfinite(out.statistic)
+        assert out == run_test(spec, _into_range(x))
+
+    def test_large_ks_sample_reads_its_scaled_distance(self):
+        # unscaled, the standard deviation overflows, every standardized value
+        # is 0 and the distance reads 0.5, which rejects
+        out = run_test(KS, FAR_SAMPLES["1e200"])
+        assert out.statistic == pytest.approx(0.0955, abs=1e-4)
+        assert not out.reject
+
+    @pytest.mark.parametrize("spec", [JB, KS], ids=BASELINE_KINDS)
+    def test_reject_rows_on_helper_threads(self, spec, set_cpus):
+        rows = np.array([_into_range(x) for x in FAR_SAMPLES.values()])
+        # each block holds one sample scaled into range and the same far sample
+        blocks = [np.stack([y, x]) for x, y in zip(FAR_SAMPLES.values(), rows)]
+        t = thresholds_for(spec, 10)
+        set_cpus(3)
+        decided = _simulate([(len(blocks), lambda b: reject_rows(spec, blocks[b], t))])[0]
+        expected = [run_test(spec, y).reject for y in rows]
+        assert decided.reshape(-1, 2).tolist() == [[r, r] for r in expected]
+
+    @pytest.mark.parametrize("value", [5e-324, 1e-310, 1e-200, 0.3, 1.0, 1e300, -1.7e308])
+    @pytest.mark.parametrize("spec", [JB, KS], ids=BASELINE_KINDS)
+    def test_degenerate_means_all_values_equal(self, spec, value):
+        constant = np.full(10, value)  # ten 0.3s have a nonzero computed variance
+        with pytest.raises(ValueError, match=r"degenerate \(all values equal\)"):
+            run_test(spec, constant)
+        with pytest.raises(ValueError, match="degenerate"):
+            reject_rows(spec, constant[None, :], thresholds_for(spec, 10))
+        assert not testing._accepted_rows(spec.kind, constant[None, :]).any()
+        # one value a step away is a sample, decided like any other
+        nearly = np.r_[constant[:9], np.nextafter(value, np.inf)]
+        out = run_test(spec, nearly)
+        assert np.isfinite(out.statistic)
+        assert out == run_test(spec, _into_range(nearly))
