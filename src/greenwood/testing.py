@@ -30,11 +30,19 @@ ks_normality    Gaussian           D_n >= q       simulated (1 - c)
   ``null_spec``, with the level split evenly between the tails.
 * ``jarque_bera`` is the moment-based normality test and ``ks_normality``
   the Kolmogorov-Smirnov distance to the normal fitted by moments. Their
-  Monte Carlo critical values are simulated on a fixed internal seed and
-  cached per ``(kind, n, c, M)``, so they need no table. Each is one job of
-  the block engine (:func:`greenwood.critical._simulate`): the statistic is
-  computed in place in each block, and the values are reduced to the
-  quantile in block order, so a threshold does not depend on the CPU count.
+  Monte Carlo critical values come from M = 100000 replications on a fixed
+  internal seed, so they need no table. The package ships them for every
+  n from 8 to 100, n = 150, 200, 250, 300, 400, 500, 750 and 1000, and
+  c = 0.01, 0.025, 0.05 and 0.1, in ``baselines.json``, which is read on
+  the first baseline threshold a process needs. Any other ``(n, c)`` is
+  simulated as one job of the block engine
+  (:func:`greenwood.critical._simulate`): the statistic is computed in
+  place in each block, and the values are reduced to the quantile in block
+  order, so a threshold does not depend on the CPU count. Either way a
+  threshold is cached per ``(kind, n, c, M)``, and a packaged value is the
+  bits its simulation gives: :func:`baseline_table` simulates the whole
+  grid again, and ``baseline_table().save("src/greenwood/baselines.json")``,
+  run from the repository root, rebuilds the file.
 
 :func:`reject_rows` decides many samples at once and always reaches the
 decision :func:`run_test` reaches on each of them.
@@ -43,12 +51,22 @@ decision :func:`run_test` reaches on each of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
+from importlib import resources
 
 import numpy as np
 
-from .critical import QuantileTable, _sample_job, _simulate, empirical_quantile
-from .distributions import GPD, DistributionSpec, Gaussian, StudentT
+from .critical import (
+    ESTIMATOR_ID,
+    RNG_LAYOUT,
+    QuantileTable,
+    TableRequest,
+    _sample_job,
+    _simulate,
+    empirical_quantile,
+    quantile_record,
+)
+from .distributions import GPD, DistributionSpec, Gaussian, StudentT, params_dict
 from .rng import RngStream
 from .statistic import (
     _modified_greenwood_rows,
@@ -66,6 +84,7 @@ __all__ = [
     "BASELINE_MIN_N",
     "TestOutcome",
     "TestSpec",
+    "baseline_table",
     "ks_distance",
     "null_for",
     "reject_rows",
@@ -96,6 +115,9 @@ _KINDS = {
 
 _BASELINE_SEED = 271828182845
 _BASELINE_REPLICATIONS = 100000
+# the (n, c) grid of the packaged thresholds, at M = _BASELINE_REPLICATIONS
+_PACKAGED_N = (*range(BASELINE_MIN_N, 101), 150, 200, 250, 300, 400, 500, 750, 1000)
+_PACKAGED_C = (0.01, 0.025, 0.05, 0.1)
 # batch statistic values this close (relative) to a threshold are decided
 # again on the scalar path; the two paths differ by a few ulps at most
 _TIE_BAND = 1e-12
@@ -236,25 +258,82 @@ def ks_distance(probs) -> float:
     return float(_sup_distance(u))
 
 
+def _baseline_job(kind: str, n: int, replications: int) -> tuple:
+    """The :func:`_simulate` job of ``kind``'s statistic over standard normal samples.
+
+    Both baseline statistics are location-scale free, so standard normal
+    draws suffice. Block ``b`` of ``(kind, n)`` is substream
+    ``(kind_code << 56) + (n << 16) + b`` of the fixed internal seed, clear
+    of the blocks of ``n + 1`` while there are fewer than 2**16 of them: at
+    M = 100000, for n <= 32768. Beyond that, a threshold's one-row blocks
+    run into the substreams of ``n + 1``.
+    """
+    stream = RngStream(_BASELINE_SEED, (BASELINE_KINDS.index(kind) << 56) + (n << 16))
+    kernel = partial(_BASELINE_VALUES[kind], overwrite_input=True)
+    return _sample_job(GAUSSIAN_NULL, n, replications, stream, kernel)
+
+
+def _baseline_params(kind: str) -> dict:
+    """The key fields of ``kind``'s entries beyond family ``gaussian``."""
+    return {**params_dict(GAUSSIAN_NULL), "statistic": kind}
+
+
+@cache
+def _packaged_table() -> QuantileTable:
+    """The thresholds shipped in ``baselines.json``, read once per process."""
+    with resources.as_file(resources.files("greenwood") / "baselines.json") as path:
+        return QuantileTable.load(path)
+
+
 def _baseline_threshold(kind: str, n: int, c: float, replications: int) -> float:
     """Upper-tail Monte Carlo critical value for a baseline statistic.
 
-    Simulated once per ``(kind, n, c, M)`` on a fixed internal seed and cached
-    for the process lifetime; both baseline statistics are location-scale
-    free, so standard normal draws suffice. The blocks of ``(kind, n)`` come
-    from substreams ``(kind_code << 56) | (n << 16) | b`` of that seed.
+    Cached per ``(kind, n, c, M)`` for the process lifetime. At the default
+    M a key that ``baselines.json`` holds is read from it; any other key is
+    simulated as the job of :func:`_baseline_job`, which gives the packaged
+    values too.
     """
     key = (kind, n, c, replications)
     cached = _baseline_cache.get(key)
     if cached is not None:
         return cached
-    kind_code = BASELINE_KINDS.index(kind)
-    stream = RngStream(_BASELINE_SEED, (kind_code << 56) | (n << 16))
-    kernel = partial(_BASELINE_VALUES[kind], overwrite_input=True)
-    values = _simulate([_sample_job(GAUSSIAN_NULL, n, replications, stream, kernel)])[0]
-    thr = empirical_quantile(values, 1.0 - c)
+    params = _baseline_params(kind)
+    table = _packaged_table() if replications == _BASELINE_REPLICATIONS else None
+    if table is not None and table.has("gaussian", params, n, c, "upper"):
+        thr = table.value("gaussian", params, n, c, "upper")
+    else:
+        values = _simulate([_baseline_job(kind, n, replications)])[0]
+        thr = empirical_quantile(values, 1.0 - c)
     _baseline_cache[key] = thr
     return thr
+
+
+def baseline_table() -> QuantileTable:
+    """Simulate the packaged baseline thresholds again, as one :func:`_simulate` call.
+
+    The grid is both kinds at every packaged ``(n, c)``, at M = 100000; each
+    ``(kind, n)`` is the job :func:`_baseline_threshold` simulates on a
+    miss, so every value is the bits that path gives. The metadata record
+    M, the internal seed, the RNG layout, the estimator and the numpy
+    version, since numpy does not promise stable ``Generator`` streams
+    across versions.
+    """
+    keys = [(kind, n) for kind in BASELINE_KINDS for n in _PACKAGED_N]
+
+    def records(j, values):
+        kind, n = keys[j]
+        requests = (TableRequest(GAUSSIAN_NULL, n, c, "upper") for c in _PACKAGED_C)
+        return [quantile_record(r, _baseline_params(kind), values) for r in requests]
+
+    jobs = [_baseline_job(kind, n, _BASELINE_REPLICATIONS) for kind, n in keys]
+    metadata = {
+        "M": _BASELINE_REPLICATIONS,
+        "master_seed": _BASELINE_SEED,
+        "rng_layout": RNG_LAYOUT,
+        "estimator": ESTIMATOR_ID,
+        "numpy_version": np.__version__,
+    }
+    return QuantileTable(metadata, [rec for group in _simulate(jobs, records) for rec in group])
 
 
 def _baseline_sample(sample) -> np.ndarray:
@@ -314,7 +393,7 @@ def _rejects(kind: str, s, t: tuple):
 
 
 def thresholds_for(spec: TestSpec, n: int) -> tuple:
-    """Thresholds of ``spec`` at sample size ``n``: simulated (baselines) or from its table."""
+    """Thresholds of ``spec`` at sample size ``n``: from its table, or a baseline's own."""
     kind, c, table, extra = spec.kind, spec.c, spec.table, spec.extra_params
     if n != int(n):
         raise ValueError(f"n must be an integer, got {n!r}")

@@ -705,6 +705,39 @@ class TestGlobalBehavior:
         assert threads_on_import == 1
         assert threads_after_run == 1
 
+    def test_only_a_baseline_threshold_reads_the_packaged_file(self, workdir, tmp_path):
+        # baselines.json is read on the first baseline threshold a process
+        # needs, so mg commands and tests never pay for loading it
+        code = (
+            "import sys\n"
+            "opened = []\n"
+            "sys.addaudithook(lambda ev, args: ev == 'open' and opened.append(str(args[0])))\n"
+            "import numpy as np, greenwood.cli\n"
+            "from greenwood import QuantileTable, TestSpec, run_test\n"
+            "heavy, table, signal, out = sys.argv[1:]\n"
+            "for argv in (\n"
+            "    ['quantiles', '--family', 'gaussian', '--n', '10', '--reps', '1000'],\n"
+            "    ['analyze', '--mode', 'time', '--table', table, '--input', signal,"
+            " '--segment-length', '50'],\n"
+            "):\n"
+            "    assert greenwood.cli.main(argv + ['--out', out]) == 0, argv\n"
+            "x = np.loadtxt(heavy)\n"
+            "run_test(TestSpec('mg2', 0.05, QuantileTable.load(table)), x)\n"
+            "reads = [sum(p.endswith('baselines.json') for p in opened)]\n"
+            "for kind in ('jarque_bera', 'ks_normality'):\n"
+            "    run_test(TestSpec(kind), x)\n"
+            "    reads.append(sum(p.endswith('baselines.json') for p in opened))\n"
+            "print(reads)\n"
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", code, str(workdir / "heavy.csv"),
+                str(workdir / "raw_table.json"), str(workdir / "signal.bin"), str(tmp_path / "out"),
+            ],
+            env=_env_with_package(), capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "[0, 1, 1]"
+
     def test_spectrogram_null_leaves_no_helper_thread(self, tmp_path):
         code = (
             "import sys, threading, greenwood.cli\n"
@@ -1083,9 +1116,9 @@ def fuzz_files(workdir):
 
 # (good, bad) values of each flag in a generated command line. Most values
 # are good, so that most lines get past parsing and reach the command. The
-# levels and lengths are few, so the baseline thresholds (simulated once per
-# (n, c) in a process) stay cheap. Sample sizes and replications are small
-# but span several blocks, so quantiles and power lines run the threaded
+# levels and lengths are few, so the baseline thresholds (read or simulated
+# once per (n, c) in a process) stay cheap. Sample sizes and replications are
+# small but span several blocks, so quantiles and power lines run the threaded
 # engine, and mg3_gpd on stable or Gaussian data fails inside it.
 _INPUTS = (["{heavy}", "{signal}", "{short}"],
            ["{multi}", "{nan}", "{garbage}", "{truncated}", "{table}", "{missing}"])

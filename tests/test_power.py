@@ -241,7 +241,12 @@ class TestThreadedStudies:
     def test_exports_are_identical_for_any_helper_count(
         self, quick_gaussian_table, set_cpus, monkeypatch, tmp_path, kind
     ):
-        spec = TestSpec(kind, 0.05, quick_gaussian_table if kind == "mg2" else None)
+        # Jarque-Bera at a level baselines.json does not hold, so that its
+        # thresholds are simulated, on the helper threads under test
+        if kind == "mg2":
+            spec = TestSpec(kind, 0.05, quick_gaussian_table)
+        else:
+            spec = TestSpec(kind, 0.07)
         # n = 50 gives 5 blocks of 1310 rows per grid point
         cfg = PowerStudyConfig(spec, "stable", (1.5, 2.0), (10, 50), 6000, 4242)
         files = []

@@ -4,12 +4,21 @@ Rejection geometry is pinned with tiny hand-built tables whose thresholds are
 binary-exact, so tie behaviour can be asserted with == comparisons.
 """
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 from scipy import special, stats
 
 from greenwood import testing
-from greenwood.critical import QuantileTable, TableCoverageError, _simulate
+from greenwood.critical import (
+    ESTIMATOR_ID,
+    RNG_LAYOUT,
+    QuantileTable,
+    TableCoverageError,
+    _simulate,
+)
 from greenwood.distributions import Stable
 from greenwood.rng import RngStream
 from greenwood.testing import (
@@ -351,3 +360,75 @@ class TestBaselinesAtAnyMagnitude:
         out = run_test(spec, nearly)
         assert np.isfinite(out.statistic)
         assert out == run_test(spec, _into_range(nearly))
+
+
+def _packaged_doc() -> dict:
+    """``baselines.json`` as an installed package ships it."""
+    return json.loads((resources.files("greenwood") / "baselines.json").read_text("utf-8"))
+
+
+class TestPackagedBaselines:
+    """The shipped Jarque-Bera and KS thresholds are the ones the package simulates."""
+
+    M = 100000
+
+    def test_file_ships_with_the_package_and_records_how_it_was_made(self):
+        doc = _packaged_doc()
+        meta = doc["metadata"]
+        assert meta["M"] == self.M
+        assert meta["master_seed"] == testing._BASELINE_SEED
+        assert meta["rng_layout"] == RNG_LAYOUT
+        assert meta["estimator"] == ESTIMATOR_ID
+        assert "numpy_version" in meta
+        keys = {(e["params"]["statistic"], e["n"], e["c"]) for e in doc["entries"]}
+        grid = {
+            (kind, n, c)
+            for kind in BASELINE_KINDS
+            for n in testing._PACKAGED_N
+            for c in testing._PACKAGED_C
+        }
+        assert len(doc["entries"]) == len(grid) == 808
+        assert keys == grid
+        assert {(e["family"], e["side"]) for e in doc["entries"]} == {("gaussian", "upper")}
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_packaged_values_are_the_simulated_bits(self, kind, monkeypatch):
+        packaged = QuantileTable.from_json_dict(_packaged_doc())
+        monkeypatch.setattr(testing, "_baseline_cache", {})
+        monkeypatch.setattr(testing, "_packaged_table", lambda: QuantileTable({}, []))  # all miss
+        params = {**GAUSS_PARAMS, "statistic": kind}
+        for n in range(8, 13):
+            for c in testing._PACKAGED_C:
+                expected = packaged.value("gaussian", params, n, c, "upper")
+                assert testing._baseline_threshold(kind, n, c, self.M) == expected, (n, c)
+
+    @pytest.mark.parametrize("n, c", [(101, 0.05), (10, 0.07)])
+    def test_keys_off_the_grid_are_simulated_and_cached(self, n, c, monkeypatch):
+        monkeypatch.setattr(testing, "_baseline_cache", {})
+        calls = []
+
+        def counted(jobs, reduce=None):
+            calls.append(len(jobs))
+            return _simulate(jobs, reduce)
+
+        monkeypatch.setattr(testing, "_simulate", counted)
+        t = testing._baseline_threshold("jarque_bera", n, c, self.M)
+        assert calls == [1]
+        assert testing._baseline_cache == {("jarque_bera", n, c, self.M): t}
+        assert thresholds_for(TestSpec("jarque_bera", c), n) == (t,)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_keys_on_the_grid_are_read_not_simulated(self, kind, monkeypatch):
+        monkeypatch.setattr(testing, "_baseline_cache", {})
+
+        def refused(jobs, reduce=None):
+            raise AssertionError("a packaged threshold was simulated")
+
+        monkeypatch.setattr(testing, "_simulate", refused)
+        params = {**GAUSS_PARAMS, "statistic": kind}
+        packaged = testing._packaged_table()
+        for n, c in [(8, 0.01), (100, 0.1), (1000, 0.05)]:
+            t = packaged.value("gaussian", params, n, c, "upper")
+            assert thresholds_for(TestSpec(kind, c), n) == (t,)
+        assert testing._packaged_table() is packaged  # read once
