@@ -41,7 +41,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 import numpy.ma  # noqa: F401  (np.quantile imports it on its first call)
@@ -465,12 +464,7 @@ class QuantileTable:
         return cls.from_json_dict(doc)
 
 
-def build_quantile_table(
-    requests,
-    replications: int,
-    rng: RngStream,
-    created_at: str | None = None,
-) -> QuantileTable:
+def build_quantile_table(requests, replications: int, rng: RngStream) -> QuantileTable:
     """Estimate every requested quantile and pack the results into a table.
 
     Requests sharing ``(spec, n)`` reuse one simulated null distribution.
@@ -499,7 +493,7 @@ def build_quantile_table(
         for g, (spec, n) in enumerate(keys)
     ]
     entries = [rec for group in _simulate(jobs, records) for rec in group]
-    return QuantileTable(table_metadata(replications, rng, created_at), entries)
+    return QuantileTable(table_metadata(replications, rng), entries)
 
 
 def quantile_record(request: TableRequest, params: dict, values) -> dict:
@@ -519,16 +513,18 @@ def quantile_record(request: TableRequest, params: dict, values) -> dict:
     }
 
 
-def table_metadata(m: int, rng: RngStream, created_at: str | None, **extra) -> dict:
-    """Table provenance: ``m`` pooled values per entry, the stream and its layout, the estimator."""
+def table_metadata(m: int, rng: RngStream, **extra) -> dict:
+    """Table provenance: ``m`` pooled values per entry, the stream and its layout, the estimator.
+
+    It also holds the numpy version, since numpy does not promise the same
+    ``Generator`` streams across versions, and nothing that changes between runs.
+    """
     return {
         "M": m,
         "master_seed": rng.master_seed,
         "stream_id": rng.stream_id,
         "rng_layout": RNG_LAYOUT,
         "estimator": ESTIMATOR_ID,
-        "created_at": created_at
-        if created_at is not None
-        else datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "numpy_version": np.__version__,
         **extra,
     }

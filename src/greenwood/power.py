@@ -98,9 +98,9 @@ class PowerStudyConfig:
             data_spec(self.data_family, p)  # fail fast on invalid grid values
 
     def to_json_dict(self) -> dict:
-        kind, null = self.test.kind, self.test.null_spec
-        if kind not in BASELINE_KINDS:  # the null an mg test is calibrated under
-            null = null_for(kind, null)
+        kind = self.test.kind
+        # the null an mg test is calibrated under; a baseline records none
+        null = None if kind in BASELINE_KINDS else null_for(kind, self.test.null_spec)
         return {
             "test_kind": kind,
             "c": self.test.c,

@@ -433,7 +433,6 @@ def build_spectrogram_quantile_table(
     f_min: float | None = None,
     f_max: float | None = None,
     sample_rate: float = 1.0,
-    created_at: str | None = None,
 ) -> QuantileTable:
     """Quantile table for the time-frequency path, one entry per ``(c, side)``.
 
@@ -468,7 +467,7 @@ def build_spectrogram_quantile_table(
         base_spec, window_length, beta, overlap, signal_length
     )
     records = [quantile_record(r, params, values) for r in requests]
-    metadata = table_metadata(int(values.size), rng, created_at, signals=signals)
+    metadata = table_metadata(int(values.size), rng, signals=signals)
     return QuantileTable(metadata, records)
 
 

@@ -57,14 +57,13 @@ from importlib import resources
 import numpy as np
 
 from .critical import (
-    ESTIMATOR_ID,
-    RNG_LAYOUT,
     QuantileTable,
     TableRequest,
     _sample_job,
     _simulate,
     empirical_quantile,
     quantile_record,
+    table_metadata,
 )
 from .distributions import GPD, DistributionSpec, Gaussian, StudentT, params_dict
 from .rng import RngStream
@@ -207,7 +206,7 @@ def _jb_values(x: np.ndarray, overwrite_input: bool = False) -> np.ndarray:
         m3 = np.mean(d, axis=1)
         d2 *= d2
         m4 = np.mean(d2, axis=1)
-        skew = m3 / m2**1.5
+        skew = m3 / (m2 * np.sqrt(m2))  # numpy's m2**1.5 has other bits on AVX-512
         kurt = m4 / (m2 * m2)
         out = n * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
     far = ~(np.isfinite(m4) & (m4 >= _MOMENT_LOW))
@@ -313,10 +312,8 @@ def baseline_table() -> QuantileTable:
 
     The grid is both kinds at every packaged ``(n, c)``, at M = 100000; each
     ``(kind, n)`` is the job :func:`_baseline_threshold` simulates on a
-    miss, so every value is the bits that path gives. The metadata record
-    M, the internal seed, the RNG layout, the estimator and the numpy
-    version, since numpy does not promise stable ``Generator`` streams
-    across versions.
+    miss, so every value is the bits that path gives. The metadata are
+    :func:`~greenwood.critical.table_metadata` of the internal seed.
     """
     keys = [(kind, n) for kind in BASELINE_KINDS for n in _PACKAGED_N]
 
@@ -326,13 +323,7 @@ def baseline_table() -> QuantileTable:
         return [quantile_record(r, _baseline_params(kind), values) for r in requests]
 
     jobs = [_baseline_job(kind, n, _BASELINE_REPLICATIONS) for kind, n in keys]
-    metadata = {
-        "M": _BASELINE_REPLICATIONS,
-        "master_seed": _BASELINE_SEED,
-        "rng_layout": RNG_LAYOUT,
-        "estimator": ESTIMATOR_ID,
-        "numpy_version": np.__version__,
-    }
+    metadata = table_metadata(_BASELINE_REPLICATIONS, RngStream(_BASELINE_SEED))
     return QuantileTable(metadata, [rec for group in _simulate(jobs, records) for rec in group])
 
 

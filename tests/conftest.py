@@ -60,12 +60,7 @@ def acceptance_requests():
 
 @pytest.fixture(scope="session")
 def acceptance_table():
-    return build_quantile_table(
-        acceptance_requests(),
-        ACCEPTANCE_M,
-        RngStream(ACCEPTANCE_SEED),
-        created_at="fixed",
-    )
+    return build_quantile_table(acceptance_requests(), ACCEPTANCE_M, RngStream(ACCEPTANCE_SEED))
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +72,7 @@ def quick_gaussian_table():
         for c in (0.05, 0.01)
         for side in ("lower", "upper")
     ]
-    return build_quantile_table(requests, 2000, RngStream(1101), created_at="fixed")
+    return build_quantile_table(requests, 2000, RngStream(1101))
 
 
 @pytest.fixture

@@ -54,7 +54,7 @@ def workdir(tmp_path_factory):
         for n in (10, 50, 100)
         for side in ("lower", "upper")
     ]
-    table = build_quantile_table(requests, 1000, RngStream(66), created_at="fixed")
+    table = build_quantile_table(requests, 1000, RngStream(66))
     table.save(d / "raw_table.json")
 
     heavy = RngStream(67).generator().standard_cauchy(50)
@@ -62,7 +62,6 @@ def workdir(tmp_path_factory):
     write_signal(d / "signal.bin", Signal(RngStream(68).generator().standard_cauchy(300)))
     tf = build_spectrogram_quantile_table(
         Gaussian(0.0, 1.0), [(0.05, "upper")], 300, 32, 5.0, 0, 2, RngStream(70),
-        created_at="fixed",
     )
     tf.save(d / "tf_table.json")
     return d
@@ -173,6 +172,22 @@ class TestQuantilesCommand:
         assert rec["params"]["domain"] == "spectrogram"
         assert rec["n"] == 6  # (200 - 32) // 32 + 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n", "10,50", "--reps", "1000"],
+            ["--domain", "spectrogram", "--window-length", "32", "--signal-length", "200",
+             "--signals", "3"],
+        ],
+        ids=["raw", "spectrogram"],
+    )
+    def test_rebuild_writes_the_same_bytes(self, tmp_path, args):
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            argv = ["quantiles", "--family", "gaussian", *args, "--seed", "3", "--out", str(out)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_spectrogram_domain_needs_geometry(self, tmp_path, capsys):
         rc = main(
             [
@@ -228,9 +243,7 @@ class TestTestCommand:
     )
     def test_samples_at_the_ends_of_the_float_range(self, tmp_path, capsys, sample, expected):
         request = TableRequest(Gaussian(0.0, 1.0), 3, 0.05, "upper")
-        build_quantile_table([request], 1000, RngStream(69), created_at="fixed").save(
-            tmp_path / "t.json"
-        )
+        build_quantile_table([request], 1000, RngStream(69)).save(tmp_path / "t.json")
         np.savetxt(tmp_path / "x.csv", sample)
         rc = main(
             ["test", "--kind", "mg2", "--table", str(tmp_path / "t.json"),
@@ -1094,9 +1107,7 @@ def fuzz_files(workdir):
         TableRequest(spec, n, c, side)
         for spec, sides in nulls for n in (10, 50) for c in (0.05, 0.025) for side in sides
     ]
-    build_quantile_table(requests, 1000, RngStream(71), created_at="fixed").save(
-        d / "mg_table.json"
-    )
+    build_quantile_table(requests, 1000, RngStream(71)).save(d / "mg_table.json")
     return {
         "{heavy}": str(workdir / "heavy.csv"),
         "{table}": str(workdir / "raw_table.json"),

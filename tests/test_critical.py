@@ -33,9 +33,12 @@ from greenwood.critical import (
 from greenwood.distributions import GPD, Gaussian, Stable, StudentT, params_dict, sample
 from greenwood.power import PowerStudyConfig, run_power_study, size_check
 from greenwood.rng import RngStream
-from greenwood.signal import estimate_spectrogram_null
+from greenwood.signal import build_spectrogram_quantile_table, estimate_spectrogram_null
 from greenwood.statistic import modified_greenwood_batch
 from greenwood.testing import TestSpec
+
+# the metadata every table records (table_metadata); no field varies between runs
+PROVENANCE = {"M", "master_seed", "stream_id", "rng_layout", "estimator", "numpy_version"}
 
 _SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 _JSON = st.recursive(
@@ -175,7 +178,7 @@ class TestThreadedEngine:
         docs = []
         for k in CPU_COUNTS:
             set_cpus(k)
-            table = build_quantile_table(requests, 6000, RngStream(16), created_at="fixed")
+            table = build_quantile_table(requests, 6000, RngStream(16))
             docs.append(json.dumps(table.to_json_dict(), sort_keys=True))
         assert docs[1:] == docs[:1] * 3
 
@@ -338,7 +341,7 @@ class TestOneSchedule:
             for c, side in ((0.05, "upper"), (0.01, "lower"))
         ]
         set_cpus(3)
-        table = build_quantile_table(requests, 3000, RngStream(21), created_at="fixed")
+        table = build_quantile_table(requests, 3000, RngStream(21))
         set_cpus(1)
         reference = []
         for g in range(4):
@@ -414,8 +417,8 @@ class TestBuildTable:
         )
 
     def test_rebuild_is_bit_identical(self):
-        a = build_quantile_table(_small_requests(), 2000, RngStream(5), created_at="x")
-        b = build_quantile_table(_small_requests(), 2000, RngStream(5), created_at="x")
+        a = build_quantile_table(_small_requests(), 2000, RngStream(5))
+        b = build_quantile_table(_small_requests(), 2000, RngStream(5))
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_duplicate_requests_rejected(self):
@@ -468,10 +471,35 @@ class TestTableRoundTrip:
         table.save(path)
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
-        assert set(doc["metadata"]) >= {"M", "master_seed", "estimator", "created_at"}
+        assert set(doc["metadata"]) == PROVENANCE
         assert doc["metadata"]["rng_layout"] == RNG_LAYOUT == 3
         entry = doc["entries"][0]
         assert set(entry) == {"family", "params", "n", "c", "side", "value"}
+
+    def test_every_table_records_the_one_provenance(self):
+        tf = build_spectrogram_quantile_table(
+            Gaussian(0.0, 1.0), [(0.05, "upper")], 300, 32, 5.0, 0, 2, RngStream(70)
+        )
+        assert set(tf.metadata) == PROVENANCE | {"signals"}
+        packaged = testing._packaged_table().metadata
+        assert set(packaged) == PROVENANCE
+        assert (packaged["M"], packaged["master_seed"], packaged["stream_id"]) == (
+            testing._BASELINE_REPLICATIONS, testing._BASELINE_SEED, 0
+        )
+
+    def test_table_written_with_a_timestamp_still_loads(self, tmp_path):
+        # tables used to record their creation time, and no numpy version
+        table = build_quantile_table(_small_requests(), 2000, RngStream(3))
+        doc = table.to_json_dict()
+        del doc["metadata"]["numpy_version"]
+        doc["metadata"]["created_at"] = "2026-10-19T10:11:46+00:00"
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        loaded = QuantileTable.load(path)
+        assert loaded.metadata == doc["metadata"]
+        for r in table.records:
+            key = (r["family"], r["params"], r["n"], r["c"], r["side"])
+            assert loaded.value(*key) == r["value"]
 
     def test_infinite_parameter_round_trip(self):
         rec = {

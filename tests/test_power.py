@@ -316,6 +316,13 @@ class TestSerialization:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.csv.json").read_bytes() == (tmp_path / "b.csv.json").read_bytes()
 
+    @pytest.mark.parametrize("kind", testing.BASELINE_KINDS)
+    def test_baseline_sidecar_records_no_null(self, kind):
+        # a baseline records none whether or not the caller names its own null
+        for null in (None, testing.GAUSSIAN_NULL):
+            cfg = PowerStudyConfig(TestSpec(kind, null_spec=null), "stable", (1.5,), (10,), 100, 1)
+            assert cfg.to_json_dict()["null"] is None
+
     def test_missing_sidecar_yields_empty_config(self, quick_gaussian_table, tmp_path):
         curve = self._curve(quick_gaussian_table)
         path = tmp_path / "curve.csv"

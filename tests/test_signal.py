@@ -303,7 +303,7 @@ class TestBatchMatchesRunTest:
                 (StudentT(2), 0.05, "lower"),
             )
         ]
-        return build_quantile_table(requests, 1000, RngStream(4040), created_at="fixed")
+        return build_quantile_table(requests, 1000, RngStream(4040))
 
     def _spec(self, kind, table):
         if kind in BASELINE_KINDS:
@@ -527,7 +527,6 @@ class TestSpectrogramNulls:
             RngStream(31415),
             f_min=self.BAND[0],
             f_max=self.BAND[1],
-            created_at="fixed",
         )
 
     def _rows(self, x):

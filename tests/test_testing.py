@@ -260,7 +260,7 @@ def _jb_reference(x):
     m2 = np.mean(d2, axis=1)
     m3 = np.mean(d2 * d, axis=1)
     m4 = np.mean(d2 * d2, axis=1)
-    skew = m3 / m2**1.5
+    skew = m3 / (m2 * np.sqrt(m2))
     kurt = m4 / (m2 * m2)
     return n * (skew**2 / 6.0 + (kurt - 3.0) ** 2 / 24.0)
 
