@@ -38,12 +38,10 @@ import math
 import os
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.quantile imports it on its first call)
 
 from .distributions import DistributionSpec, family_tag, params_dict, sample
 from .rng import RngStream
@@ -100,14 +98,17 @@ def _simulate(jobs, reduce=None) -> list:
     come from :func:`_sample_job`.
 
     The calling thread and ``min(CPUs, pairs) - 1`` helper threads claim the
-    ``(job, block)`` pairs of all jobs, job-major, from one iterator. A job
-    is reduced by the thread that finishes its last outstanding block, and
-    its block results are dropped then, so at any time only the jobs with a
-    block in flight, plus the one whose blocks are being claimed, hold
-    values. A failing pair stops further claims; once the pairs already
-    claimed are done, the failure of the lowest pair is raised, which is the
-    one a serial loop would raise. Neither the values nor the error raised
-    depend on the CPU count.
+    ``(job, block)`` pairs of all jobs, job-major, from one iterator. The
+    helpers are plain ``threading.Thread`` objects, started just before the
+    calling thread's own claims and joined before the call returns or
+    raises, so no thread outlives the call; with one CPU or one pair none
+    is started. A job is reduced by the thread that finishes its last
+    outstanding block, and its block results are dropped then, so at any
+    time only the jobs with a block in flight, plus the one whose blocks are
+    being claimed, hold values. A failing pair stops further claims; once
+    the pairs already claimed are done, the failure of the lowest pair is
+    raised, which is the one a serial loop would raise. Neither the values
+    nor the error raised depend on the CPU count.
     """
     parts = [[None] * blocks for blocks, _ in jobs]
     outstanding = [blocks for blocks, _ in jobs]
@@ -135,20 +136,23 @@ def _simulate(jobs, reduce=None) -> list:
                 return
             try:
                 run(*pair)
-            except Exception as exc:
+            except BaseException as exc:  # raised below, once every helper is joined
                 errors[pair] = exc
                 stop.set()
 
-    helpers = min(_cpu_count(), sum(outstanding)) - 1
-    with ThreadPoolExecutor(max(1, helpers)) as pool:  # starts no thread unless submitted to
-        futures = [pool.submit(drain) for _ in range(helpers)]
-        try:
-            drain()
-        except BaseException:  # an interrupt: the helpers claim nothing more
-            stop.set()
-            raise
-    for f in futures:
-        f.result()
+    helpers = []
+    try:
+        for _ in range(min(_cpu_count(), sum(outstanding)) - 1):
+            helper = threading.Thread(target=drain, daemon=True)
+            helper.start()
+            helpers.append(helper)
+        drain()
+    except BaseException:  # an interrupt, or a helper that cannot start: no more claims
+        stop.set()
+        raise
+    finally:
+        for t in helpers:
+            t.join()
     if errors:
         raise errors[min(errors)]
     return results
@@ -260,17 +264,35 @@ def write_json(path, doc) -> None:
 
 
 def empirical_quantile(values, p: float) -> float:
-    """Order-statistic quantile with linear interpolation (type 7).
+    """Order-statistic quantile with linear interpolation (Hyndman & Fan type 7).
 
-    ``h = (m - 1) p + 1`` on the sorted values; the result always lies inside
-    ``[min(values), max(values)]``.
+    The bits of ``np.quantile(values, p, method="linear")``, found by
+    partition rather than by sorting, with numpy's arithmetic step for step.
+    With ``m`` values, ``h = (m - 1) * p`` in float64, ``lo = floor(h)`` and
+    ``hi = min(lo + 1, m - 1)``; ``a`` and ``b`` are the order statistics of
+    ranks ``lo`` and ``hi`` (counted from 0), ``t = h - lo`` and ``d = b - a``.
+    The result is ``b - d * (1 - t)`` when ``t >= 0.5`` and ``a + d * t``
+    otherwise. Rank ``m - 1`` is placed by the same partition, and a NaN
+    there, which is where a NaN sorts, makes the result NaN. A zero result
+    may differ from numpy's in sign only, as which of ``-0.0`` and ``0.0``
+    lands on a rank depends on the partition call. The result always lies
+    inside ``[min(values), max(values)]``.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("values must be a nonempty one-dimensional array")
     if not (0.0 < float(p) < 1.0):
         raise ValueError("p must lie strictly between 0 and 1")
-    return float(np.quantile(x, float(p), method="linear"))
+    m = x.size
+    h = (m - 1) * float(p)
+    lo = math.floor(h)
+    hi = min(lo + 1, m - 1)
+    ranked = np.partition(x, sorted({lo, hi, m - 1}))
+    if math.isnan(ranked[-1]):
+        return float(ranked[-1])
+    a, b = float(ranked[lo]), float(ranked[hi])
+    t, d = h - lo, b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
 
 def estimate_null_distribution(

@@ -683,9 +683,12 @@ class TestSpectrogramCommand:
 class TestGlobalBehavior:
     def test_import_loads_no_scipy(self, workdir, tmp_path):
         # scipy is loaded by the Kolmogorov-Smirnov baseline only; the numpy
-        # submodules it used to load as a side effect are imported with the
-        # package instead. No thread starts on import, and a run's helper
-        # threads are all joined.
+        # submodules it used to load as a side effect, and that the commands
+        # use, are imported with the package instead. Quantiles are taken
+        # without np.quantile, which would load numpy.ma, and the engine's
+        # helpers are plain threads, so neither numpy.ma nor
+        # concurrent.futures (nor the logging it loads) is ever imported. No
+        # thread starts on import, and a run's helper threads are all joined.
         code = (
             "import json, sys, threading, greenwood, greenwood.cli\n"
             "modules, threads = sorted(sys.modules), threading.active_count()\n"
@@ -699,6 +702,7 @@ class TestGlobalBehavior:
             " '--grid', '1.5,2', '--n', '10,50', '--reps', '300'],\n"
             "    ['analyze', '--mode', 'time', '--table', table, '--input', signal,"
             " '--segment-length', '50'],\n"
+            "    ['test', '--kind', 'jarque_bera', '--input', heavy],\n"
             "):\n"
             "    assert greenwood.cli.main(argv + ['--out', out]) == 0, argv\n"
             "print(json.dumps([modules, sorted(sys.modules), threads, threading.active_count()]))\n"
@@ -714,7 +718,10 @@ class TestGlobalBehavior:
             proc.stdout.splitlines()[-1]
         )
         assert sorted(m for m in after_run if m == "scipy" or m.startswith("scipy.")) == []
-        assert {"numpy.random", "numpy.ma", "numpy.fft"} <= set(on_import)
+        assert {"numpy.random", "numpy.fft"} <= set(on_import)
+        idle = {"numpy.ma", "concurrent.futures", "logging"}
+        assert idle.isdisjoint(on_import)
+        assert idle.isdisjoint(after_run)
         assert threads_on_import == 1
         assert threads_after_run == 1
 

@@ -92,6 +92,57 @@ class TestEmpiricalQuantile:
             q = empirical_quantile(x, p)
             assert x.min() <= q <= x.max()
 
+    # table levels, the ends of the open interval, and levels at which
+    # h = (m - 1) p is whole or has fraction 0.5 at some of the sizes below
+    EXACT_LEVELS = (
+        0.5, 0.25, 0.75, 0.125, 1 / 3, 2 / 3, 0.001, 0.01, 0.025, 0.05, 0.1,
+        0.9, 0.95, 0.975, 0.99, 0.999, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0),
+    )
+
+    @staticmethod
+    def _assert_numpy_bits(x, p, label):
+        expected = float(np.quantile(x, p, method="linear"))
+        got = empirical_quantile(x, p)
+        if expected == 0.0:  # which signed zero lands on a rank depends on the partition
+            assert got == 0.0, (label, x.size, p)
+        else:
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (label, x.size, p)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 999, 1000, 1001, 65536, 100000])
+    def test_numpy_linear_bits(self, m):
+        g = RngStream(402).generator()
+        samples = {
+            "normal": g.standard_normal(m),
+            "cauchy": g.standard_cauchy(m),
+            "ties": g.integers(-2, 3, m).astype(np.float64),
+            "signed zeros": np.copysign(g.integers(0, 2, m), g.standard_normal(m)),
+        }
+        with_inf = g.standard_normal(m)
+        with_inf[g.choice(m, max(1, m // 10), replace=False)] = np.inf
+        with_inf[g.choice(m, m // 20, replace=False)] = -np.inf
+        samples["infinities"] = with_inf
+        for label, x in samples.items():
+            whole = (j / (m - 1) for j in (1, m // 3, m - 2)) if m > 2 else ()
+            half = ((j + 0.5) / (m - 1) for j in (0, m // 2, m - 2)) if m > 1 else ()
+            for p in (*self.EXACT_LEVELS, *whole, *half):
+                if 0.0 < p < 1.0:
+                    with np.errstate(invalid="ignore"):  # inf - inf inside numpy's lerp
+                        self._assert_numpy_bits(x, p, label)
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 1001, 100000])
+    def test_a_nan_gives_nan(self, m):
+        x = RngStream(403).generator().standard_normal(m)
+        x[m // 2] = np.nan
+        for p in (0.01, 0.5, 0.99):
+            assert math.isnan(np.quantile(x, p, method="linear"))
+            assert math.isnan(empirical_quantile(x, p))
+
+    def test_input_is_not_reordered(self):
+        x = RngStream(404).generator().standard_normal(1000)
+        before = x.copy()
+        empirical_quantile(x, 0.95)
+        assert x.tobytes() == before.tobytes()
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             empirical_quantile([], 0.5)
@@ -184,12 +235,12 @@ class TestThreadedEngine:
 
     @pytest.mark.parametrize("kind", ["jarque_bera", "ks_normality"])
     def test_baseline_threshold_is_identical_for_any_helper_count(
-        self, set_cpus, monkeypatch, kind
+        self, set_cpus, forget_baselines, kind
     ):
         thresholds = []
         for k in CPU_COUNTS:
             set_cpus(k)
-            monkeypatch.setattr(testing, "_baseline_cache", {})
+            forget_baselines()
             thresholds.append(testing._baseline_threshold(kind, 20, 0.05, 20000))  # 7 blocks
         assert thresholds[1:] == thresholds[:1] * 3
 
@@ -353,11 +404,11 @@ class TestOneSchedule:
             reference += [quantile_record(r, params_dict(spec), values) for r in members]
         assert json.dumps(table.records) == json.dumps(reference)
 
-    def test_every_monte_carlo_loop_runs_on_one_simulate_call(self, monkeypatch):
+    def test_every_monte_carlo_loop_runs_on_one_simulate_call(self, monkeypatch, forget_baselines):
         # _simulate reads the CPU count once per call, and nothing else reads it
         calls = []
         monkeypatch.setattr(critical, "_cpu_count", lambda: calls.append(1) or 1)
-        monkeypatch.setattr(testing, "_baseline_cache", {})
+        forget_baselines()
         gauss, rng = Gaussian(0.0, 1.0), RngStream(22)
         requests = [TableRequest(gauss, n, 0.05, "upper") for n in (10, 20)]
         spec = TestSpec("mg2", 0.05, build_quantile_table(requests, 1000, rng))
