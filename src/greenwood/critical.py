@@ -107,8 +107,10 @@ def _simulate(jobs, reduce=None) -> list:
     time only the jobs with a block in flight, plus the one whose blocks are
     being claimed, hold values. A failing pair stops further claims; once
     the pairs already claimed are done, the failure of the lowest pair is
-    raised, which is the one a serial loop would raise. Neither the values
-    nor the error raised depend on the CPU count.
+    raised, which is the one a serial loop would raise; an interrupt or an
+    exit (an error that is not an ``Exception``) is raised ahead of any
+    failure. Neither the values nor the error raised depend on the CPU
+    count.
     """
     parts = [[None] * blocks for blocks, _ in jobs]
     outstanding = [blocks for blocks, _ in jobs]
@@ -147,14 +149,14 @@ def _simulate(jobs, reduce=None) -> list:
             helper.start()
             helpers.append(helper)
         drain()
-    except BaseException:  # an interrupt, or a helper that cannot start: no more claims
+    except BaseException:  # a helper that cannot start, or an interrupt between claims
         stop.set()
         raise
     finally:
         for t in helpers:
             t.join()
-    if errors:
-        raise errors[min(errors)]
+    if errors:  # an interrupt or exit before any failure, else the lowest pair's
+        raise min(errors.items(), key=lambda e: (isinstance(e[1], Exception), e[0]))[1]
     return results
 
 

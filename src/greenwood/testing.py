@@ -38,13 +38,11 @@ ks_normality    Gaussian           D_n >= q       simulated (1 - c)
   simulated as one job of the block engine
   (:func:`greenwood.critical._simulate`): the statistic is computed in
   place in each block, and the values are reduced to the quantile in block
-  order, so a threshold does not depend on the CPU count. The values of the
-  last simulated ``(kind, n, M)`` are kept, so its other levels are read
-  from them. Either way a threshold is cached per ``(kind, n, c, M)``, and
-  a packaged value is the bits its simulation gives: :func:`baseline_table`
-  simulates the whole grid again, and
-  ``baseline_table().save("src/greenwood/baselines.json")``, run from the
-  repository root, rebuilds the file.
+  order, so a threshold does not depend on the CPU count. Either way a
+  threshold is cached per ``(kind, n, c, M)``, and a packaged value is the
+  bits its simulation gives: :func:`baseline_table` simulates the whole
+  grid again, and ``baseline_table().save("src/greenwood/baselines.json")``,
+  run from the repository root, rebuilds the file.
 
 :func:`reject_rows` decides many samples at once and always reaches the
 decision :func:`run_test` reaches on each of them.
@@ -53,7 +51,7 @@ decision :func:`run_test` reaches on each of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -292,8 +290,8 @@ def _baseline_threshold(kind: str, n: int, c: float, replications: int) -> float
 
     Cached per ``(kind, n, c, M)`` for the process lifetime. At the default
     M a key that ``baselines.json`` holds is read from it; any other key is
-    the quantile of the values of :func:`_baseline_values`, which gives the
-    packaged values too.
+    simulated as the job of :func:`_baseline_job`, which gives the packaged
+    values too.
     """
     key = (kind, n, c, replications)
     cached = _baseline_cache.get(key)
@@ -304,20 +302,10 @@ def _baseline_threshold(kind: str, n: int, c: float, replications: int) -> float
     if table is not None and table.has("gaussian", params, n, c, "upper"):
         thr = table.value("gaussian", params, n, c, "upper")
     else:
-        thr = empirical_quantile(_baseline_values(kind, n, replications), 1.0 - c)
+        values = _simulate([_baseline_job(kind, n, replications)])[0]
+        thr = empirical_quantile(values, 1.0 - c)
     _baseline_cache[key] = thr
     return thr
-
-
-@lru_cache(maxsize=1)
-def _baseline_values(kind: str, n: int, replications: int) -> np.ndarray:
-    """The simulated values of the job :func:`_baseline_job` makes, kept for the last job only.
-
-    The job has no level in it, so the thresholds of every level of one
-    ``(kind, n, M)`` come from one simulation when they are asked in a row,
-    while at most one job's values (800 KB at M = 100000) stay in memory.
-    """
-    return _simulate([_baseline_job(kind, n, replications)])[0]
 
 
 def baseline_table() -> QuantileTable:

@@ -8,7 +8,7 @@ before freezing.
 
 import pytest
 
-from greenwood import critical, testing
+from greenwood import critical
 from greenwood.critical import TableRequest, build_quantile_table
 from greenwood.distributions import GPD, Gaussian, Stable, StudentT
 from greenwood.rng import RngStream
@@ -84,15 +84,3 @@ def set_cpus(monkeypatch):
         monkeypatch.setattr(critical, "_cpu_count", lambda: k)
 
     return set_count
-
-
-@pytest.fixture
-def forget_baselines(monkeypatch):
-    """Empty the process's baseline threshold cache and its kept job values,
-    so that the next threshold off the packaged grid is simulated."""
-
-    def forget() -> None:
-        monkeypatch.setattr(testing, "_baseline_cache", {})
-        testing._baseline_values.cache_clear()
-
-    return forget

@@ -758,6 +758,24 @@ class TestGlobalBehavior:
         )
         assert proc.stdout.splitlines()[-1] == "[0, 1, 1]"
 
+    def test_only_a_baseline_threshold_imports_importlib_resources(self, workdir):
+        # about 5 ms of a cold start where site does not load it; run without
+        # site, which may load it through a .pth file, with numpy on the path
+        env = _env_with_package()
+        env["PYTHONPATH"] += os.pathsep + str(Path(np.__file__).resolve().parents[1])
+        code = (
+            "import sys, numpy as np, greenwood.cli\n"
+            "from greenwood import TestSpec, run_test\n"
+            "loaded = ['importlib.resources' in sys.modules]\n"
+            "run_test(TestSpec('jarque_bera'), np.loadtxt(sys.argv[1]))\n"
+            "print(loaded + ['importlib.resources' in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(workdir / "heavy.csv")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "[False, True]"
+
     def test_spectrogram_null_leaves_no_helper_thread(self, tmp_path):
         code = (
             "import sys, threading, greenwood.cli\n"

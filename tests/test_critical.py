@@ -235,12 +235,12 @@ class TestThreadedEngine:
 
     @pytest.mark.parametrize("kind", ["jarque_bera", "ks_normality"])
     def test_baseline_threshold_is_identical_for_any_helper_count(
-        self, set_cpus, forget_baselines, kind
+        self, set_cpus, monkeypatch, kind
     ):
         thresholds = []
         for k in CPU_COUNTS:
             set_cpus(k)
-            forget_baselines()
+            monkeypatch.setattr(testing, "_baseline_cache", {})
             thresholds.append(testing._baseline_threshold(kind, 20, 0.05, 20000))  # 7 blocks
         assert thresholds[1:] == thresholds[:1] * 3
 
@@ -288,6 +288,31 @@ class TestThreadedEngine:
         before = threading.active_count()
         with pytest.raises(ValueError, match="^block 1$"):
             _simulate([_sample_job(spec, n, reps, rng, first_column)])
+        assert threading.active_count() == before
+
+    def test_interrupt_in_the_calling_thread_outranks_a_helper_failure(self, set_cpus):
+        # the helper fails on a lower pair than the one the calling thread is
+        # interrupted in, and the caller still sees the interrupt
+        caller = threading.current_thread()
+        helper_in, caller_in, helper_failed = (threading.Event() for _ in range(3))
+
+        def block(b):
+            if threading.current_thread() is not caller:
+                helper_in.set()
+                caller_in.wait(5)
+                helper_failed.set()
+                raise ValueError(f"block {b}")
+            if b == 0:  # the helper claims the next pair first
+                helper_in.wait(5)
+                return np.zeros(1)
+            caller_in.set()
+            helper_failed.wait(5)
+            raise KeyboardInterrupt
+
+        set_cpus(2)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            _simulate([(3, block)])
         assert threading.active_count() == before
 
 
@@ -404,11 +429,11 @@ class TestOneSchedule:
             reference += [quantile_record(r, params_dict(spec), values) for r in members]
         assert json.dumps(table.records) == json.dumps(reference)
 
-    def test_every_monte_carlo_loop_runs_on_one_simulate_call(self, monkeypatch, forget_baselines):
+    def test_every_monte_carlo_loop_runs_on_one_simulate_call(self, monkeypatch):
         # _simulate reads the CPU count once per call, and nothing else reads it
         calls = []
         monkeypatch.setattr(critical, "_cpu_count", lambda: calls.append(1) or 1)
-        forget_baselines()
+        monkeypatch.setattr(testing, "_baseline_cache", {})
         gauss, rng = Gaussian(0.0, 1.0), RngStream(22)
         requests = [TableRequest(gauss, n, 0.05, "upper") for n in (10, 20)]
         spec = TestSpec("mg2", 0.05, build_quantile_table(requests, 1000, rng))

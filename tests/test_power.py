@@ -239,7 +239,7 @@ class TestThreadedStudies:
 
     @pytest.mark.parametrize("kind", ["mg2", "jarque_bera"])
     def test_exports_are_identical_for_any_helper_count(
-        self, quick_gaussian_table, set_cpus, forget_baselines, tmp_path, kind
+        self, quick_gaussian_table, set_cpus, monkeypatch, tmp_path, kind
     ):
         # Jarque-Bera at a level baselines.json does not hold, so that its
         # thresholds are simulated, on the helper threads under test
@@ -252,7 +252,7 @@ class TestThreadedStudies:
         files = []
         for k in self.CPU_COUNTS:
             set_cpus(k)
-            forget_baselines()
+            monkeypatch.setattr(testing, "_baseline_cache", {})
             path = tmp_path / f"{k}.csv"
             export_curve(run_power_study(cfg), path)
             files.append((path.read_bytes(), (tmp_path / f"{k}.csv.json").read_bytes()))

@@ -363,18 +363,6 @@ class TestBaselinesAtAnyMagnitude:
         assert out == run_test(spec, _into_range(nearly))
 
 
-def _count_simulations(monkeypatch) -> list:
-    """The number of jobs of each ``_simulate`` call ``testing`` makes from now on."""
-    calls = []
-
-    def counted(jobs, reduce=None):
-        calls.append(len(jobs))
-        return _simulate(jobs, reduce)
-
-    monkeypatch.setattr(testing, "_simulate", counted)
-    return calls
-
-
 def _packaged_doc() -> dict:
     """``baselines.json`` as an installed package ships it."""
     return json.loads((resources.files("greenwood") / "baselines.json").read_text("utf-8"))
@@ -405,36 +393,36 @@ class TestPackagedBaselines:
         assert {(e["family"], e["side"]) for e in doc["entries"]} == {("gaussian", "upper")}
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
-    def test_packaged_values_are_the_simulated_bits(self, kind, monkeypatch, forget_baselines):
+    def test_packaged_values_are_the_simulated_bits(self, kind, monkeypatch):
+        # every level of a (kind, n) is a quantile of one job's values, so
+        # each job is simulated once; one level also takes the miss path
         packaged = QuantileTable.from_json_dict(_packaged_doc())
-        forget_baselines()
-        monkeypatch.setattr(testing, "_packaged_table", lambda: QuantileTable({}, []))  # all miss
         params = {**GAUSS_PARAMS, "statistic": kind}
         for n in range(8, 13):
+            values = _simulate([testing._baseline_job(kind, n, self.M)])[0]
             for c in testing._PACKAGED_C:
                 expected = packaged.value("gaussian", params, n, c, "upper")
-                assert testing._baseline_threshold(kind, n, c, self.M) == expected, (n, c)
+                assert empirical_quantile(values, 1.0 - c) == expected, (n, c)
+        monkeypatch.setattr(testing, "_baseline_cache", {})
+        monkeypatch.setattr(testing, "_packaged_table", lambda: QuantileTable({}, []))  # all miss
+        expected = packaged.value("gaussian", params, 10, 0.05, "upper")
+        assert testing._baseline_threshold(kind, 10, 0.05, self.M) == expected
 
     @pytest.mark.parametrize("n, c", [(101, 0.05), (10, 0.07)])
-    def test_keys_off_the_grid_are_simulated_and_cached(self, n, c, monkeypatch, forget_baselines):
-        forget_baselines()
-        calls = _count_simulations(monkeypatch)
+    def test_keys_off_the_grid_are_simulated_and_cached(self, n, c, monkeypatch):
+        monkeypatch.setattr(testing, "_baseline_cache", {})
+        calls = []
+
+        def counted(jobs, reduce=None):
+            calls.append(len(jobs))
+            return _simulate(jobs, reduce)
+
+        monkeypatch.setattr(testing, "_simulate", counted)
         t = testing._baseline_threshold("jarque_bera", n, c, self.M)
         assert calls == [1]
         assert testing._baseline_cache == {("jarque_bera", n, c, self.M): t}
         assert thresholds_for(TestSpec("jarque_bera", c), n) == (t,)
         assert calls == [1]
-
-    def test_levels_of_one_job_share_one_simulation(self, monkeypatch, forget_baselines):
-        # the stream of a (kind, n, M) job has no level in it, so one
-        # simulation answers all its levels with the bits of its own quantiles
-        forget_baselines()
-        calls = _count_simulations(monkeypatch)
-        levels = (0.01, 0.025, 0.05, 0.1)
-        got = [testing._baseline_threshold("jarque_bera", 101, c, self.M) for c in levels]
-        assert calls == [1]
-        values = _simulate([testing._baseline_job("jarque_bera", 101, self.M)])[0]
-        assert got == [empirical_quantile(values, 1.0 - c) for c in levels]
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_keys_on_the_grid_are_read_not_simulated(self, kind, monkeypatch):
