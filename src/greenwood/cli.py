@@ -50,7 +50,7 @@ from .signal import (
     spectrogram,
     spectrogram_null_params,
 )
-from .testing import BASELINE_KINDS, BASELINE_MIN_N, MG_KINDS, TestSpec, null_for, run_test
+from .testing import BASELINE_KINDS, BASELINE_MIN_N, MG_KINDS, TestSpec, run_test
 
 __all__ = ["main"]
 
@@ -210,13 +210,13 @@ def _load_table(path) -> QuantileTable:
 def _test_spec(args) -> TestSpec:
     """The ``--kind`` test at level ``--c`` with its ``--table`` and null.
 
-    The null is the kind's fixed one, or the ``--family`` spec for a kind
-    without one; the baselines record none.
+    The spec holds its kind's null: the fixed one, or for ``mg_two_sided``
+    the ``--family`` spec.
     """
     table = _load_table(args.table) if args.table else None
     if args.kind in MG_KINDS and table is None:
         raise _UsageError(f"--table is required for kind {args.kind}")
-    null = (null_for(args.kind) or _family_spec(args)) if args.kind in MG_KINDS else None
+    null = _family_spec(args) if args.kind == "mg_two_sided" else None
     with _flag_values():
         return TestSpec(kind=args.kind, c=args.c, table=table, null_spec=null)
 

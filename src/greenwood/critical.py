@@ -187,7 +187,6 @@ class TableCoverageError(KeyError):
     """Raised when a quantile table has no entry for the requested key."""
 
     def __init__(self, family: str, params: dict, n: int, c: float, side: str):
-        self.key = (family, dict(params), n, c, side)
         super().__init__(
             f"no table entry for family={family} params={params} n={n} c={c} side={side}"
         )
@@ -310,11 +309,11 @@ def estimate_null_distribution(
 
 def _null_job(spec: DistributionSpec, n: int, replications: int, rng: RngStream) -> tuple:
     """The :func:`_simulate` job whose values are the statistic over ``replications`` samples."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if n != int(n) or n < 2:
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
     if replications < 1000:
         raise ValueError("replications must be at least 1000")
-    return _sample_job(spec, n, replications, rng, _statistic)
+    return _sample_job(spec, int(n), replications, rng, _statistic)
 
 
 def _statistic(block):
@@ -332,6 +331,7 @@ class TableRequest:
 
     def __post_init__(self) -> None:
         _check_entry(self.n, self.c, self.side)
+        object.__setattr__(self, "n", int(self.n))
 
 
 def _check_entry(n, c: float, side: str) -> None:

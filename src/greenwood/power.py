@@ -37,7 +37,6 @@ from .testing import (
     BASELINE_KINDS,
     BASELINE_MIN_N,
     TestSpec,
-    null_for,
     reject_rows,
     thresholds_for,
 )
@@ -90,6 +89,7 @@ class PowerStudyConfig:
             raise ValueError(f"sample sizes must not repeat, got {self.sample_sizes}")
         if any(n != int(n) or n < 2 for n in self.sample_sizes):
             raise ValueError(f"sample sizes must be integers of at least 2, got {self.sample_sizes}")
+        object.__setattr__(self, "sample_sizes", tuple(map(int, self.sample_sizes)))
         if self.test.kind in BASELINE_KINDS and any(n < BASELINE_MIN_N for n in self.sample_sizes):
             raise ValueError(f"baseline tests need at least {BASELINE_MIN_N} observations")
         if self.replications < 100:
@@ -100,7 +100,7 @@ class PowerStudyConfig:
     def to_json_dict(self) -> dict:
         kind = self.test.kind
         # the null an mg test is calibrated under; a baseline records none
-        null = None if kind in BASELINE_KINDS else null_for(kind, self.test.null_spec)
+        null = None if kind in BASELINE_KINDS else self.test.null_spec
         return {
             "test_kind": kind,
             "c": self.test.c,
@@ -150,7 +150,8 @@ def run_power_study(config: PowerStudyConfig) -> PowerCurve:
     is reduced to its rejection count as soon as its last block is decided.
     """
     test, reps = config.test, config.replications
-    thresholds = {n: thresholds_for(test, n) for n in config.sample_sizes}
+    for n in config.sample_sizes:
+        thresholds_for(test, n)
     rng = RngStream(config.master_seed)
     grid = [(param, n) for param in config.parameter_grid for n in config.sample_sizes]
     jobs = [
@@ -159,7 +160,7 @@ def run_power_study(config: PowerStudyConfig) -> PowerCurve:
             n,
             reps,
             rng.substream(g * GROUP_STRIDE),
-            partial(reject_rows, test, thresholds=thresholds[n]),
+            partial(reject_rows, test),
         )
         for g, (param, n) in enumerate(grid)
     ]
@@ -178,7 +179,7 @@ def size_check(test: TestSpec, n: int, replications: int, rng: RngStream) -> flo
     """
     if replications < 100:
         raise ValueError("replications must be at least 100")
-    return _rejection_rate(test, null_for(test.kind, test.null_spec), n, replications, rng)
+    return _rejection_rate(test, test.null_spec, n, replications, rng)
 
 
 def _rejection_rate(
@@ -189,8 +190,8 @@ def _rejection_rate(
     Block ``b`` of replications is drawn from ``rng.substream(b)`` and
     decided in batch by :func:`~greenwood.testing.reject_rows`.
     """
-    decide = partial(reject_rows, test, thresholds=thresholds_for(test, n))
-    job = _sample_job(spec, n, replications, rng, decide)
+    thresholds_for(test, n)  # before any draw; it also checks that n is an integer
+    job = _sample_job(spec, int(n), replications, rng, partial(reject_rows, test))
     return _simulate([job], _rejections)[0] / replications
 
 

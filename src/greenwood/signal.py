@@ -58,11 +58,10 @@ from .statistic import modified_greenwood_batch
 from .testing import (
     TestOutcome,
     TestSpec,
-    _accepted_rows,
+    _block_thresholds,
     _rejects,
     _statistic_rows,
     run_test,
-    thresholds_for,
 )
 
 __all__ = [
@@ -323,12 +322,12 @@ def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> Batc
     first unit that :func:`run_test` refuses, in unit order, raises the
     error ``run_test`` raises for it.
 
-    Units that stack into one 2-D array, all of whose rows ``run_test``
-    accepts, are decided in one pass: the thresholds are read once and the
-    statistic values are computed in blocks of about ``BLOCK_VALUES``
-    values, with the row kernels that reproduce the scalar statistic
-    exactly, as one :func:`greenwood.critical._simulate` job on every CPU.
-    Any other input goes through ``run_test`` unit by unit.
+    Units that stack into one 2-D array are decided in one pass: the
+    thresholds are read once and the statistic values are computed in
+    blocks of about ``BLOCK_VALUES`` values, with the row kernels that
+    reproduce the scalar statistic exactly, as one
+    :func:`greenwood.critical._simulate` job on every CPU. Any other input
+    goes through ``run_test`` unit by unit.
     """
     if domain not in ("time", "time-frequency"):
         raise ValueError("domain must be 'time' or 'time-frequency'")
@@ -349,11 +348,11 @@ def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> Batc
         x = np.ascontiguousarray(units, dtype=np.float64)
     except (TypeError, ValueError):  # ragged units, or units that are not numbers
         x = None
-    if x is None or x.ndim != 2 or not _accepted_rows(kind, x).all():
+    if x is None or x.ndim != 2:
         outcomes = [run_test(test, unit) for unit in units]
     else:
         n = x.shape[1]
-        t = thresholds_for(test, n)
+        t = _block_thresholds(test, x)
         kernel = _statistic_rows(kind)
         rows = max(1, BLOCK_VALUES // n)
         s = _simulate([(-(-count // rows), lambda b: kernel(x[b * rows : (b + 1) * rows]))])[0]

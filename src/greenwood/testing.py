@@ -7,17 +7,17 @@ threshold(s) with :func:`thresholds_for` and compares, as in
 ``run_test(TestSpec("mg2", 0.05, table), x)``. Ties reject, so every
 rejection region is closed.
 
-==============  =================  =============  ====================
+==============  =================  =============  =============================
 kind            null               rejects when   threshold
-==============  =================  =============  ====================
+==============  =================  =============  =============================
 mg1             Gaussian           S_n <= q       table (c, lower)
 mg2             Gaussian           S_n >= q       table (c, upper)
 mg3_gpd         GPD, gamma = 0.5   S_n <= q       table (c, lower)
 mg4_student_t   Student t, nu = 2  S_n <= q       table (c, lower)
 mg_two_sided    ``null_spec``      outside [l,u]  table (c/2, both)
-jarque_bera     Gaussian           JB >= q        simulated (1 - c)
-ks_normality    Gaussian           D_n >= q       simulated (1 - c)
-==============  =================  =============  ====================
+jarque_bera     Gaussian           JB >= q        packaged or simulated (1 - c)
+ks_normality    Gaussian           D_n >= q       packaged or simulated (1 - c)
+==============  =================  =============  =============================
 
 * ``mg1`` and ``mg2`` test Gaussianity one-sided: ``mg2`` rejects for large
   ``S_n``, the heavy-tail direction, and ``mg1`` for small ``S_n``.
@@ -84,7 +84,6 @@ __all__ = [
     "TestSpec",
     "baseline_table",
     "ks_distance",
-    "null_for",
     "reject_rows",
     "run_test",
     "thresholds_for",
@@ -157,10 +156,10 @@ class TestSpec:
     """A test kind bound to its level, table and (where needed) null spec.
 
     ``table`` is required for the mg kinds and ignored by the baselines.
-    ``null_spec`` is required for ``mg_two_sided``; every other kind has a
-    fixed null (see :func:`null_for`), and ``null_spec`` must be None or
-    equal to it. ``extra_params`` widens the table key (the spectrogram
-    pipeline uses this to keep time-frequency nulls separate from raw ones).
+    ``null_spec`` holds the null the kind is calibrated under: the given one
+    for ``mg_two_sided``, which requires it, else the kind's fixed null,
+    which a given one must equal. ``extra_params`` widens the table key (the
+    spectrogram pipeline uses this to keep time-frequency nulls separate).
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -179,11 +178,12 @@ class TestSpec:
         if self.kind in MG_KINDS and self.table is None:
             raise ValueError(f"kind {self.kind!r} requires a quantile table")
         fixed = _KINDS[self.kind][0]
-        if fixed is None:
-            if self.null_spec is None:
-                raise ValueError(f"{self.kind} requires a null spec")
-        elif self.null_spec not in (None, fixed):
-            raise ValueError(f"{self.kind} is calibrated under {fixed!r}, not {self.null_spec!r}")
+        null = self.null_spec if fixed is None else fixed
+        if null is None:
+            raise ValueError(f"{self.kind} requires a null spec")
+        if self.null_spec not in (None, null):
+            raise ValueError(f"{self.kind} is calibrated under {null!r}, not {self.null_spec!r}")
+        object.__setattr__(self, "null_spec", null)
 
 
 # --------------------------------------------------------------------------
@@ -351,16 +351,6 @@ def _varies(x: np.ndarray) -> np.ndarray:
 # dispatch
 
 
-def null_for(kind: str, null_spec: DistributionSpec | None = None) -> DistributionSpec | None:
-    """The null ``kind`` is calibrated under: its fixed one, else ``null_spec``.
-
-    Only ``mg_two_sided`` has no fixed null; for it the result is
-    ``null_spec``, which may be None.
-    """
-    null = _KINDS[kind][0]
-    return null_spec if null is None else null
-
-
 def _statistic(kind: str, sample) -> tuple:
     """``(value, n)`` of the statistic ``kind`` decides on."""
     if kind in BASELINE_KINDS:
@@ -390,8 +380,8 @@ def thresholds_for(spec: TestSpec, n: int) -> tuple:
     if n != int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
     if kind in BASELINE_KINDS:
-        return (_baseline_threshold(kind, n, c, _BASELINE_REPLICATIONS),)
-    null, side = null_for(kind, spec.null_spec), _KINDS[kind][1]
+        return (_baseline_threshold(kind, int(n), c, _BASELINE_REPLICATIONS),)
+    null, side = spec.null_spec, _KINDS[kind][1]
     if side == "both":
         return (
             table.value_for(null, n, c / 2.0, "lower", extra),
@@ -424,25 +414,33 @@ def _statistic_rows(kind: str):
     return _BASELINE_VALUES.get(kind, _modified_greenwood_rows)
 
 
-def reject_rows(spec: TestSpec, rows, thresholds: tuple) -> np.ndarray:
+def _block_thresholds(spec: TestSpec, x: np.ndarray) -> tuple:
+    """``thresholds_for(spec, n)`` of the 2-D block ``x`` of size-``n`` samples, or the
+    error :func:`run_test` on each row in turn raises first: the lookup's when an
+    accepted row comes before the first refused row, else that row's."""
+    refused = np.flatnonzero(~_accepted_rows(spec.kind, x))
+    if refused.size and refused[0] == 0:
+        run_test(spec, x[0])  # raises before any lookup
+    t = thresholds_for(spec, x.shape[1])
+    if refused.size:
+        run_test(spec, x[refused[0]])  # raises once the lookup has passed
+    return t
+
+
+def reject_rows(spec: TestSpec, rows) -> np.ndarray:
     """``run_test(spec, row).reject`` for every row of ``rows``, decided in batch.
 
-    ``thresholds`` are ``thresholds_for(spec, n)``. The batch statistic is
-    compared with them in one pass. A row is handed to :func:`run_test`
-    itself when that path would refuse it (so its ``ValueError`` surfaces),
-    when its batch value is not finite, or when that value lies within
-    1e-12 (relative) of a threshold, where the batch and scalar sums could
-    fall on different sides.
+    The batch statistic is compared with ``thresholds_for(spec, n)`` in one
+    pass, once any error :func:`run_test` raises on a row has surfaced. A
+    row is handed to :func:`run_test` itself when its batch value is not
+    finite, or when that value lies within 1e-12 (relative) of a threshold,
+    where the batch and scalar sums could fall on different sides.
     """
     x = np.asarray(rows, dtype=np.float64)
-    kind = spec.kind
-    clean = _accepted_rows(kind, x)
-    statistic = _BASELINE_VALUES.get(kind, modified_greenwood_batch)
-    s = np.full(len(x), np.nan)
-    s[clean] = statistic(x if clean.all() else x[clean])
-    t = np.asarray(thresholds, dtype=np.float64)
+    t = np.asarray(_block_thresholds(spec, x))
+    s = _BASELINE_VALUES.get(spec.kind, modified_greenwood_batch)(x)
     near = (np.abs(s[:, None] - t) <= _TIE_BAND * np.abs(t)).any(axis=1)
-    reject = _rejects(kind, s, thresholds)
+    reject = _rejects(spec.kind, s, t)
     for i in np.flatnonzero(near | ~np.isfinite(s)):
         reject[i] = run_test(spec, x[i]).reject
     return reject

@@ -43,7 +43,7 @@ from greenwood.signal import (
     spectrogram,
     write_signal,
 )
-from greenwood.testing import BASELINE_KINDS, MG_KINDS, TestSpec, null_for
+from greenwood.testing import BASELINE_KINDS, MG_KINDS, TestSpec
 
 
 @pytest.fixture(scope="module")
@@ -404,8 +404,8 @@ class TestPowerCommand:
 
     @pytest.mark.parametrize("kind", MG_KINDS + BASELINE_KINDS)
     def test_size_check_draws_from_the_recorded_null(self, kind, tmp_path):
-        two_sided_null = Stable(1.5, 1.0)
-        null = null_for(kind, two_sided_null)
+        two_sided_null = Stable(1.5, 1.0) if kind == "mg_two_sided" else None
+        null = TestSpec(kind, 0.05, QuantileTable({}, []), null_spec=two_sided_null).null_spec
         table = None
         args = ["--kind", kind]
         if kind == "mg_two_sided":

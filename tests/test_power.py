@@ -9,8 +9,10 @@ from greenwood import testing
 from greenwood.critical import (
     GROUP_STRIDE,
     QuantileTable,
+    TableRequest,
     _sample_job,
     _simulate,
+    build_quantile_table,
     estimate_null_distribution,
 )
 from greenwood.distributions import (
@@ -33,7 +35,7 @@ from greenwood.power import (
 )
 from greenwood.rng import RngStream
 from greenwood.statistic import modified_greenwood_batch
-from greenwood.testing import TestSpec, null_for, reject_rows, run_test, thresholds_for
+from greenwood.testing import TestSpec, reject_rows, run_test, thresholds_for
 
 
 def mg2_spec(table, c=0.05):
@@ -108,6 +110,35 @@ class TestConfigValidation:
             run_power_study(cfg)
 
 
+class TestIntegralFloatSampleSizes:
+    """A sample size given as an integral float runs as that int, to the byte."""
+
+    def _output(self, entry, n, table, tmp_path):
+        path = tmp_path / f"{entry}-{type(n).__name__}.out"
+        if entry == "table":
+            requests = [TableRequest(Gaussian(0.0, 1.0), n, 0.05, "upper")]
+            build_quantile_table(requests, 1000, RngStream(61)).save(path)
+        elif entry == "power":
+            cfg = PowerStudyConfig(mg2_spec(table), "stable", (1.5, 2.0), (n,), 200, 62)
+            export_curve(run_power_study(cfg), path)
+            return path.read_bytes(), (tmp_path / f"{path.name}.json").read_bytes()
+        elif entry == "size":
+            return size_check(mg2_spec(table), n, 200, RngStream(63))
+        elif entry == "null":
+            return estimate_null_distribution(Gaussian(0.0, 1.0), n, 1000, RngStream(64)).tobytes()
+        else:  # a Jarque-Bera threshold at n = 101, off the packaged grid: simulated
+            return thresholds_for(TestSpec("jarque_bera"), n + 91)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("entry", ["table", "power", "size", "null", "baseline"])
+    def test_same_output_as_the_int(self, entry, quick_gaussian_table, tmp_path, monkeypatch):
+        outputs = []
+        for n in (10.0, 10):
+            monkeypatch.setattr(testing, "_baseline_cache", {})
+            outputs.append(self._output(entry, n, quick_gaussian_table, tmp_path))
+        assert outputs[0] == outputs[1]
+
+
 class TestRunPowerStudy:
     def test_grid_points_and_rates(self, quick_gaussian_table):
         cfg = PowerStudyConfig(
@@ -179,7 +210,8 @@ def _tie_spec(kind, n, lower, upper, monkeypatch) -> TestSpec:
     if kind == "jarque_bera":
         monkeypatch.setitem(testing._baseline_cache, (kind, n, 0.05, 100000), upper)
         return TestSpec(kind, 0.05)
-    null = null_for(kind, Gaussian(0.0, 1.0))
+    two_sided_null = Gaussian(0.0, 1.0) if kind == "mg_two_sided" else None
+    null = TestSpec(kind, 0.05, QuantileTable({}, []), null_spec=two_sided_null).null_spec
     records = [
         {
             "family": family_tag(null), "params": params_dict(null), "n": n,
@@ -215,7 +247,7 @@ class TestBatchDecisions:
         spec = _tie_spec(kind, self.N, lower, upper, monkeypatch)
 
         expected = [run_test(spec, row).reject for row in rows]
-        got = reject_rows(spec, rows, thresholds_for(spec, self.N))
+        got = reject_rows(spec, rows)
         assert got.tolist() == expected
         assert _rejection_rate(spec, self.DATA, self.N, self.R, rng) == sum(expected) / self.R
 

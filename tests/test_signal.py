@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenwood import signal as signal_module
+from greenwood import testing
 from greenwood.critical import (
     QuantileTable,
     TableCoverageError,
@@ -45,7 +46,6 @@ from greenwood.testing import (
     TestSpec,
     reject_rows,
     run_test,
-    thresholds_for,
 )
 
 
@@ -390,6 +390,27 @@ class TestBatchMatchesRunTest:
             units[5:5] = bad
             self._check(units, self._spec(kind, table))
 
+    @pytest.mark.parametrize("kind", MG_KINDS)
+    def test_a_refused_last_unit_raises_before_any_scalar_statistic(self, table, kind, monkeypatch):
+        units = np.abs(RngStream(4045).generator().standard_cauchy((12, 10)))
+        units[-1] = np.nan
+        calls = []
+        scalar = testing.modified_greenwood
+        monkeypatch.setattr(testing, "modified_greenwood", lambda x: calls.append(x) or scalar(x))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            batch_test(units, self._spec(kind, table))
+        assert len(calls) == 1  # the refused unit's own
+
+    @pytest.mark.parametrize("kind", MG_KINDS)
+    def test_a_table_miss_is_raised_before_a_later_refused_unit(self, table, kind):
+        units = np.abs(RngStream(4046).generator().standard_cauchy((4, 11)))  # n = 11: no entry
+        units[2] = np.nan
+        spec = self._spec(kind, table)
+        error, message = self._check(units, spec)  # batch_test raises what the loop raises
+        assert error is TableCoverageError and "n=11" in message
+        units[0] = np.nan  # now a refused unit comes before any lookup
+        assert self._check(units, spec)[0] is ValueError
+
     def test_identical_on_any_cpu_count(self, table, set_cpus, monkeypatch):
         monkeypatch.setattr(signal_module, "BLOCK_VALUES", 40)  # 4 rows of 10 per block
         g = RngStream(4043).generator()
@@ -420,10 +441,9 @@ class TestBatchMatchesRunTest:
         # and from reject_rows run on a helper thread
         rows[33] = 2.5
         assert self._check(rows, spec) == (ValueError, "sample is degenerate (all values equal)")
-        t = thresholds_for(spec, 10)
         blocks = rows.reshape(10, 4, 10)
         with pytest.raises(ValueError, match="degenerate"):
-            _simulate([(10, lambda b: reject_rows(spec, blocks[b], t))])
+            _simulate([(10, lambda b: reject_rows(spec, blocks[b]))])
 
 
 class TestReportText:

@@ -27,7 +27,6 @@ from greenwood.testing import (
     MG_KINDS,
     TestSpec,
     ks_distance,
-    null_for,
     reject_rows,
     run_test,
     thresholds_for,
@@ -144,6 +143,24 @@ class TestSpecValidation:
                 with pytest.raises(ValueError, match="c must lie"):
                     TestSpec(kind, c, table, null if kind == "mg_two_sided" else None)
 
+    def test_spec_holds_its_kinds_null(self):
+        table = synthetic_table([("gaussian", GAUSS_PARAMS, 5, 0.05, "upper", 0.375)])
+        assert TestSpec("mg2", 0.05, table).null_spec == testing.GAUSSIAN_NULL
+        assert TestSpec("mg2", 0.05, table) == TestSpec(
+            "mg2", 0.05, table, null_spec=testing.GAUSSIAN_NULL
+        )
+        fixed = {
+            "mg1": testing.GAUSSIAN_NULL,
+            "mg3_gpd": testing.GPD_BOUNDARY,
+            "mg4_student_t": testing.STUDENT_T_BOUNDARY,
+            "jarque_bera": testing.GAUSSIAN_NULL,
+            "ks_normality": testing.GAUSSIAN_NULL,
+        }
+        for kind, null in fixed.items():
+            assert TestSpec(kind, 0.05, table).null_spec == null
+        two_sided = TestSpec("mg_two_sided", 0.05, table, null_spec=Stable(1.5, 1.0))
+        assert two_sided.null_spec == Stable(1.5, 1.0)
+
     def test_mg_kinds_require_table(self):
         with pytest.raises(ValueError, match="requires a quantile table"):
             TestSpec(kind="mg2")
@@ -161,7 +178,7 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="calibrated under"):
                 TestSpec(kind, 0.05, table, null_spec=Stable(1.5, 1.0))
         for kind in MG_KINDS[:4] + BASELINE_KINDS:  # every kind but mg_two_sided
-            null = null_for(kind)
+            null = TestSpec(kind, 0.05, table).null_spec
             assert TestSpec(kind, 0.05, table, null_spec=null).null_spec == null
 
 
@@ -297,7 +314,7 @@ class TestInPlaceKernels:
         monkeypatch.setitem(testing._baseline_cache, (kind, 20, 0.05, 100000), t)
         spec = TestSpec(kind, 0.05)
         before = rows.tobytes()
-        reject = reject_rows(spec, rows, (t,))
+        reject = reject_rows(spec, rows)
         assert rows.tobytes() == before
         assert reject[7]
         assert reject.tolist() == [run_test(spec, row).reject for row in rows]
@@ -341,9 +358,8 @@ class TestBaselinesAtAnyMagnitude:
         rows = np.array([_into_range(x) for x in FAR_SAMPLES.values()])
         # each block holds one sample scaled into range and the same far sample
         blocks = [np.stack([y, x]) for x, y in zip(FAR_SAMPLES.values(), rows)]
-        t = thresholds_for(spec, 10)
         set_cpus(3)
-        decided = _simulate([(len(blocks), lambda b: reject_rows(spec, blocks[b], t))])[0]
+        decided = _simulate([(len(blocks), lambda b: reject_rows(spec, blocks[b]))])[0]
         expected = [run_test(spec, y).reject for y in rows]
         assert decided.reshape(-1, 2).tolist() == [[r, r] for r in expected]
 
@@ -354,7 +370,7 @@ class TestBaselinesAtAnyMagnitude:
         with pytest.raises(ValueError, match=r"degenerate \(all values equal\)"):
             run_test(spec, constant)
         with pytest.raises(ValueError, match="degenerate"):
-            reject_rows(spec, constant[None, :], thresholds_for(spec, 10))
+            reject_rows(spec, constant[None, :])
         assert not testing._accepted_rows(spec.kind, constant[None, :]).any()
         # one value a step away is a sample, decided like any other
         nearly = np.r_[constant[:9], np.nextafter(value, np.inf)]
