@@ -309,11 +309,8 @@ def estimate_null_distribution(
 
 def _null_job(spec: DistributionSpec, n: int, replications: int, rng: RngStream) -> tuple:
     """The :func:`_simulate` job whose values are the statistic over ``replications`` samples."""
-    if n != int(n) or n < 2:
-        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
-    if replications < 1000:
-        raise ValueError("replications must be at least 1000")
-    return _sample_job(spec, int(n), replications, rng, _statistic)
+    n, replications = _whole("n", n, 2), _whole("replications", replications, 1000)
+    return _sample_job(spec, n, replications, rng, _statistic)
 
 
 def _statistic(block):
@@ -336,12 +333,21 @@ class TableRequest:
 
 def _check_entry(n, c: float, side: str) -> None:
     """Raise ValueError unless ``(n, c, side)`` can key a table entry."""
-    if n != int(n) or n < 2:
-        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
+    _whole("n", n, 2)
     if not (0.0 < c < 0.5):
         raise ValueError("c must lie in (0, 0.5)")
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}")
+
+
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int; a ValueError unless it is a whole number of at least ``least``."""
+    try:
+        if int(value) == value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
+        pass
+    raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def json_number(v):
@@ -497,6 +503,7 @@ def build_quantile_table(requests, replications: int, rng: RngStream) -> Quantil
     ``(requests, replications, rng)``. All groups share one block schedule,
     and each is reduced to its entries as soon as its last block is in.
     """
+    replications = _whole("replications", replications, 1000)
     seen = set()
     groups: dict[tuple, list[TableRequest]] = {}
     for r in requests:

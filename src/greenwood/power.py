@@ -27,6 +27,7 @@ from .critical import (
     RNG_LAYOUT,
     _sample_job,
     _simulate,
+    _whole,
     atomic_open,
     json_number,
     write_json,
@@ -36,6 +37,7 @@ from .rng import RngStream
 from .testing import (
     BASELINE_KINDS,
     BASELINE_MIN_N,
+    _BASELINE_SHORT,
     TestSpec,
     reject_rows,
     thresholds_for,
@@ -91,9 +93,8 @@ class PowerStudyConfig:
             raise ValueError(f"sample sizes must be integers of at least 2, got {self.sample_sizes}")
         object.__setattr__(self, "sample_sizes", tuple(map(int, self.sample_sizes)))
         if self.test.kind in BASELINE_KINDS and any(n < BASELINE_MIN_N for n in self.sample_sizes):
-            raise ValueError(f"baseline tests need at least {BASELINE_MIN_N} observations")
-        if self.replications < 100:
-            raise ValueError("replications must be at least 100")
+            raise ValueError(_BASELINE_SHORT)
+        object.__setattr__(self, "replications", _whole("replications", self.replications, 100))
         for p in self.parameter_grid:
             data_spec(self.data_family, p)  # fail fast on invalid grid values
 
@@ -177,8 +178,7 @@ def size_check(test: TestSpec, n: int, replications: int, rng: RngStream) -> flo
     For a well-calibrated test this sits near ``c`` up to binomial noise of
     order ``sqrt(c (1 - c) / replications)``.
     """
-    if replications < 100:
-        raise ValueError("replications must be at least 100")
+    replications = _whole("replications", replications, 100)
     return _rejection_rate(test, test.null_spec, n, replications, rng)
 
 

@@ -8,11 +8,11 @@ Long records are screened for heavy-tailed behavior two ways:
   each frequency row, each row being a sample of spectrogram values over
   time.
 
-:func:`batch_test` decides units that stack into one 2-D array, all of them
-accepted by :func:`greenwood.testing.run_test`, in one pass on the block
-engine on every CPU, with row kernels that reproduce the scalar statistic
-bit for bit. Anything else goes through ``run_test`` unit by unit. Either
-way the outcomes and errors are those of a loop of ``run_test`` calls.
+:func:`batch_test` decides units that stack into one 2-D array in one pass on
+the block engine on every CPU, with row kernels that reproduce the scalar
+statistic bit for bit; a unit :func:`greenwood.testing.run_test` refuses
+raises its error first. Other units go through ``run_test`` one by one.
+Either way the outcomes and errors are those of a loop of ``run_test`` calls.
 
 Spectrogram rows are nonnegative and distributed nothing like raw
 observations, so thresholds for the time-frequency path must come from nulls
@@ -47,6 +47,7 @@ from .critical import (
     QuantileTable,
     TableRequest,
     _simulate,
+    _whole,
     atomic_open,
     json_text,
     quantile_record,
@@ -326,8 +327,8 @@ def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> Batc
     thresholds are read once and the statistic values are computed in
     blocks of about ``BLOCK_VALUES`` values, with the row kernels that
     reproduce the scalar statistic exactly, as one
-    :func:`greenwood.critical._simulate` job on every CPU. Any other input
-    goes through ``run_test`` unit by unit.
+    :func:`greenwood.critical._simulate` job on every CPU. Units that do not
+    stack go through ``run_test`` unit by unit.
     """
     if domain not in ("time", "time-frequency"):
         raise ValueError("domain must be 'time' or 'time-frequency'")
@@ -407,8 +408,7 @@ def estimate_spectrogram_null(
     are pooled in signal order, so the result does not depend on the CPU
     count.
     """
-    if signals < 1:
-        raise ValueError("signals must be at least 1")
+    signals = _whole("signals", signals, 1)
     window = kaiser_window(window_length, beta)
 
     def one_signal(s):
@@ -466,7 +466,7 @@ def build_spectrogram_quantile_table(
         base_spec, window_length, beta, overlap, signal_length
     )
     records = [quantile_record(r, params, values) for r in requests]
-    metadata = table_metadata(int(values.size), rng, signals=signals)
+    metadata = table_metadata(int(values.size), rng, signals=int(signals))
     return QuantileTable(metadata, records)
 
 

@@ -44,8 +44,12 @@ ks_normality    Gaussian           D_n >= q       packaged or simulated (1 - c)
   grid again, and ``baseline_table().save("src/greenwood/baselines.json")``,
   run from the repository root, rebuilds the file.
 
-:func:`reject_rows` decides many samples at once and always reaches the
-decision :func:`run_test` reaches on each of them.
+A sample is refused with a ``ValueError`` by the first check it fails, in this
+order: ``mg3_gpd`` refuses a negative value; a sample needs 2 values (mg kinds)
+or ``BASELINE_MIN_N`` (baselines); every value must be finite; an mg kind needs
+a nonzero value, a baseline two different values. :func:`reject_rows` decides
+many samples at once and always reaches the decision :func:`run_test` reaches
+on each of them, or raises the error of the first one it refuses.
 """
 
 from __future__ import annotations
@@ -97,6 +101,7 @@ MG_KINDS = ("mg1", "mg2", "mg3_gpd", "mg4_student_t", "mg_two_sided")
 BASELINE_KINDS = ("jarque_bera", "ks_normality")
 # the smallest sample a baseline test decides on
 BASELINE_MIN_N = 8
+_BASELINE_SHORT = f"baseline tests need at least {BASELINE_MIN_N} observations"
 
 # kind -> (null it is calibrated under, tail that rejects); mg_two_sided takes
 # its null from the caller and rejects in both tails at c/2 each
@@ -328,40 +333,8 @@ def baseline_table() -> QuantileTable:
     return QuantileTable(metadata, [rec for group in _simulate(jobs, records) for rec in group])
 
 
-def _baseline_sample(sample) -> np.ndarray:
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("sample must be one-dimensional")
-    if x.size < BASELINE_MIN_N:
-        raise ValueError(f"baseline tests need at least {BASELINE_MIN_N} observations")
-    if not np.isfinite(x).all():
-        raise ValueError("sample contains NaN or infinite values")
-    if not _varies(x[None, :])[0]:
-        raise ValueError("sample is degenerate (all values equal)")
-    return x
-
-
-def _varies(x: np.ndarray) -> np.ndarray:
-    """Whether each row of ``x`` holds two different values: the baselines'
-    statistics are finite on exactly those finite rows, at any magnitude."""
-    return (x != x[:, :1]).any(axis=1)
-
-
 # --------------------------------------------------------------------------
 # dispatch
-
-
-def _statistic(kind: str, sample) -> tuple:
-    """``(value, n)`` of the statistic ``kind`` decides on."""
-    if kind in BASELINE_KINDS:
-        x = _baseline_sample(sample)
-        return float(_BASELINE_VALUES[kind](x[None, :])[0]), x.size
-    if kind == "mg3_gpd":
-        sample = np.asarray(sample, dtype=np.float64)
-        if sample.ndim == 1 and (sample < 0.0).any():
-            raise ValueError("gpd-family test requires nonnegative observations")
-    stat = modified_greenwood(sample)
-    return stat.s_n, stat.n
 
 
 def _rejects(kind: str, s, t: tuple):
@@ -380,6 +353,8 @@ def thresholds_for(spec: TestSpec, n: int) -> tuple:
     if n != int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
     if kind in BASELINE_KINDS:
+        if n < BASELINE_MIN_N:  # before any simulation
+            raise ValueError(_BASELINE_SHORT)
         return (_baseline_threshold(kind, int(n), c, _BASELINE_REPLICATIONS),)
     null, side = spec.null_spec, _KINDS[kind][1]
     if side == "both":
@@ -392,21 +367,38 @@ def thresholds_for(spec: TestSpec, n: int) -> tuple:
 
 def run_test(spec: TestSpec, sample) -> TestOutcome:
     """Run the test described by ``spec`` on one sample: statistic, thresholds, compare."""
-    s, n = _statistic(spec.kind, sample)
-    t = thresholds_for(spec, n)
-    return TestOutcome(spec.kind, n, spec.c, s, t, _rejects(spec.kind, s, t))
-
-
-def _accepted_rows(kind: str, x: np.ndarray) -> np.ndarray:
-    """Which rows of the 2-D array ``x`` :func:`run_test` accepts as samples."""
-    accepted = np.isfinite(x).all(axis=1)
+    x = np.asarray(sample, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("sample must be one-dimensional")
+    kind, t = spec.kind, _block_thresholds(spec, x[None, :])
     if kind in BASELINE_KINDS:
-        accepted &= (x.shape[1] >= BASELINE_MIN_N) & _varies(x)
+        s = float(_BASELINE_VALUES[kind](x[None, :])[0])
     else:
-        accepted &= (x.shape[1] >= 2) & (x != 0.0).any(axis=1)
-        if kind == "mg3_gpd":
-            accepted &= ~(x < 0.0).any(axis=1)
-    return accepted
+        s = modified_greenwood(x).s_n
+    return TestOutcome(kind, x.size, spec.c, s, t, _rejects(kind, s, t))
+
+
+def _refusal(kind: str, x: np.ndarray):
+    """``(i, error)`` of the first row ``i`` of the 2-D block ``x`` that ``kind`` refuses
+    as a sample, by the checks of the module docstring in order; ``None`` if it has none."""
+    m, n = x.shape
+    base = kind in BASELINE_KINDS
+    checks = [  # (rows each check accepts, the error of a row it refuses); the baselines'
+        # statistics are finite on exactly the finite rows that hold two different values
+        (np.full(m, n >= (BASELINE_MIN_N if base else 2)),
+         _BASELINE_SHORT if base else "sample must contain at least 2 values"),
+        (np.isfinite(x).all(axis=1), "sample contains NaN or infinite values"),
+        ((x != x[:, :1]).any(axis=1), "sample is degenerate (all values equal)") if base
+        else ((x != 0.0).any(axis=1), "sample must contain at least one nonzero value"),
+    ]
+    if kind == "mg3_gpd":
+        negative = (x < 0.0).any(axis=1)
+        checks.insert(0, (~negative, "gpd-family test requires nonnegative observations"))
+    accepted = np.logical_and.reduce([rows for rows, _ in checks])
+    if accepted.all():
+        return None
+    i = int(accepted.argmin())
+    return i, ValueError(next(message for rows, message in checks if not rows[i]))
 
 
 def _statistic_rows(kind: str):
@@ -418,12 +410,12 @@ def _block_thresholds(spec: TestSpec, x: np.ndarray) -> tuple:
     """``thresholds_for(spec, n)`` of the 2-D block ``x`` of size-``n`` samples, or the
     error :func:`run_test` on each row in turn raises first: the lookup's when an
     accepted row comes before the first refused row, else that row's."""
-    refused = np.flatnonzero(~_accepted_rows(spec.kind, x))
-    if refused.size and refused[0] == 0:
-        run_test(spec, x[0])  # raises before any lookup
+    refused = _refusal(spec.kind, x)
+    if refused and refused[0] == 0:
+        raise refused[1]  # before any lookup
     t = thresholds_for(spec, x.shape[1])
-    if refused.size:
-        run_test(spec, x[refused[0]])  # raises once the lookup has passed
+    if refused:
+        raise refused[1]  # once the lookup has passed
     return t
 
 

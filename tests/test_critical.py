@@ -31,7 +31,7 @@ from greenwood.critical import (
     write_json,
 )
 from greenwood.distributions import GPD, Gaussian, Stable, StudentT, params_dict, sample
-from greenwood.power import PowerStudyConfig, run_power_study, size_check
+from greenwood.power import PowerStudyConfig, export_curve, run_power_study, size_check
 from greenwood.rng import RngStream
 from greenwood.signal import build_spectrogram_quantile_table, estimate_spectrogram_null
 from greenwood.statistic import modified_greenwood_batch
@@ -209,6 +209,56 @@ class TestNullDistribution:
     def test_sample_size_floor(self):
         with pytest.raises(ValueError):
             estimate_null_distribution(Gaussian(0.0, 1.0), 1, 1000, RngStream(1))
+
+
+def _null_values(m, path):
+    return estimate_null_distribution(Gaussian(0.0, 1.0), 10, m, RngStream(30)).tobytes()
+
+
+def _table_text(m, path):
+    requests = [TableRequest(Gaussian(0.0, 1.0), 10, 0.05, "upper")]
+    return json_text(build_quantile_table(requests, m, RngStream(30)).to_json_dict())
+
+
+def _size(m, path):
+    return size_check(TestSpec("jarque_bera"), 10, m, RngStream(30))
+
+
+def _power_files(m, path):
+    config = PowerStudyConfig(TestSpec("jarque_bera"), "gaussian", (1.0,), (10,), m, 30)
+    export_curve(run_power_study(config), path)
+    return path.read_bytes() + path.with_name(path.name + ".json").read_bytes()
+
+
+def _spectrogram_null_values(m, path):
+    values = estimate_spectrogram_null(Gaussian(0.0, 1.0), 128, 32, 5.0, 0, m, RngStream(30))
+    return values.tobytes()
+
+
+def _spectrogram_table_text(m, path):
+    args = (Gaussian(0.0, 1.0), [(0.05, "upper")], 128, 32, 5.0, 0, m, RngStream(30))
+    return json_text(build_spectrogram_quantile_table(*args).to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "count, run",
+    [
+        (1000, _null_values),
+        (1000, _table_text),
+        (100, _size),
+        (100, _power_files),
+        (2, _spectrogram_null_values),
+        (2, _spectrogram_table_text),
+    ],
+)
+def test_a_count_is_a_whole_number(count, run, tmp_path):
+    # replications, or signals for the spectrogram null: an integral float
+    # gives the int's bytes, metadata included, and anything else is refused
+    path = tmp_path / "curve.csv"
+    assert run(float(count), path) == run(count, path)
+    for bad in (count + 0.5, 0, math.nan, math.inf, str(count), None):
+        with pytest.raises(ValueError, match=r" must be an integer of at least \d+, got "):
+            run(bad, path)
 
 
 # CPU counts the engine is run at: serial, then 1, 2 and 3 helper threads

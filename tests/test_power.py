@@ -34,7 +34,7 @@ from greenwood.power import (
     size_check,
 )
 from greenwood.rng import RngStream
-from greenwood.statistic import modified_greenwood_batch
+from greenwood.statistic import modified_greenwood, modified_greenwood_batch
 from greenwood.testing import TestSpec, reject_rows, run_test, thresholds_for
 
 
@@ -237,7 +237,10 @@ class TestBatchDecisions:
         batch = (
             testing._jb_values(rows) if kind == "jarque_bera" else modified_greenwood_batch(rows)
         )
-        scalar = np.array([testing._statistic(kind, row)[0] for row in rows])
+        scalar = np.array([
+            testing._jb_values(row[None, :])[0] if kind == "jarque_bera" else modified_greenwood(row).s_n
+            for row in rows
+        ])
         # thresholds sit on (or an ulp beside) the scalar value of rows whose
         # batch value differs, so a decision on batch values alone goes wrong
         differ = np.flatnonzero(batch != scalar)

@@ -38,9 +38,10 @@ from greenwood.signal import (
     spectrogram_null_params,
     write_signal,
 )
-from greenwood.statistic import modified_greenwood_batch
+from greenwood.statistic import modified_greenwood, modified_greenwood_batch
 from greenwood.testing import (
     BASELINE_KINDS,
+    BASELINE_MIN_N,
     MG_KINDS,
     TestOutcome,
     TestSpec,
@@ -284,6 +285,29 @@ def _encoded(report: BatchReport) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _refusal_reference(kind, row):
+    """The error ``run_test`` gives a ``kind`` sample, from its checks in order, or None."""
+    if kind == "mg3_gpd" and (row < 0.0).any():
+        return "gpd-family test requires nonnegative observations"
+    if kind in BASELINE_KINDS and row.size < BASELINE_MIN_N:
+        return f"baseline tests need at least {BASELINE_MIN_N} observations"
+    if kind in MG_KINDS and row.size < 2:
+        return "sample must contain at least 2 values"
+    if not np.isfinite(row).all():
+        return "sample contains NaN or infinite values"
+    if kind in BASELINE_KINDS and (row == row[0]).all():
+        return "sample is degenerate (all values equal)"
+    if kind in MG_KINDS and (row == 0.0).all():
+        return "sample must contain at least one nonzero value"
+    return None
+
+
+# the first two fill a whole row, the others are put in one place of it
+DEFECTS = {
+    "zeros": 0.0, "constant": 2.5, "negative": -1.5, "nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+}
+
+
 class TestBatchMatchesRunTest:
     """``batch_test`` returns what ``run_test`` returns unit by unit, or raises what it raises."""
 
@@ -399,7 +423,7 @@ class TestBatchMatchesRunTest:
         monkeypatch.setattr(testing, "modified_greenwood", lambda x: calls.append(x) or scalar(x))
         with pytest.raises(ValueError, match="NaN or infinite"):
             batch_test(units, self._spec(kind, table))
-        assert len(calls) == 1  # the refused unit's own
+        assert len(calls) == 0  # found refused without the scalar statistic
 
     @pytest.mark.parametrize("kind", MG_KINDS)
     def test_a_table_miss_is_raised_before_a_later_refused_unit(self, table, kind):
@@ -444,6 +468,40 @@ class TestBatchMatchesRunTest:
         blocks = rows.reshape(10, 4, 10)
         with pytest.raises(ValueError, match="degenerate"):
             _simulate([(10, lambda b: reject_rows(spec, blocks[b]))])
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(MG_KINDS + BASELINE_KINDS),
+        st.sampled_from((0, 1, 2, 3, 7, 8, 10, 20)),  # short for some kinds, not tabled for some
+        st.lists(st.sets(st.sampled_from(list(DEFECTS)), max_size=3), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_a_block_with_defect_rows(self, table, kind, n, faults, seed):
+        # refused rows anywhere in a block: batch_test and reject_rows raise what
+        # a run_test loop raises, and run_test what its checks, in order, say
+        x = 1.0 + np.abs(RngStream(seed).generator().standard_cauchy((len(faults), n)))
+        for row, defects in zip(x, faults):
+            for k, (defect, value) in enumerate(DEFECTS.items()):
+                if defect not in defects:
+                    continue
+                if k < 2:
+                    row[:] = value
+                elif n:
+                    row[3 * k % n] = value
+        spec = self._spec(kind, table)
+        loop = _outcomes_or_error(lambda: tuple(run_test(spec, row) for row in x))
+        assert _outcomes_or_error(lambda: batch_test(x, spec).outcomes) == loop
+        expected = [o.reject for o in loop] if isinstance(loop[0], TestOutcome) else loop
+        assert _outcomes_or_error(lambda: reject_rows(spec, x).tolist()) == expected
+        for row in x:
+            message = _refusal_reference(kind, row)
+            got = _outcomes_or_error(lambda: run_test(spec, row))
+            if message is None:
+                assert isinstance(got, TestOutcome) or got[0] is TableCoverageError
+            else:
+                assert got == (ValueError, message)
+                if kind in MG_KINDS and kind != "mg3_gpd":
+                    assert _outcomes_or_error(lambda: modified_greenwood(row)) == got
 
 
 class TestReportText:

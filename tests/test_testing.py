@@ -5,13 +5,14 @@ binary-exact, so tie behaviour can be asserted with == comparisons.
 """
 
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from greenwood import testing
+from greenwood import power, testing
 from greenwood.critical import (
     ESTIMATOR_ID,
     RNG_LAYOUT,
@@ -22,8 +23,10 @@ from greenwood.critical import (
 )
 from greenwood.distributions import Stable
 from greenwood.rng import RngStream
+from greenwood.power import size_check
 from greenwood.testing import (
     BASELINE_KINDS,
+    BASELINE_MIN_N,
     MG_KINDS,
     TestSpec,
     ks_distance,
@@ -205,6 +208,29 @@ class TestDispatch:
             table.value_for(testing.GAUSSIAN_NULL, 10.5, 0.05, "upper")
         assert thresholds_for(TestSpec("mg2", 0.05, table), 10.0) == (0.375,)
 
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_a_baseline_refuses_a_short_n_before_any_simulation(self, kind, monkeypatch):
+        runs = []
+        simulate = testing._simulate
+
+        def counted(jobs, *rest):
+            runs.append(len(jobs))
+            return simulate(jobs, *rest)
+
+        for module in (testing, power):
+            monkeypatch.setattr(module, "_simulate", counted)
+        monkeypatch.setattr(testing, "_baseline_cache", {})  # no cached threshold to read
+        spec = TestSpec(kind)
+        message = f"^baseline tests need at least {BASELINE_MIN_N} observations$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (0, 1, 2, BASELINE_MIN_N - 1):
+                with pytest.raises(ValueError, match=message):
+                    thresholds_for(spec, n)
+            with pytest.raises(ValueError, match=message):
+                size_check(spec, 5, 200, RngStream(7))
+        assert runs == []
+
     def test_outcome_json_shape(self):
         table = synthetic_table([("gaussian", GAUSS_PARAMS, 5, 0.05, "upper", 0.375)])
         doc = run_test(TestSpec("mg2", 0.05, table), TIE_SAMPLE).to_json_dict()
@@ -371,7 +397,7 @@ class TestBaselinesAtAnyMagnitude:
             run_test(spec, constant)
         with pytest.raises(ValueError, match="degenerate"):
             reject_rows(spec, constant[None, :])
-        assert not testing._accepted_rows(spec.kind, constant[None, :]).any()
+        assert testing._refusal(spec.kind, constant[None, :])[0] == 0
         # one value a step away is a sample, decided like any other
         nearly = np.r_[constant[:9], np.nextafter(value, np.inf)]
         out = run_test(spec, nearly)
