@@ -248,8 +248,6 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_quantiles(args) -> int:
-    if args.reps < 1000:
-        raise _UsageError(f"--reps must be at least 1000 (got {args.reps})")
     spec = _family_spec(args)
     cs = _parse_float_list(args.c)
     if not cs:

@@ -264,6 +264,15 @@ def write_json(path, doc) -> None:
         fh.write(text)
 
 
+def _read_json(path):
+    """The JSON document in the file ``path``; one nested too deeply to decode is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:  # neither a ValueError nor an OSError, which callers report
+            raise ValueError("JSON nested too deeply to decode") from None
+
+
 def empirical_quantile(values, p: float) -> float:
     """Order-statistic quantile with linear interpolation (Hyndman & Fan type 7).
 
@@ -341,13 +350,21 @@ def _check_entry(n, c: float, side: str) -> None:
 
 
 def _whole(name: str, value, least: int) -> int:
-    """``value`` as an int; a ValueError unless it is a whole number of at least ``least``."""
+    """``value`` as an int: the one rule for every count, size and length of the package.
+
+    An int or an integral float is taken, so ``1000.0`` gives what ``1000``
+    gives; anything else (a fraction, NaN, infinity, a string, ``None``) is a
+    ValueError that names ``name``, and so is a whole number below ``least``.
+    """
     try:
-        if int(value) == value >= least:
-            return int(value)
+        whole = int(value) == value
     except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
-        pass
-    raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
 
 
 def json_number(v):
@@ -368,10 +385,8 @@ def _canon_value(value) -> str:
 
 
 def _entry_key(family: str, params: dict, n: int, c: float, side: str) -> tuple:
-    if n != int(n):  # int() would answer for a truncated n
-        raise ValueError(f"n must be an integer, got {n!r}")
     canon_params = tuple(sorted((k, _canon_value(v)) for k, v in params.items()))
-    return (family, canon_params, int(n), _canon_number(c), side)
+    return (family, canon_params, _whole("n", n, 2), _canon_number(c), side)
 
 
 def _decode_param(value):
@@ -489,9 +504,7 @@ class QuantileTable:
 
     @classmethod
     def load(cls, path) -> "QuantileTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(_read_json(path))
 
 
 def build_quantile_table(requests, replications: int, rng: RngStream) -> QuantileTable:

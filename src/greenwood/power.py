@@ -17,7 +17,6 @@ plus a JSON sidecar carrying the configuration echo.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -25,6 +24,7 @@ from functools import partial
 from .critical import (
     GROUP_STRIDE,
     RNG_LAYOUT,
+    _read_json,
     _sample_job,
     _simulate,
     _whole,
@@ -34,14 +34,7 @@ from .critical import (
 )
 from .distributions import FAMILIES, DistributionSpec, family_tag, params_dict
 from .rng import RngStream
-from .testing import (
-    BASELINE_KINDS,
-    BASELINE_MIN_N,
-    _BASELINE_SHORT,
-    TestSpec,
-    reject_rows,
-    thresholds_for,
-)
+from .testing import BASELINE_KINDS, TestSpec, _sample_size, reject_rows, thresholds_for
 
 __all__ = [
     "PowerCurve",
@@ -89,11 +82,8 @@ class PowerStudyConfig:
             raise ValueError("parameter grid must be strictly increasing")
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise ValueError(f"sample sizes must not repeat, got {self.sample_sizes}")
-        if any(n != int(n) or n < 2 for n in self.sample_sizes):
-            raise ValueError(f"sample sizes must be integers of at least 2, got {self.sample_sizes}")
-        object.__setattr__(self, "sample_sizes", tuple(map(int, self.sample_sizes)))
-        if self.test.kind in BASELINE_KINDS and any(n < BASELINE_MIN_N for n in self.sample_sizes):
-            raise ValueError(_BASELINE_SHORT)
+        sizes = tuple(_sample_size(self.test.kind, n) for n in self.sample_sizes)
+        object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "replications", _whole("replications", self.replications, 100))
         for p in self.parameter_grid:
             data_spec(self.data_family, p)  # fail fast on invalid grid values
@@ -232,8 +222,5 @@ def import_curve(path) -> PowerCurve:
             _, param, n, reps, rate = row
             points.append(PowerPoint(float(param), int(n), float(rate), int(reps)))
     sidecar = path + ".json"
-    config = {}
-    if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+    config = _read_json(sidecar) if os.path.exists(sidecar) else {}
     return PowerCurve(tuple(points), config)

@@ -124,8 +124,7 @@ def kaiser_window(length: int, beta: float) -> np.ndarray:
     Endpoints equal ``1 / I0(beta)``; ``beta = 0`` gives the rectangular
     window.
     """
-    if length < 1:
-        raise ValueError("length must be at least 1")
+    length = _whole("length", length, 1)
     with np.errstate(all="ignore"):
         i0 = np.i0(beta)
     # I0 overflows for beta above about 709, and NaN passes a sign check
@@ -140,8 +139,7 @@ def segment_signal(signal: Signal, segment_length: int) -> np.ndarray:
     Returns a ``(count, segment_length)`` copy of the record's first
     ``count * segment_length`` samples; the remainder is dropped.
     """
-    if segment_length < 2:
-        raise ValueError("segment_length must be at least 2")
+    segment_length = _whole("segment_length", segment_length, 2)
     x = signal.samples
     count = x.size // segment_length
     if count == 0:
@@ -160,8 +158,8 @@ def spectrogram(signal: Signal, window: np.ndarray, overlap: int = 0) -> Spectro
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 1 or window.size < 2:
         raise ValueError("window must be one-dimensional with at least 2 samples")
-    w = window.size
-    if not (0 <= overlap < w):
+    w, overlap = window.size, _whole("overlap", overlap, 0)
+    if overlap >= w:
         raise ValueError("overlap must satisfy 0 <= overlap < len(window)")
     x = signal.samples
     if x.size < w:
@@ -408,6 +406,7 @@ def estimate_spectrogram_null(
     are pooled in signal order, so the result does not depend on the CPU
     count.
     """
+    signal_length = _whole("signal_length", signal_length, 2)
     signals = _whole("signals", signals, 1)
     window = kaiser_window(window_length, beta)
 
@@ -439,7 +438,10 @@ def build_spectrogram_quantile_table(
     the spectrogram geometry (see :func:`spectrogram_null_params`), and ``n``
     is the number of time frames each row contains.
     """
-    if not (0 <= overlap < window_length):
+    signal_length = _whole("signal_length", signal_length, 2)
+    window_length = _whole("window_length", window_length, 2)
+    overlap = _whole("overlap", overlap, 0)
+    if overlap >= window_length:
         raise ValueError("overlap must satisfy 0 <= overlap < window_length")
     n_frames = (signal_length - window_length) // (window_length - overlap) + 1
     if n_frames < 2:

@@ -64,6 +64,7 @@ from .critical import (
     TableRequest,
     _sample_job,
     _simulate,
+    _whole,
     empirical_quantile,
     quantile_record,
     table_metadata,
@@ -350,12 +351,9 @@ def _rejects(kind: str, s, t: tuple):
 def thresholds_for(spec: TestSpec, n: int) -> tuple:
     """Thresholds of ``spec`` at sample size ``n``: from its table, or a baseline's own."""
     kind, c, table, extra = spec.kind, spec.c, spec.table, spec.extra_params
-    if n != int(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
+    n = _sample_size(kind, n)  # before any simulation
     if kind in BASELINE_KINDS:
-        if n < BASELINE_MIN_N:  # before any simulation
-            raise ValueError(_BASELINE_SHORT)
-        return (_baseline_threshold(kind, int(n), c, _BASELINE_REPLICATIONS),)
+        return (_baseline_threshold(kind, n, c, _BASELINE_REPLICATIONS),)
     null, side = spec.null_spec, _KINDS[kind][1]
     if side == "both":
         return (
@@ -363,6 +361,14 @@ def thresholds_for(spec: TestSpec, n: int) -> tuple:
             table.value_for(null, n, c / 2.0, "upper", extra),
         )
     return (table.value_for(null, n, c, side, extra),)
+
+
+def _sample_size(kind: str, n) -> int:
+    """``n`` as an int; a ValueError unless ``kind`` decides on samples of ``n`` values."""
+    n = _whole("n", n, 0 if kind in BASELINE_KINDS else 2)  # a short baseline n: next line
+    if n < BASELINE_MIN_N and kind in BASELINE_KINDS:
+        raise ValueError(_BASELINE_SHORT)
+    return n
 
 
 def run_test(spec: TestSpec, sample) -> TestOutcome:

@@ -991,6 +991,13 @@ class TestGlobalBehavior:
             ),
             (
                 [
+                    "power", "--kind", "mg2", "--table", "{table}", "--data-family", "stable",
+                    "--grid", "1.5", "--n", "1", "--reps", "500",
+                ],
+                "must be at least 2",
+            ),
+            (
+                [
                     "analyze", "--input", "{signal}", "--kind", "jarque_bera",
                     "--segment-length", "5",
                 ],
@@ -1049,8 +1056,9 @@ class TestGlobalBehavior:
             "spectrogram_binary_sample_rate", "analyze_binary_sample_rate",
             "analyze_time_sample_rate", "quantiles_duplicate_request", "analyze_band_above_nyquist",
             "analyze_f_min_above_nyquist", "power_baseline_below_8", "power_repeated_n",
-            "analyze_baseline_segment_below_8", "power_grid_two_pieces", "power_grid_not_numeric",
-            "power_grid_zero_step", "quantiles_no_c", "power_no_n", "quantiles_overlap_window",
+            "power_n_below_2", "analyze_baseline_segment_below_8", "power_grid_two_pieces",
+            "power_grid_not_numeric", "power_grid_zero_step", "quantiles_no_c", "power_no_n",
+            "quantiles_overlap_window",
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, workdir, tmp_path, capsys, argv, message):

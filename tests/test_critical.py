@@ -33,9 +33,16 @@ from greenwood.critical import (
 from greenwood.distributions import GPD, Gaussian, Stable, StudentT, params_dict, sample
 from greenwood.power import PowerStudyConfig, export_curve, run_power_study, size_check
 from greenwood.rng import RngStream
-from greenwood.signal import build_spectrogram_quantile_table, estimate_spectrogram_null
+from greenwood.signal import (
+    Signal,
+    build_spectrogram_quantile_table,
+    estimate_spectrogram_null,
+    kaiser_window,
+    segment_signal,
+    spectrogram,
+)
 from greenwood.statistic import modified_greenwood_batch
-from greenwood.testing import TestSpec
+from greenwood.testing import TestSpec, thresholds_for
 
 # the metadata every table records (table_metadata); no field varies between runs
 PROVENANCE = {"M", "master_seed", "stream_id", "rng_layout", "estimator", "numpy_version"}
@@ -224,41 +231,117 @@ def _size(m, path):
     return size_check(TestSpec("jarque_bera"), 10, m, RngStream(30))
 
 
-def _power_files(m, path):
-    config = PowerStudyConfig(TestSpec("jarque_bera"), "gaussian", (1.0,), (10,), m, 30)
+def _power_files(m, path, sizes=(10,)):
+    config = PowerStudyConfig(TestSpec("jarque_bera"), "gaussian", (1.0,), sizes, m, 30)
     export_curve(run_power_study(config), path)
     return path.read_bytes() + path.with_name(path.name + ".json").read_bytes()
 
 
-def _spectrogram_null_values(m, path):
-    values = estimate_spectrogram_null(Gaussian(0.0, 1.0), 128, 32, 5.0, 0, m, RngStream(30))
+def _spectrogram_null_values(m, path, length=128):
+    values = estimate_spectrogram_null(Gaussian(0.0, 1.0), length, 32, 5.0, 0, m, RngStream(30))
     return values.tobytes()
 
 
-def _spectrogram_table_text(m, path):
-    args = (Gaussian(0.0, 1.0), [(0.05, "upper")], 128, 32, 5.0, 0, m, RngStream(30))
+def _spectrogram_table_text(m, path, length=128, width=32, overlap=0):
+    args = (Gaussian(0.0, 1.0), [(0.05, "upper")], length, width, 5.0, overlap, m, RngStream(30))
     return json_text(build_spectrogram_quantile_table(*args).to_json_dict())
 
 
+_GAUSS_PARAMS = {"mu": 0.0, "sigma2": 1.0}
+_ENTRY = {"family": "gaussian", "params": _GAUSS_PARAMS, "n": 10, "c": 0.05, "side": "upper"}
+_ONE_ROW = QuantileTable({}, [{**_ENTRY, "value": 0.25}])
+_SIGNAL = Signal(np.sin(np.arange(100.0)))
+
+
+def _mg_thresholds(n, path):
+    return thresholds_for(TestSpec("mg2", table=_ONE_ROW), n)
+
+
+def _baseline_thresholds(n, path):
+    return thresholds_for(TestSpec("jarque_bera"), n)
+
+
+def _size_at(n, path):
+    return size_check(TestSpec("jarque_bera"), n, 100, RngStream(30))
+
+
+def _power_files_at(n, path):
+    return _power_files(100, path, (n,))
+
+
+def _table_value(n, path):
+    return _ONE_ROW.value("gaussian", _GAUSS_PARAMS, n, 0.05, "upper")
+
+
+def _segments(k, path):
+    return segment_signal(_SIGNAL, k).tobytes()
+
+
+def _kaiser(k, path):
+    return kaiser_window(k, 5.0).tobytes()
+
+
+def _spectrogram_overlap(k, path):
+    return spectrogram(_SIGNAL, kaiser_window(8, 5.0), k).magnitude_squared.tobytes()
+
+
+def _tf_null_signal_length(k, path):
+    return _spectrogram_null_values(2, path, length=k)
+
+
+def _tf_signal_length(k, path):
+    return _spectrogram_table_text(2, path, length=k)
+
+
+def _tf_window_length(k, path):
+    return _spectrogram_table_text(2, path, width=k)
+
+
+def _tf_overlap(k, path):
+    return _spectrogram_table_text(2, path, overlap=k)
+
+
+# (argument name, a valid count, the least valid count, the call taking it)
+_COUNTS = [
+    ("replications", 1000, 1000, _null_values),
+    ("replications", 1000, 1000, _table_text),
+    ("replications", 100, 100, _size),
+    ("replications", 100, 100, _power_files),
+    ("signals", 2, 1, _spectrogram_null_values),
+    ("signals", 2, 1, _spectrogram_table_text),
+    ("n", 10, 2, _mg_thresholds),
+    ("n", 10, 0, _baseline_thresholds),  # n from 0 to 7 is short of BASELINE_MIN_N
+    ("n", 10, 0, _size_at),
+    ("n", 10, 0, _power_files_at),
+    ("n", 10, 2, _table_value),
+    ("segment_length", 10, 2, _segments),
+    ("length", 64, 1, _kaiser),
+    ("overlap", 4, 0, _spectrogram_overlap),
+    ("signal_length", 128, 2, _tf_null_signal_length),
+    ("signal_length", 128, 2, _tf_signal_length),
+    ("window_length", 32, 2, _tf_window_length),
+    ("overlap", 16, 0, _tf_overlap),
+]
+
+
 @pytest.mark.parametrize(
-    "count, run",
-    [
-        (1000, _null_values),
-        (1000, _table_text),
-        (100, _size),
-        (100, _power_files),
-        (2, _spectrogram_null_values),
-        (2, _spectrogram_table_text),
-    ],
+    "name, count, least, run", _COUNTS, ids=[f"{c}-{run.__name__}" for _, c, _, run in _COUNTS]
 )
-def test_a_count_is_a_whole_number(count, run, tmp_path):
-    # replications, or signals for the spectrogram null: an integral float
-    # gives the int's bytes, metadata included, and anything else is refused
+def test_a_count_is_a_whole_number(name, count, least, run, tmp_path):
+    # every count, size and length: an integral float gives the int's bytes,
+    # metadata included, and anything else is refused with the argument's name
     path = tmp_path / "curve.csv"
     assert run(float(count), path) == run(count, path)
-    for bad in (count + 0.5, 0, math.nan, math.inf, str(count), None):
-        with pytest.raises(ValueError, match=r" must be an integer of at least \d+, got "):
+    for bad in (count + 0.5, math.nan, math.inf, -math.inf, str(count), None):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             run(bad, path)
+    with pytest.raises(ValueError, match=rf"^{name} must be at least {least}, got {least - 1}$"):
+        run(least - 1, path)
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table.json"
 
 
 # CPU counts the engine is run at: serial, then 1, 2 and 3 helper threads
@@ -653,6 +736,19 @@ class TestTableRoundTrip:
             assert type(r["n"]) is int and r["n"] >= 2
             assert 0.0 < r["c"] < 0.5 and r["side"] in ("lower", "upper")
             assert math.isfinite(r["value"])
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(st.integers(1, 200000), st.sampled_from(["[", '{"a": ']), st.booleans())
+    def test_a_deeply_nested_file_is_a_value_error(self, table_path, depth, opener, in_params):
+        # the decoder recurses once per level and gives up with a RecursionError
+        nested = opener * depth + "0" + ("]" if opener == "[" else "}") * depth
+        if in_params:
+            entry = {**_ENTRY, "params": {"mu": "deep"}, "value": 0.25}
+            doc = json.dumps({"schema_version": 1, "entries": [entry]})
+            nested = doc.replace('"deep"', nested)
+        table_path.write_text(nested)
+        with pytest.raises(ValueError):
+            QuantileTable.load(table_path)
 
     def test_schema_version_gate(self):
         with pytest.raises(ValueError, match="schema_version"):

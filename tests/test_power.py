@@ -99,7 +99,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kind", ["mg2", "jarque_bera"])
     def test_sample_sizes_are_integers(self, quick_gaussian_table, kind):
         spec = TestSpec(kind, 0.05, quick_gaussian_table if kind == "mg2" else None)
-        with pytest.raises(ValueError, match="integers of at least 2"):
+        with pytest.raises(ValueError, match="n must be an integer, got 10.5"):
             PowerStudyConfig(spec, "stable", (1.5,), (10, 10.5), 100, 1)
 
     def test_uncovered_sample_size_fails_before_sampling(self, quick_gaussian_table):
@@ -366,6 +366,13 @@ class TestSerialization:
         loaded = import_curve(path)
         assert loaded.points == curve.points
         assert loaded.config == {}
+
+    def test_a_deeply_nested_sidecar_is_a_value_error(self, quick_gaussian_table, tmp_path):
+        path = tmp_path / "curve.csv"
+        export_curve(self._curve(quick_gaussian_table), path)
+        (tmp_path / "curve.csv.json").write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ValueError, match="JSON nested too deeply to decode"):
+            import_curve(path)
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
