@@ -353,9 +353,10 @@ def _analysis_units(args, spec: TestSpec) -> tuple:
             "(build one with: greenwood quantiles --domain spectrogram ...); "
             f"{args.table} holds raw-sample entries only"
         )
-    extra = spectrogram_null_params(
-        spec.null_spec, args.window_length, args.beta, args.overlap, len(sig)
-    )
+    with _flag_values():  # the geometry is all flags
+        extra = spectrogram_null_params(
+            spec.null_spec, args.window_length, args.beta, args.overlap, len(sig)
+        )
     sp = _spectrogram(sig, args)
     del sig  # free the signal before the band is copied
     with _flag_values():  # the band must fit the spectrogram

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, family_tag, params_dict, sample
+from .distributions import DistributionSpec, _whole, family_tag, params_dict, sample
 from .rng import RngStream
 from .statistic import modified_greenwood_batch
 
@@ -347,24 +347,6 @@ def _check_entry(n, c: float, side: str) -> None:
         raise ValueError("c must lie in (0, 0.5)")
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}")
-
-
-def _whole(name: str, value, least: int) -> int:
-    """``value`` as an int: the one rule for every count, size and length of the package.
-
-    An int or an integral float is taken, so ``1000.0`` gives what ``1000``
-    gives; anything else (a fraction, NaN, infinity, a string, ``None``) is a
-    ValueError that names ``name``, and so is a whole number below ``least``.
-    """
-    try:
-        whole = int(value) == value
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
-        whole = False
-    if not whole:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value!r}")
-    return int(value)
 
 
 def json_number(v):

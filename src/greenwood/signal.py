@@ -378,10 +378,10 @@ def spectrogram_null_params(
         **params_dict(base_spec),
         "domain": "spectrogram",
         "window": "kaiser",
-        "window_length": int(window_length),
+        "window_length": _whole("window_length", window_length, 2),
         "beta": float(beta),
-        "overlap": int(overlap),
-        "signal_length": int(signal_length),
+        "overlap": _whole("overlap", overlap, 0),
+        "signal_length": _whole("signal_length", signal_length, 2),
     }
 
 

@@ -40,6 +40,7 @@ from greenwood.signal import (
     kaiser_window,
     segment_signal,
     spectrogram,
+    spectrogram_null_params,
 )
 from greenwood.statistic import modified_greenwood_batch
 from greenwood.testing import TestSpec, thresholds_for
@@ -301,6 +302,34 @@ def _tf_overlap(k, path):
     return _spectrogram_table_text(2, path, overlap=k)
 
 
+def _tf_key(window_length=32, overlap=0, signal_length=128):
+    return spectrogram_null_params(Gaussian(0.0, 1.0), window_length, 5.0, overlap, signal_length)
+
+
+def _tf_key_window_length(k, path):
+    return _tf_key(window_length=k)
+
+
+def _tf_key_overlap(k, path):
+    return _tf_key(overlap=k)
+
+
+def _tf_key_signal_length(k, path):
+    return _tf_key(signal_length=k)
+
+
+def _sample_size(k, path):
+    return sample(Stable(1.5, 1.0), k, RngStream(30)).tobytes()
+
+
+def _sample_rows(k, path):
+    return sample(Stable(1.5, 1.0), (k, 10), RngStream(30)).tobytes()
+
+
+def _sample_row_size(k, path):
+    return sample(Stable(1.5, 1.0), (3, k), RngStream(30)).tobytes()
+
+
 # (argument name, a valid count, the least valid count, the call taking it)
 _COUNTS = [
     ("replications", 1000, 1000, _null_values),
@@ -321,6 +350,12 @@ _COUNTS = [
     ("signal_length", 128, 2, _tf_signal_length),
     ("window_length", 32, 2, _tf_window_length),
     ("overlap", 16, 0, _tf_overlap),
+    ("window_length", 32, 2, _tf_key_window_length),
+    ("overlap", 16, 0, _tf_key_overlap),
+    ("signal_length", 128, 2, _tf_key_signal_length),
+    ("n", 10, 1, _sample_size),
+    ("m", 3, 1, _sample_rows),
+    ("n", 10, 1, _sample_row_size),
 ]
 
 

@@ -20,6 +20,7 @@ from greenwood.distributions import (
     Gaussian,
     Stable,
     StudentT,
+    _cms,
     _gpd_quantile,
     family_tag,
     sample,
@@ -180,22 +181,57 @@ class TestStable:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_in_place_sampler_equals_the_formula_bit_for_bit(self, alpha):
-        # the sampler evaluates the CMS map in place; the plain expression is
-        # the reference (odd sizes reach the ufuncs' remainder loops), with
-        # U from variate 0 of the stream and W from variate 1
+        # the sampler evaluates the CMS map in place, in tangent form; the
+        # plain expression is the reference (odd sizes reach the ufuncs'
+        # remainder loops), with U from variate 0 of the stream and W from variate 1
         shape, rng = (301, 67), RngStream(113)
         u = rng.generator().uniform(-math.pi / 2.0, math.pi / 2.0, shape)
         w = rng.generator(variate=1).standard_exponential(shape)
         if alpha == 1.0:
             core = np.tan(u)
         else:
+            s, t = np.tan(alpha * u / 2.0), np.tan(u)
+            q = 1.0 + s**2
             core = (
-                np.sin(alpha * u)
-                / np.cos(u) ** (1.0 / alpha)
-                * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+                2.0 * s / q
+                * np.sqrt(1.0 + t**2)
+                * (w / (1.0 + s * (2.0 * t - s)) * q) ** ((alpha - 1.0) / alpha)
             )
         expected = 3.0 * core
         assert sample(Stable(alpha, 3.0), shape, rng).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9, 1.1, 1.5, 1.9, 2.0])
+    def test_tangent_map_is_within_ulps_of_the_sin_cos_map(self, alpha):
+        # the Chambers-Mallows-Stuck expression is the oracle, over U at and
+        # within 1e-6 of both ends of the range and over the whole range
+        rng = RngStream(115)
+        edge = np.nextafter(math.pi / 2.0, 0.0) - np.linspace(0.0, 1e-6, 2001)
+        inner = rng.generator().uniform(-math.pi / 2.0, math.pi / 2.0, 100000)
+        u = np.concatenate([edge, -edge, inner])
+        w = rng.generator(variate=1).standard_exponential(u.size)
+        oracle = (
+            np.sin(alpha * u)
+            / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+        )
+        assert np.isfinite(oracle).all()
+        ulps = np.abs(_cms(alpha, u.copy(), w.copy()) - oracle) / np.spacing(np.abs(oracle))
+        assert ulps.max() <= max(12.0 / alpha, 32.0)
+
+    def test_cauchy_draws_no_exponential(self, monkeypatch):
+        variates = []
+        generator = RngStream.generator
+
+        def recorded(stream, variate=0):
+            variates.append(variate)
+            return generator(stream, variate)
+
+        monkeypatch.setattr(RngStream, "generator", recorded)
+        shape, rng = (301, 67), RngStream(116)
+        x = sample(Stable(1.0, 2.5), shape, rng)
+        assert variates == [0]
+        u = rng.generator().uniform(-math.pi / 2.0, math.pi / 2.0, shape)
+        assert x.tobytes() == (2.5 * np.tan(u)).tobytes()
 
 
 class TestStudentT:
