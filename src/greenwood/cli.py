@@ -50,7 +50,7 @@ from .signal import (
     spectrogram,
     spectrogram_null_params,
 )
-from .testing import BASELINE_KINDS, BASELINE_MIN_N, MG_KINDS, TestSpec, run_test
+from .testing import BASELINE_KINDS, MG_KINDS, TestSpec, _sample_size, run_test
 
 __all__ = ["main"]
 
@@ -221,12 +221,6 @@ def _test_spec(args) -> TestSpec:
         return TestSpec(kind=args.kind, c=args.c, table=table, null_spec=null)
 
 
-def _spectrogram(sig, args):
-    """Spectrogram of ``sig`` under the ``--window-length/--beta/--overlap`` geometry."""
-    with _flag_values():  # the geometry is all flags, and must fit the signal
-        return spectrogram(sig, kaiser_window(args.window_length, args.beta), args.overlap)
-
-
 def _read_signal(args):
     """The ``--input`` signal; ``--sample-rate`` is the rate of CSV input, which has none."""
     if args.sample_rate is not None and is_binary_signal(args.input):
@@ -318,9 +312,6 @@ def _cmd_power(args) -> int:
 
 def _cmd_analyze(args) -> int:
     spec = _test_spec(args)
-    # a baseline kind runs in time mode only, one test per segment
-    if spec.kind in BASELINE_KINDS and args.segment_length < BASELINE_MIN_N:
-        raise _UsageError(f"--segment-length must be at least {BASELINE_MIN_N} for baseline kinds")
     # the signal and its spectrogram are freed before the batch runs
     units, spec, labels = _analysis_units(args, spec)
     domain = "time" if args.mode == "time" else "time-frequency"
@@ -340,8 +331,10 @@ def _analysis_units(args, spec: TestSpec) -> tuple:
     or the band's spectrogram rows, with ``spec`` keyed by the geometry."""
     sig = _read_signal(args)
     if args.mode == "time":
-        with _flag_values():  # the segment length must fit the signal
-            return segment_signal(sig, args.segment_length), spec, None
+        with _flag_values():  # the segment length must fit the signal and the kind
+            units = segment_signal(sig, args.segment_length)
+            _sample_size(spec.kind, units.shape[1])
+        return units, spec, None
     if args.window_length is None:
         raise _UsageError("time-frequency mode requires --window-length")
     has_tf_entries = any(
@@ -353,11 +346,11 @@ def _analysis_units(args, spec: TestSpec) -> tuple:
             "(build one with: greenwood quantiles --domain spectrogram ...); "
             f"{args.table} holds raw-sample entries only"
         )
-    with _flag_values():  # the geometry is all flags
+    with _flag_values():  # the geometry must give the signal 2 frames
         extra = spectrogram_null_params(
             spec.null_spec, args.window_length, args.beta, args.overlap, len(sig)
         )
-    sp = _spectrogram(sig, args)
+    sp = spectrogram(sig, kaiser_window(args.window_length, args.beta), args.overlap)
     del sig  # free the signal before the band is copied
     with _flag_values():  # the band must fit the spectrogram
         freqs, rows = frequency_rows(sp, args.f_min, args.f_max)
@@ -368,7 +361,8 @@ def _cmd_spectrogram(args) -> int:
     if args.window_length is None:
         raise _UsageError("spectrogram requires --window-length")
     sig = _read_signal(args)
-    sp = _spectrogram(sig, args)
+    with _flag_values():  # the geometry is all flags, and must fit the signal
+        sp = spectrogram(sig, kaiser_window(args.window_length, args.beta), args.overlap)
     # the name np.save would give the file
     target = args.out if args.out.endswith(".npy") else args.out + ".npy"
     with atomic_open(target, "wb") as fh:

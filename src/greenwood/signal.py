@@ -20,6 +20,7 @@ simulated through the identical spectrogram configuration.
 :func:`build_spectrogram_quantile_table` produces such tables; their entries
 carry the window geometry in the key, which makes accidentally reusing a raw
 table in the time-frequency path a lookup error rather than a wrong answer.
+Every function that takes a geometry checks it by one rule, :func:`_frames`.
 
 The null is one job of the Monte Carlo runner
 :func:`greenwood.critical._simulate`, with one signal per block, so its
@@ -118,13 +119,33 @@ class Spectrogram:
     overlap: int
 
 
+def _frames(signal_length, window_length, overlap=0, least: int = 1) -> tuple:
+    """``(signal_length, window_length, overlap, frames)`` as ints; a ValueError unless the
+    window has 2 samples or more, ``0 <= overlap < window_length``, and the record is a window
+    long or more and gives ``least`` frames or more (1: a spectrogram; 2: a tf null or test)."""
+    w = _whole("window_length", window_length, 2)
+    overlap = _whole("overlap", overlap, 0)
+    if overlap >= w:
+        raise ValueError("overlap must satisfy 0 <= overlap < window_length")
+    length = _whole("signal_length", signal_length, 2)
+    if length < w:
+        raise ValueError(f"signal_length {length} is shorter than window_length {w}")
+    frames = (length - w) // (w - overlap) + 1
+    if frames < least:
+        raise ValueError(
+            f"signal_length {length} gives fewer than {least} frames of"
+            f" window_length {w} at overlap {overlap}"
+        )
+    return length, w, overlap, frames
+
+
 def kaiser_window(length: int, beta: float) -> np.ndarray:
     """Kaiser window of ``length`` samples with shape parameter ``beta``.
 
     Endpoints equal ``1 / I0(beta)``; ``beta = 0`` gives the rectangular
-    window.
+    window. ``length`` follows the window rule of :func:`_frames`.
     """
-    length = _whole("length", length, 1)
+    length = _frames(length, length)[1]  # a window is one frame of its own length
     with np.errstate(all="ignore"):
         i0 = np.i0(beta)
     # I0 overflows for beta above about 709, and NaN passes a sign check
@@ -152,21 +173,15 @@ def segment_signal(signal: Signal, segment_length: int) -> np.ndarray:
 def spectrogram(signal: Signal, window: np.ndarray, overlap: int = 0) -> Spectrogram:
     """Short-time magnitude-squared spectrum over hops of ``len(window) - overlap``.
 
-    Produces ``(len(signal) - len(window)) // hop + 1`` frames; one-sided
+    Frames as :func:`_frames` counts them, of ``len(window)`` samples; one-sided
     spectra of real input, so ``len(window) // 2 + 1`` frequency rows.
     """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 1 or window.size < 2:
-        raise ValueError("window must be one-dimensional with at least 2 samples")
-    w, overlap = window.size, _whole("overlap", overlap, 0)
-    if overlap >= w:
-        raise ValueError("overlap must satisfy 0 <= overlap < len(window)")
-    x = signal.samples
-    if x.size < w:
-        raise ValueError("signal is shorter than the window")
+    if window.ndim != 1:
+        raise ValueError("window must be one-dimensional")
+    _, w, overlap, n_frames = _frames(len(signal), window.size, overlap)
     hop = w - overlap
-    n_frames = (x.size - w) // hop + 1
-    frames = np.lib.stride_tricks.sliding_window_view(x, w)[:: hop][:n_frames]
+    frames = np.lib.stride_tricks.sliding_window_view(signal.samples, w)[:: hop][:n_frames]
     # frames are transformed a chunk at a time into one (frames, bins) array,
     # so the windowed copy and the complex spectrum never exceed one chunk
     power = np.empty((n_frames, w // 2 + 1))
@@ -373,15 +388,16 @@ def spectrogram_null_params(
     overlap: int,
     signal_length: int,
 ) -> dict:
-    """Extra table-key fields that pin an entry to one spectrogram geometry."""
+    """Extra table-key fields that pin an entry to one geometry of 2 frames or more."""
+    signal_length, window_length, overlap, _ = _frames(signal_length, window_length, overlap, 2)
     return {
         **params_dict(base_spec),
         "domain": "spectrogram",
         "window": "kaiser",
-        "window_length": _whole("window_length", window_length, 2),
+        "window_length": window_length,
         "beta": float(beta),
-        "overlap": _whole("overlap", overlap, 0),
-        "signal_length": _whole("signal_length", signal_length, 2),
+        "overlap": overlap,
+        "signal_length": signal_length,
     }
 
 
@@ -404,9 +420,9 @@ def estimate_spectrogram_null(
     Signal ``s`` is drawn from ``rng.substream(s)``; the signals are the
     blocks of one :func:`greenwood.critical._simulate` job, and their values
     are pooled in signal order, so the result does not depend on the CPU
-    count.
+    count. A geometry of fewer than 2 frames is refused before any signal is drawn.
     """
-    signal_length = _whole("signal_length", signal_length, 2)
+    signal_length, window_length, overlap, _ = _frames(signal_length, window_length, overlap, 2)
     signals = _whole("signals", signals, 1)
     window = kaiser_window(window_length, beta)
 
@@ -436,19 +452,9 @@ def build_spectrogram_quantile_table(
 
     ``levels`` is an iterable of ``(c, side)`` pairs. Entries are keyed with
     the spectrogram geometry (see :func:`spectrogram_null_params`), and ``n``
-    is the number of time frames each row contains.
+    is the number of time frames each row contains, at least 2.
     """
-    signal_length = _whole("signal_length", signal_length, 2)
-    window_length = _whole("window_length", window_length, 2)
-    overlap = _whole("overlap", overlap, 0)
-    if overlap >= window_length:
-        raise ValueError("overlap must satisfy 0 <= overlap < window_length")
-    n_frames = (signal_length - window_length) // (window_length - overlap) + 1
-    if n_frames < 2:
-        raise ValueError(
-            f"signal_length {signal_length} gives fewer than 2 frames of"
-            f" window_length {window_length} at overlap {overlap}"
-        )
+    n_frames = _frames(signal_length, window_length, overlap, 2)[3]
     requests = [TableRequest(base_spec, n_frames, c, side) for c, side in levels]
     if not requests:
         raise ValueError("levels must be nonempty")

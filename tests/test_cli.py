@@ -680,6 +680,50 @@ class TestSpectrogramCommand:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+class TestGeometryRule:
+    """A spectrogram geometry the 300-sample signal cannot hold: the commands that take
+    it print one message and exit 2."""
+
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [
+            (["--window-length", "0"], "window_length must be at least 2, got 0"),
+            (["--window-length", "1"], "window_length must be at least 2, got 1"),
+            (
+                ["--window-length", "64", "--overlap", "64"],
+                "overlap must satisfy 0 <= overlap < window_length",
+            ),
+            (["--window-length", "512"], "signal_length 300 is shorter than window_length 512"),
+            (
+                ["--window-length", "200"],
+                "signal_length 300 gives fewer than 2 frames of window_length 200 at overlap 0",
+            ),
+        ],
+        ids=["window_0", "window_1", "overlap_is_window", "signal_shorter", "one_tf_frame"],
+    )
+    def test_every_command_refuses_alike(self, workdir, tmp_path, capsys, geometry, message):
+        signal, out = str(workdir / "signal.bin"), str(tmp_path / "out")
+        commands = {
+            "spectrogram": ["spectrogram", "--input", signal],
+            "quantiles": [
+                "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                "--signal-length", "300", "--signals", "2",
+            ],
+            "analyze": [
+                "analyze", "--input", signal, "--table", str(workdir / "tf_table.json"),
+                "--mode", "tf",
+            ],
+        }
+        for name, argv in commands.items():
+            code = _exit_code(argv + geometry + ["--out", out])
+            stream = capsys.readouterr()
+            if name == "spectrogram" and "frames" in message:  # one frame is a spectrogram
+                assert code == 0
+                assert json.loads(stream.out)["frame_count"] == 1
+            else:
+                assert (code, stream.err) == (2, f"error: {message}\n"), name
+
+
 class TestGlobalBehavior:
     def test_import_loads_no_scipy(self, workdir, tmp_path):
         # scipy is loaded by the Kolmogorov-Smirnov baseline only; the numpy
@@ -836,7 +880,7 @@ class TestGlobalBehavior:
             ),
             (
                 ["spectrogram", "--input", "{signal}", "--window-length", "1"],
-                "window must be one-dimensional with at least 2 samples",
+                "window_length must be at least 2, got 1",
             ),
             (
                 ["spectrogram", "--input", "{heavy}", "--window-length", "2", "--sample-rate", "-1"],
@@ -876,7 +920,7 @@ class TestGlobalBehavior:
                     "quantiles", "--family", "gaussian", "--domain", "spectrogram",
                     "--signal-length", "1000", "--window-length", "2000",
                 ],
-                "signal_length 1000 gives fewer than 2 frames of window_length 2000",
+                "signal_length 1000 is shorter than window_length 2000",
             ),
             (
                 [
@@ -1001,7 +1045,7 @@ class TestGlobalBehavior:
                     "analyze", "--input", "{signal}", "--kind", "jarque_bera",
                     "--segment-length", "5",
                 ],
-                "--segment-length must be at least 8 for baseline kinds",
+                "baseline tests need at least 8 observations",
             ),
             (
                 [

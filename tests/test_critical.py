@@ -344,7 +344,7 @@ _COUNTS = [
     ("n", 10, 0, _power_files_at),
     ("n", 10, 2, _table_value),
     ("segment_length", 10, 2, _segments),
-    ("length", 64, 1, _kaiser),
+    ("window_length", 64, 2, _kaiser),
     ("overlap", 4, 0, _spectrogram_overlap),
     ("signal_length", 128, 2, _tf_null_signal_length),
     ("signal_length", 128, 2, _tf_signal_length),

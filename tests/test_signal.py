@@ -184,7 +184,7 @@ class TestSpectrogram:
         sig = Signal(np.arange(16.0))
         with pytest.raises(ValueError, match="overlap"):
             spectrogram(sig, np.ones(8), overlap=8)
-        with pytest.raises(ValueError, match="shorter than the window"):
+        with pytest.raises(ValueError, match="shorter than window_length"):
             spectrogram(sig, np.ones(32))
         with pytest.raises(ValueError, match="window must be"):
             spectrogram(sig, np.ones((4, 4)))
@@ -729,6 +729,60 @@ class TestSpectrogramNulls:
             build_spectrogram_quantile_table(
                 self.BASE, [(0.05, "middle")], 400, 64, 10.0, 0, 2, RngStream(1)
             )
+
+
+# every function that takes a spectrogram geometry, as a call on (signal
+# length, window length, overlap); kaiser_window takes the window length only
+_BASE = Gaussian(0.0, 1.0)
+_GEOMETRY_CALLS = {
+    "kaiser_window": lambda L, w, o: kaiser_window(w, 5.0),
+    "spectrogram": lambda L, w, o: spectrogram(Signal(np.arange(float(L))), np.ones(w), o),
+    "spectrogram_null_params": lambda L, w, o: spectrogram_null_params(_BASE, w, 5.0, o, L),
+    "estimate_spectrogram_null": lambda L, w, o: estimate_spectrogram_null(
+        _BASE, L, w, 5.0, o, 2, RngStream(1)
+    ),
+    "build_spectrogram_quantile_table": lambda L, w, o: build_spectrogram_quantile_table(
+        _BASE, [(0.05, "upper")], L, w, 5.0, o, 2, RngStream(1)
+    ),
+}
+_TF_CALLS = ("spectrogram_null_params", "estimate_spectrogram_null",
+             "build_spectrogram_quantile_table")
+
+
+class TestGeometryRule:
+    """Each rule of the spectrogram geometry has one message, whichever function checks it."""
+
+    @pytest.mark.parametrize(
+        "geometry, message, calls",
+        [
+            ((100, 0, 0), "window_length must be at least 2, got 0", tuple(_GEOMETRY_CALLS)),
+            ((100, 1, 0), "window_length must be at least 2, got 1", tuple(_GEOMETRY_CALLS)),
+            ((100, 64, 64), "overlap must satisfy 0 <= overlap < window_length",
+             ("spectrogram", *_TF_CALLS)),
+            ((100, 128, 0), "signal_length 100 is shorter than window_length 128",
+             ("spectrogram", *_TF_CALLS)),
+            ((100, 64, 0),
+             "signal_length 100 gives fewer than 2 frames of window_length 64 at overlap 0",
+             _TF_CALLS),
+        ],
+        ids=["window_0", "window_1", "overlap_is_window", "signal_shorter", "one_tf_frame"],
+    )
+    def test_one_message_per_rule(self, monkeypatch, geometry, message, calls):
+        simulated = []
+
+        def counted(jobs):
+            simulated.append(jobs)
+            return _simulate(jobs)
+
+        monkeypatch.setattr(signal_module, "_simulate", counted)
+        for name in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _GEOMETRY_CALLS[name](*geometry)
+        assert simulated == []  # refused before any signal is drawn
+
+    def test_a_spectrogram_may_have_one_frame(self):
+        sp = _GEOMETRY_CALLS["spectrogram"](100, 64, 0)
+        assert sp.magnitude_squared.shape == (33, 1)
 
 
 class TestSignalFiles:
