@@ -39,6 +39,7 @@ from .distributions import FAMILIES, DistributionSpec
 from .power import PowerStudyConfig, export_curve, run_power_study
 from .rng import RngStream
 from .signal import (
+    _frames,
     batch_test,
     build_spectrogram_quantile_table,
     frequency_rows,
@@ -362,6 +363,7 @@ def _cmd_spectrogram(args) -> int:
         raise _UsageError("spectrogram requires --window-length")
     sig = _read_signal(args)
     with _flag_values():  # the geometry is all flags, and must fit the signal
+        _frames(len(sig), args.window_length, args.overlap)  # before the window is built
         sp = spectrogram(sig, kaiser_window(args.window_length, args.beta), args.overlap)
     # the name np.save would give the file
     target = args.out if args.out.endswith(".npy") else args.out + ".npy"

@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
+from numpy.random import Generator
 
 from .rng import RngStream
 
@@ -256,6 +257,23 @@ def _gpd(spec: GPD, n, rng: RngStream) -> np.ndarray:
 
 # spec class -> sampling kernel; a kernel takes a validated spec and size
 _KERNELS = {Gaussian: _gaussian, Stable: _stable, StudentT: _student_t, GPD: _gpd}
+
+
+class _ContinuedStream(RngStream):
+    """An :class:`~greenwood.rng.RngStream` on which each draw continues the last.
+
+    ``generator(variate)`` returns the generator it made for ``variate`` at
+    its first call, so consecutive ``sample(spec, n_i, stream)`` calls read
+    on along each variate's counter range: their values, end to end, are
+    ``sample(spec, sum(n_i), RngStream(stream.master_seed, stream.stream_id))``
+    bit for bit. A long draw can thus be taken a piece at a time.
+    """
+
+    def generator(self, variate: int = 0) -> Generator:
+        held = self.__dict__.setdefault("_held", {})
+        if variate not in held:
+            held[variate] = super().generator(variate)
+        return held[variate]
 
 
 def sample(spec: DistributionSpec, n, rng: RngStream) -> np.ndarray:

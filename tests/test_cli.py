@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenwood
-from greenwood import testing
+from greenwood import cli, testing
 from greenwood.cli import main
 from greenwood.critical import QuantileTable, TableRequest, build_quantile_table
 from greenwood.distributions import (
@@ -658,6 +658,23 @@ class TestSpectrogramCommand:
             assert np.lib.format.read_magic(fh) == (1, 0)
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
         assert (shape, fortran_order, dtype) == ((33, 5), True, np.dtype("<f8"))
+
+    def test_a_window_longer_than_the_signal_is_never_built(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "kaiser_window", lambda *args: built.append(args))
+        short = tmp_path / "short.bin"
+        write_signal(short, Signal(np.arange(100.0)))
+        code = _exit_code(
+            [
+                "spectrogram", "--input", str(short), "--window-length", "4000000",
+                "--out", str(tmp_path / "spec.npy"),
+            ]
+        )
+        assert (code, capsys.readouterr().err) == (
+            2, "error: signal_length 100 is shorter than window_length 4000000\n"
+        )
+        assert built == []
+        assert not list(tmp_path.glob("spec*"))
 
     def test_failed_write_leaves_the_old_matrix(self, workdir, tmp_path, capsys, monkeypatch):
         out = tmp_path / "spec.npy"

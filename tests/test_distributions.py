@@ -21,6 +21,7 @@ from greenwood.distributions import (
     Stable,
     StudentT,
     _cms,
+    _ContinuedStream,
     _gpd_quantile,
     family_tag,
     sample,
@@ -374,3 +375,16 @@ class TestSpecPlumbing:
         # variate cannot shift the next: a Monte Carlo block may stop early
         rng = RngStream(57, 3)
         assert sample(spec, (k, n), rng).tobytes() == sample(spec, (m, n), rng)[:k].tobytes()
+
+    @EVERY_FAMILY
+    @pytest.mark.parametrize(
+        "pieces", [[1] * 40, [7] * 9, [1, 7, 2, 130, 4, 9000, 3]], ids=["ones", "sevens", "uneven"]
+    )
+    def test_continued_pieces_are_the_whole_draw(self, spec, pieces):
+        rng = RngStream(58, 5)
+        stream = _ContinuedStream(rng.master_seed, rng.stream_id)
+        drawn = np.concatenate([sample(spec, n, stream) for n in pieces])
+        assert drawn.tobytes() == sample(spec, sum(pieces), rng).tobytes()
+        # a plain stream of the same key starts over, where the continued one goes on
+        assert sample(spec, 5, rng).tobytes() == drawn[:5].tobytes()
+        assert sample(spec, 5, stream).tobytes() == sample(spec, sum(pieces) + 5, rng)[-5:].tobytes()

@@ -6,6 +6,7 @@ import re
 import struct
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -676,7 +677,7 @@ class TestSpectrogramNulls:
         rng = RngStream(31415)
 
         def slow_first_sample(spec, n, stream):
-            if stream == rng:  # with threads, signal 0 finishes after later ones
+            if stream.stream_id == rng.stream_id:  # with threads, signal 0 finishes after later ones
                 time.sleep(0.1)
             return sample(spec, n, stream)
 
@@ -713,6 +714,79 @@ class TestSpectrogramNulls:
         with pytest.raises(ValueError, match="^signal 1$"):
             self._null(6, rng)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "base",
+        [Gaussian(0.3, 2.0), Stable(1.5), Stable(1.0), StudentT(3), GPD(0.5)],
+        ids=["gaussian", "stable", "cauchy", "student_t", "gpd"],  # a Cauchy draws no exponential
+    )
+    @pytest.mark.parametrize(
+        "length, w, overlap",
+        [
+            (400, 64, 0),  # one chunk, 16 samples past the last frame
+            (2100 * 64 + 30, 64, 0),  # chunks of 1024 frames, a short last one, 30 samples past
+            (2500 * 55 + 64 + 17, 64, 9),  # 9 samples carried into each next chunk, 17 past
+            (70_005, 40_000, 30_000),  # one frame per chunk, carrying more than a hop
+        ],
+        ids=["one_chunk", "chunks", "overlapping_chunks", "frame_chunks"],
+    )
+    @pytest.mark.parametrize("band", [(None, None), (0.1, 0.3)], ids=["full", "band"])
+    def test_streamed_signals_are_the_whole_signal_rows(self, base, length, w, overlap, band):
+        rng, rate = RngStream(4242), 2.0
+        values = estimate_spectrogram_null(base, length, w, 5.0, overlap, 2, rng, *band, rate)
+        expected = [
+            modified_greenwood_batch(
+                frequency_rows(
+                    spectrogram(
+                        Signal(sample(base, length, rng.substream(s)), rate),
+                        kaiser_window(w, 5.0),
+                        overlap,
+                    ),
+                    *band,
+                )[1]
+            )
+            for s in range(2)
+        ]
+        assert values.tobytes() == np.concatenate(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "base", [Gaussian(), Stable(1.5), StudentT(3), GPD(0.5)], ids=lambda b: type(b).__name__
+    )
+    def test_no_signal_is_held_whole(self, base, set_cpus):
+        # one 2e6-sample signal is 16 MB, and its one-row band 83 kB; numpy
+        # reports its buffers to tracemalloc
+        set_cpus(1)
+        tracemalloc.start()
+        try:
+            estimate_spectrogram_null(base, 2_000_000, 256, 5.0, 64, 1, RngStream(3), 0.25, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_refused_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(signal_module, "sample", lambda *args: drawn.append(args))
+        refusals = [
+            ("no frequency rows inside [5.0, 0.5] Hz", {"f_min": 5.0}),
+            ("f_min must not exceed f_max", {"f_min": 0.3, "f_max": 0.2}),
+            ("sample_rate must be a finite positive number", {"sample_rate": 0.0}),
+            ("sample_rate must be a finite positive number", {"sample_rate": math.inf}),
+        ]
+        for message, kwargs in refusals:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                estimate_spectrogram_null(self.BASE, 400, 64, 10.0, 0, 3, RngStream(1), **kwargs)
+        assert drawn == []
+
+    def test_non_finite_draws_are_refused(self, monkeypatch):
+        def draw_inf(spec, n, stream):
+            x = sample(spec, n, stream)
+            x[-1] = math.inf  # past the last frame: read by no frame, but drawn
+            return x
+
+        monkeypatch.setattr(signal_module, "sample", draw_inf)
+        with pytest.raises(ValueError, match="^signal contains NaN or infinite values$"):
+            estimate_spectrogram_null(self.BASE, 400, 64, 10.0, 0, 3, RngStream(1))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="signals"):
