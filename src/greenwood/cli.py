@@ -51,7 +51,7 @@ from .signal import (
     spectrogram,
     spectrogram_null_params,
 )
-from .testing import BASELINE_KINDS, MG_KINDS, TestSpec, _sample_size, run_test
+from .testing import _KINDS, TestSpec, _sample_size, run_test
 
 __all__ = ["main"]
 
@@ -174,16 +174,16 @@ _REPS = {"quantiles": (100000, 10000), "power": (2000, 500)}
 
 def _check_flags(args) -> None:
     """Refuse each flag that this command line does not read, then fill in defaults."""
-    kind, family = getattr(args, "kind", None), getattr(args, "family", None)
+    entry, family = _KINDS.get(getattr(args, "kind", None)), getattr(args, "family", None)
     domain, mode = getattr(args, "domain", None), getattr(args, "mode", None)
-    if mode == "tf" and kind not in MG_KINDS:
+    if mode == "tf" and not entry.tabled:
         raise _UsageError("time-frequency mode supports the mg test kinds only")
     # (flags, where they apply, whether this command line reads them); a
     # command without --kind, --domain or --mode reads what they would select
     scopes = [
-        (_FAMILY, "kind mg_two_sided", kind in (None, "mg_two_sided")),
+        (_FAMILY, "kind mg_two_sided", entry is None or entry.null is None),
         *((names, f"the {tag} family", family == tag) for tag, names in _PARAMS.items()),
-        (("table",), "the mg kinds", kind in MG_KINDS),
+        (("table",), "the mg kinds", entry is not None and entry.tabled),
         (("n", "reps", "quick"), "the raw domain", domain != "spectrogram"),
         (("signal_length", "signals", "sample_rate", *_SPECTRAL), "the spectrogram domain",
          domain != "raw"),
@@ -214,10 +214,11 @@ def _test_spec(args) -> TestSpec:
     The spec holds its kind's null: the fixed one, or for ``mg_two_sided``
     the ``--family`` spec.
     """
+    entry = _KINDS[args.kind]
     table = _load_table(args.table) if args.table else None
-    if args.kind in MG_KINDS and table is None:
+    if entry.tabled and table is None:
         raise _UsageError(f"--table is required for kind {args.kind}")
-    null = _family_spec(args) if args.kind == "mg_two_sided" else None
+    null = _family_spec(args) if entry.null is None else None
     with _flag_values():
         return TestSpec(kind=args.kind, c=args.c, table=table, null_spec=null)
 
@@ -393,7 +394,7 @@ _parent = partial(argparse.ArgumentParser, add_help=False)
 def _test_flags(**kind) -> argparse.ArgumentParser:
     """``--kind``, its ``--table`` and the level ``--c``."""
     p = _parent()
-    p.add_argument("--kind", choices=MG_KINDS + BASELINE_KINDS, **kind)
+    p.add_argument("--kind", choices=tuple(_KINDS), **kind)
     p.add_argument("--table", help="quantile table JSON (mg kinds only, which need one)")
     p.add_argument("--c", type=float, default=0.05, help="level (default 0.05)")
     return p

@@ -110,9 +110,14 @@ def _simulate(jobs, reduce=None) -> list:
     raised, which is the one a serial loop would raise; an interrupt or an
     exit (an error that is not an ``Exception``) is raised ahead of any
     failure. Neither the values nor the error raised depend on the CPU
-    count.
+    count. A job of more blocks than a list can hold is a MemoryError
+    before any block runs.
     """
-    parts = [[None] * blocks for blocks, _ in jobs]
+    try:
+        parts = [[None] * blocks for blocks, _ in jobs]
+    except (OverflowError, MemoryError):  # a count too large to index, or to hold
+        blocks = max(blocks for blocks, _ in jobs)
+        raise MemoryError(f"Unable to allocate the results of {blocks} blocks") from None
     outstanding = [blocks for blocks, _ in jobs]
     results = [None] * len(jobs)
     errors = {}
@@ -499,15 +504,7 @@ def build_quantile_table(requests, replications: int, rng: RngStream) -> Quantil
     and each is reduced to its entries as soon as its last block is in.
     """
     replications = _whole("replications", replications, 1000)
-    seen = set()
-    groups: dict[tuple, list[TableRequest]] = {}
-    for r in requests:
-        key = _entry_key(family_tag(r.spec), params_dict(r.spec), r.n, r.c, r.side)
-        if key in seen:
-            raise ValueError(f"duplicate request {key}")
-        seen.add(key)
-        groups.setdefault((r.spec, r.n), []).append(r)
-
+    groups = _request_groups(requests)
     keys, members = list(groups), list(groups.values())
 
     def records(g, values):
@@ -520,6 +517,19 @@ def build_quantile_table(requests, replications: int, rng: RngStream) -> Quantil
     ]
     entries = [rec for group in _simulate(jobs, records) for rec in group]
     return QuantileTable(table_metadata(replications, rng), entries)
+
+
+def _request_groups(requests) -> dict:
+    """``requests`` grouped by ``(spec, n)``, in first-seen order; a ValueError if one repeats."""
+    seen = set()
+    groups: dict[tuple, list[TableRequest]] = {}
+    for r in requests:
+        key = _entry_key(family_tag(r.spec), params_dict(r.spec), r.n, r.c, r.side)
+        if key in seen:
+            raise ValueError(f"duplicate request {key}")
+        seen.add(key)
+        groups.setdefault((r.spec, r.n), []).append(r)
+    return groups
 
 
 def quantile_record(request: TableRequest, params: dict, values) -> dict:

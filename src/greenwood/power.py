@@ -34,7 +34,7 @@ from .critical import (
 )
 from .distributions import FAMILIES, DistributionSpec, family_tag, params_dict
 from .rng import RngStream
-from .testing import BASELINE_KINDS, TestSpec, _sample_size, reject_rows, thresholds_for
+from .testing import _KINDS, TestSpec, _sample_size, reject_rows, thresholds_for
 
 __all__ = [
     "PowerCurve",
@@ -90,8 +90,8 @@ class PowerStudyConfig:
 
     def to_json_dict(self) -> dict:
         kind = self.test.kind
-        # the null an mg test is calibrated under; a baseline records none
-        null = None if kind in BASELINE_KINDS else self.test.null_spec
+        # the null a tabled test is calibrated under; a baseline records none
+        null = self.test.null_spec if _KINDS[kind].tabled else None
         return {
             "test_kind": kind,
             "c": self.test.c,

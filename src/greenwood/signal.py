@@ -49,6 +49,7 @@ from .critical import (
     BLOCK_VALUES,
     QuantileTable,
     TableRequest,
+    _request_groups,
     _simulate,
     _whole,
     atomic_open,
@@ -59,14 +60,7 @@ from .critical import (
 from .distributions import DistributionSpec, _ContinuedStream, params_dict, sample
 from .rng import RngStream
 from .statistic import modified_greenwood_batch
-from .testing import (
-    TestOutcome,
-    TestSpec,
-    _block_thresholds,
-    _rejects,
-    _statistic_rows,
-    run_test,
-)
+from .testing import _KINDS, TestOutcome, TestSpec, _block_thresholds, _rejects, run_test
 
 __all__ = [
     "BatchReport",
@@ -394,7 +388,7 @@ def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> Batc
     else:
         n = x.shape[1]
         t = _block_thresholds(test, x)
-        kernel = _statistic_rows(kind)
+        kernel = _KINDS[kind].exact
         rows = max(1, BLOCK_VALUES // n)
         s = _simulate([(-(-count // rows), lambda b: kernel(x[b * rows : (b + 1) * rows]))])[0]
         outcomes = [
@@ -516,6 +510,7 @@ def build_spectrogram_quantile_table(
     requests = [TableRequest(base_spec, n_frames, c, side) for c, side in levels]
     if not requests:
         raise ValueError("levels must be nonempty")
+    _request_groups(requests)  # a repeated level is refused before any draw
     values = estimate_spectrogram_null(
         base_spec,
         signal_length,

@@ -19,6 +19,13 @@ jarque_bera     Gaussian           JB >= q        packaged or simulated (1 - c)
 ks_normality    Gaussian           D_n >= q       packaged or simulated (1 - c)
 ==============  =================  =============  =============================
 
+One entry of the private registry ``_KINDS`` defines a kind, for testing,
+power, signal and the CLI alike: its null, its rejecting tails, its exact
+row kernel (:func:`run_test`'s statistic) and fast batch kernel, its
+smallest sample, its row refusals, and whether it reads a table. The order
+of the baselines in it is their ``kind_code`` in the substreams of their
+thresholds: 0 for Jarque-Bera, 1 for KS.
+
 * ``mg1`` and ``mg2`` test Gaussianity one-sided: ``mg2`` rejects for large
   ``S_n``, the heavy-tail direction, and ``mg1`` for small ``S_n``.
 * ``mg3_gpd`` and ``mg4_student_t`` test H0: infinite variance, within the
@@ -48,12 +55,14 @@ A sample is refused with a ``ValueError`` by the first check it fails, in this
 order: ``mg3_gpd`` refuses a negative value; a sample needs 2 values (mg kinds)
 or ``BASELINE_MIN_N`` (baselines); every value must be finite; an mg kind needs
 a nonzero value, a baseline two different values. :func:`reject_rows` decides
-many samples at once and always reaches the decision :func:`run_test` reaches
-on each of them, or raises the error of the first one it refuses.
+the rows of a 2-D array at once and always reaches the decision
+:func:`run_test` reaches on each of them, or raises the error of the first
+one it refuses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -71,12 +80,7 @@ from .critical import (
 )
 from .distributions import GPD, DistributionSpec, Gaussian, StudentT, params_dict
 from .rng import RngStream
-from .statistic import (
-    _modified_greenwood_rows,
-    _scaled,
-    modified_greenwood,
-    modified_greenwood_batch,
-)
+from .statistic import _modified_greenwood_rows, _scaled, modified_greenwood_batch
 
 __all__ = [
     "GAUSSIAN_NULL",
@@ -98,31 +102,10 @@ GAUSSIAN_NULL = Gaussian(0.0, 1.0)
 GPD_BOUNDARY = GPD(0.5, 1.0)  # last shape with infinite variance
 STUDENT_T_BOUNDARY = StudentT(2)  # last integer nu with infinite variance
 
-MG_KINDS = ("mg1", "mg2", "mg3_gpd", "mg4_student_t", "mg_two_sided")
-BASELINE_KINDS = ("jarque_bera", "ks_normality")
-# the smallest sample a baseline test decides on
-BASELINE_MIN_N = 8
-_BASELINE_SHORT = f"baseline tests need at least {BASELINE_MIN_N} observations"
-
-# kind -> (null it is calibrated under, tail that rejects); mg_two_sided takes
-# its null from the caller and rejects in both tails at c/2 each
-_KINDS = {
-    "mg1": (GAUSSIAN_NULL, "lower"),
-    "mg2": (GAUSSIAN_NULL, "upper"),
-    "mg3_gpd": (GPD_BOUNDARY, "lower"),
-    "mg4_student_t": (STUDENT_T_BOUNDARY, "lower"),
-    "mg_two_sided": (None, "both"),
-    "jarque_bera": (GAUSSIAN_NULL, "upper"),
-    "ks_normality": (GAUSSIAN_NULL, "upper"),
-}
-
 _BASELINE_SEED = 271828182845
 _BASELINE_REPLICATIONS = 100000
-# the (n, c) grid of the packaged thresholds, at M = _BASELINE_REPLICATIONS
-_PACKAGED_N = (*range(BASELINE_MIN_N, 101), 150, 200, 250, 300, 400, 500, 750, 1000)
-_PACKAGED_C = (0.01, 0.025, 0.05, 0.1)
-# batch statistic values this close (relative) to a threshold are decided
-# again on the scalar path; the two paths differ by a few ulps at most
+# fast statistic values this close (relative) to a threshold are decided
+# again with the exact kernel; the two differ by a few ulps at most
 _TIE_BAND = 1e-12
 _baseline_cache: dict[tuple, float] = {}
 # A baseline kernel computes a row unscaled when its fourth central moment
@@ -177,14 +160,14 @@ class TestSpec:
     extra_params: dict | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        entry = _KINDS.get(self.kind)
+        if entry is None:
             raise ValueError(f"unknown test kind {self.kind!r}")
         if not (0.0 < self.c < 0.5):
             raise ValueError("c must lie in (0, 0.5)")
-        if self.kind in MG_KINDS and self.table is None:
+        if entry.tabled and self.table is None:
             raise ValueError(f"kind {self.kind!r} requires a quantile table")
-        fixed = _KINDS[self.kind][0]
-        null = self.null_spec if fixed is None else fixed
+        null = self.null_spec if entry.null is None else entry.null
         if null is None:
             raise ValueError(f"{self.kind} requires a null spec")
         if self.null_spec not in (None, null):
@@ -248,9 +231,6 @@ def _ks_values(x: np.ndarray, overwrite_input: bool = False) -> np.ndarray:
     return out
 
 
-_BASELINE_VALUES = {"jarque_bera": _jb_values, "ks_normality": _ks_values}
-
-
 def ks_distance(probs) -> float:
     """Sup distance between an empirical CDF and the CDF that produced ``probs``.
 
@@ -260,6 +240,70 @@ def ks_distance(probs) -> float:
     if u.ndim != 1 or u.size == 0:
         raise ValueError("probs must be a nonempty one-dimensional array")
     return float(_sup_distance(u))
+
+
+# --------------------------------------------------------------------------
+# the kinds
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One test kind, as :data:`_KINDS` states it for testing, power, signal and the CLI."""
+
+    null: DistributionSpec | None  # the null it is calibrated under; None: the spec's own
+    sides: tuple  # the tails that reject, each at level c / len(sides)
+    exact: Callable  # rows -> run_test's statistic of each row, bit for bit
+    fast: Callable  # rows -> the batch statistic, within a few ulps of exact
+    least: int  # the smallest sample it decides on
+    short: str  # the error of a shorter sample
+    refusals: tuple  # the row checks of a sample, in order (see _refusal)
+    tabled: bool  # whether its thresholds come from a quantile table
+
+
+# A row check is (rows of a 2-D block it accepts, the error of a row it
+# refuses); _SHORT holds the place of the size check against the kind's least.
+_SHORT = None
+_FINITE = (lambda x: np.isfinite(x).all(axis=1), "sample contains NaN or infinite values")
+_NONNEGATIVE = (
+    lambda x: ~(x < 0.0).any(axis=1), "gpd-family test requires nonnegative observations"
+)
+_NONZERO = (lambda x: (x != 0.0).any(axis=1), "sample must contain at least one nonzero value")
+# the baselines' statistics are finite on exactly the finite rows that hold
+# two different values
+_VARIED = (lambda x: (x != x[:, :1]).any(axis=1), "sample is degenerate (all values equal)")
+# the mg kinds' fast kernel reads modified_greenwood_batch at each call, so that
+# a function bound to the module attribute in its place (bench/spans.py's) sees
+# every batch
+_mg = partial(_Kind, exact=_modified_greenwood_rows, least=2, tabled=True,
+              fast=lambda x: modified_greenwood_batch(x),
+              short="sample must contain at least 2 values", refusals=(_SHORT, _FINITE, _NONZERO))
+_baseline = partial(_Kind, GAUSSIAN_NULL, ("upper",), least=8, tabled=False,
+                    short="baseline tests need at least 8 observations",
+                    refusals=(_SHORT, _FINITE, _VARIED))
+
+# kind -> its entry, in the order of the --kind choices. The baselines' order
+# is their kind_code in the substreams of _baseline_job, so it must not change.
+_KINDS = {
+    "mg1": _mg(GAUSSIAN_NULL, ("lower",)),
+    "mg2": _mg(GAUSSIAN_NULL, ("upper",)),
+    "mg3_gpd": _mg(GPD_BOUNDARY, ("lower",), refusals=(_NONNEGATIVE, _SHORT, _FINITE, _NONZERO)),
+    "mg4_student_t": _mg(STUDENT_T_BOUNDARY, ("lower",)),
+    "mg_two_sided": _mg(None, ("lower", "upper")),
+    "jarque_bera": _baseline(exact=_jb_values, fast=_jb_values),
+    "ks_normality": _baseline(exact=_ks_values, fast=_ks_values),
+}
+MG_KINDS = tuple(kind for kind, entry in _KINDS.items() if entry.tabled)
+BASELINE_KINDS = tuple(kind for kind, entry in _KINDS.items() if not entry.tabled)
+# the smallest sample a baseline test decides on
+BASELINE_MIN_N = min(_KINDS[kind].least for kind in BASELINE_KINDS)
+
+# the (n, c) grid of the packaged thresholds, at M = _BASELINE_REPLICATIONS
+_PACKAGED_N = (*range(BASELINE_MIN_N, 101), 150, 200, 250, 300, 400, 500, 750, 1000)
+_PACKAGED_C = (0.01, 0.025, 0.05, 0.1)
+
+
+# --------------------------------------------------------------------------
+# baseline thresholds
 
 
 def _baseline_job(kind: str, n: int, replications: int) -> tuple:
@@ -273,7 +317,7 @@ def _baseline_job(kind: str, n: int, replications: int) -> tuple:
     run into the substreams of ``n + 1``.
     """
     stream = RngStream(_BASELINE_SEED, (BASELINE_KINDS.index(kind) << 56) + (n << 16))
-    kernel = partial(_BASELINE_VALUES[kind], overwrite_input=True)
+    kernel = partial(_KINDS[kind].fast, overwrite_input=True)
     return _sample_job(GAUSSIAN_NULL, n, replications, stream, kernel)
 
 
@@ -340,34 +384,29 @@ def baseline_table() -> QuantileTable:
 
 def _rejects(kind: str, s, t: tuple):
     """Whether statistic value(s) ``s`` fall in the rejection region of thresholds ``t``."""
-    side = _KINDS[kind][1]
-    if side == "upper":
-        return s >= t[0]
-    if side == "lower":
-        return s <= t[0]
-    return (s <= t[0]) | (s >= t[1])
+    reject = False
+    for side, q in zip(_KINDS[kind].sides, t):
+        reject = reject | (s <= q if side == "lower" else s >= q)
+    return reject
 
 
 def thresholds_for(spec: TestSpec, n: int) -> tuple:
     """Thresholds of ``spec`` at sample size ``n``: from its table, or a baseline's own."""
     kind, c, table, extra = spec.kind, spec.c, spec.table, spec.extra_params
     n = _sample_size(kind, n)  # before any simulation
-    if kind in BASELINE_KINDS:
+    if not _KINDS[kind].tabled:
         return (_baseline_threshold(kind, n, c, _BASELINE_REPLICATIONS),)
-    null, side = spec.null_spec, _KINDS[kind][1]
-    if side == "both":
-        return (
-            table.value_for(null, n, c / 2.0, "lower", extra),
-            table.value_for(null, n, c / 2.0, "upper", extra),
-        )
-    return (table.value_for(null, n, c, side, extra),)
+    sides = _KINDS[kind].sides
+    return tuple(table.value_for(spec.null_spec, n, c / len(sides), s, extra) for s in sides)
 
 
 def _sample_size(kind: str, n) -> int:
     """``n`` as an int; a ValueError unless ``kind`` decides on samples of ``n`` values."""
-    n = _whole("n", n, 0 if kind in BASELINE_KINDS else 2)  # a short baseline n: next line
-    if n < BASELINE_MIN_N and kind in BASELINE_KINDS:
-        raise ValueError(_BASELINE_SHORT)
+    entry = _KINDS[kind]
+    # a tabled kind refuses a short n in _whole's words, as its table key does
+    n = _whole("n", n, entry.least if entry.tabled else 0)
+    if n < entry.least:
+        raise ValueError(entry.short)
     return n
 
 
@@ -377,39 +416,25 @@ def run_test(spec: TestSpec, sample) -> TestOutcome:
     if x.ndim != 1:
         raise ValueError("sample must be one-dimensional")
     kind, t = spec.kind, _block_thresholds(spec, x[None, :])
-    if kind in BASELINE_KINDS:
-        s = float(_BASELINE_VALUES[kind](x[None, :])[0])
-    else:
-        s = modified_greenwood(x).s_n
+    s = float(_KINDS[kind].exact(x[None, :])[0])
     return TestOutcome(kind, x.size, spec.c, s, t, _rejects(kind, s, t))
 
 
 def _refusal(kind: str, x: np.ndarray):
     """``(i, error)`` of the first row ``i`` of the 2-D block ``x`` that ``kind`` refuses
-    as a sample, by the checks of the module docstring in order; ``None`` if it has none."""
+    as a sample, by the kind's row checks in order; ``None`` if it has none."""
+    entry = _KINDS[kind]
     m, n = x.shape
-    base = kind in BASELINE_KINDS
-    checks = [  # (rows each check accepts, the error of a row it refuses); the baselines'
-        # statistics are finite on exactly the finite rows that hold two different values
-        (np.full(m, n >= (BASELINE_MIN_N if base else 2)),
-         _BASELINE_SHORT if base else "sample must contain at least 2 values"),
-        (np.isfinite(x).all(axis=1), "sample contains NaN or infinite values"),
-        ((x != x[:, :1]).any(axis=1), "sample is degenerate (all values equal)") if base
-        else ((x != 0.0).any(axis=1), "sample must contain at least one nonzero value"),
+    checks = [  # (rows each check accepts, the error of a row it refuses)
+        (np.full(m, n >= entry.least), entry.short) if check is _SHORT
+        else (check[0](x), check[1])
+        for check in entry.refusals
     ]
-    if kind == "mg3_gpd":
-        negative = (x < 0.0).any(axis=1)
-        checks.insert(0, (~negative, "gpd-family test requires nonnegative observations"))
     accepted = np.logical_and.reduce([rows for rows, _ in checks])
     if accepted.all():
         return None
     i = int(accepted.argmin())
     return i, ValueError(next(message for rows, message in checks if not rows[i]))
-
-
-def _statistic_rows(kind: str):
-    """The kernel whose value on each accepted row is :func:`run_test`'s statistic, bit for bit."""
-    return _BASELINE_VALUES.get(kind, _modified_greenwood_rows)
 
 
 def _block_thresholds(spec: TestSpec, x: np.ndarray) -> tuple:
@@ -426,19 +451,22 @@ def _block_thresholds(spec: TestSpec, x: np.ndarray) -> tuple:
 
 
 def reject_rows(spec: TestSpec, rows) -> np.ndarray:
-    """``run_test(spec, row).reject`` for every row of ``rows``, decided in batch.
+    """``run_test(spec, row).reject`` for every row of the 2-D ``rows``, decided in batch.
 
-    The batch statistic is compared with ``thresholds_for(spec, n)`` in one
-    pass, once any error :func:`run_test` raises on a row has surfaced. A
-    row is handed to :func:`run_test` itself when its batch value is not
-    finite, or when that value lies within 1e-12 (relative) of a threshold,
-    where the batch and scalar sums could fall on different sides.
+    The kind's fast statistic is compared with ``thresholds_for(spec, n)`` in
+    one pass, once any error :func:`run_test` raises on a row has surfaced.
+    The rows whose fast value is not finite, or lies within 1e-12 (relative)
+    of a threshold, where the fast and exact sums could fall on different
+    sides, are decided again in one call of the exact kernel.
     """
     x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("rows must be a 2-D array, one sample per row")
     t = np.asarray(_block_thresholds(spec, x))
-    s = _BASELINE_VALUES.get(spec.kind, modified_greenwood_batch)(x)
+    s = _KINDS[spec.kind].fast(x)
     near = (np.abs(s[:, None] - t) <= _TIE_BAND * np.abs(t)).any(axis=1)
     reject = _rejects(spec.kind, s, t)
-    for i in np.flatnonzero(near | ~np.isfinite(s)):
-        reject[i] = run_test(spec, x[i]).reject
+    again = np.flatnonzero(near | ~np.isfinite(s))
+    if again.size:
+        reject[again] = _rejects(spec.kind, _KINDS[spec.kind].exact(x[again]), t)
     return reject

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,10 @@ def _env_with_package() -> dict:
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
+# a replication or signal count of more blocks than a list can index
+HUGE = "100000000000000000000000"
+
+
 @pytest.fixture
 def nan_jarque_bera(monkeypatch):
     """Make the Jarque-Bera statistic NaN on samples whose first value is 0.125.
@@ -97,7 +102,8 @@ def nan_jarque_bera(monkeypatch):
         out[marked] = np.nan
         return out
 
-    monkeypatch.setitem(testing._BASELINE_VALUES, "jarque_bera", kernel)
+    entry = replace(testing._KINDS["jarque_bera"], exact=kernel, fast=kernel)
+    monkeypatch.setitem(testing._KINDS, "jarque_bera", entry)
 
 
 # 10-value samples whose deviations' powers, or whose sum, overflow or underflow
@@ -136,17 +142,31 @@ class TestQuantilesCommand:
         table = QuantileTable.load(out)
         assert table.value_for(Gaussian(0.0, 1.0), 10, 0.05, "upper") > 0.1
 
-    def test_unallocatable_sample_size_is_an_error_not_a_traceback(self, tmp_path, capsys):
-        # one row of 1e11 float64 values is 745 GiB: the allocation fails at once
-        rc = main(
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # one row of 1e11 float64 values is 745 GiB: the allocation fails at once
+            ["quantiles", "--family", "gaussian", "--n", "100000000000", "--reps", "1000"],
+            # more blocks than a list can index
+            ["quantiles", "--family", "gaussian", "--n", "10", "--reps", HUGE],
             [
-                "quantiles", "--family", "gaussian", "--n", "100000000000",
-                "--reps", "1000", "--out", str(tmp_path / "t.json"),
-            ]
-        )
+                "power", "--kind", "jarque_bera", "--data-family", "stable", "--grid", "1.5",
+                "--n", "10", "--reps", HUGE,
+            ],
+            [
+                "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                "--signal-length", "300", "--window-length", "32", "--signals", HUGE,
+            ],
+        ],
+        ids=["n", "reps", "power_reps", "signals"],
+    )
+    def test_unallocatable_sample_size_is_an_error_not_a_traceback(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        rc = main([*args, "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: Unable to allocate")
-        assert not (tmp_path / "t.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_replication_floor(self, tmp_path, capsys):
         rc = main(

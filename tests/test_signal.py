@@ -420,11 +420,12 @@ class TestBatchMatchesRunTest:
         units = np.abs(RngStream(4045).generator().standard_cauchy((12, 10)))
         units[-1] = np.nan
         calls = []
-        scalar = testing.modified_greenwood
-        monkeypatch.setattr(testing, "modified_greenwood", lambda x: calls.append(x) or scalar(x))
+        exact = testing._KINDS[kind].exact
+        counted = replace(testing._KINDS[kind], exact=lambda x: calls.append(x) or exact(x))
+        monkeypatch.setitem(testing._KINDS, kind, counted)
         with pytest.raises(ValueError, match="NaN or infinite"):
             batch_test(units, self._spec(kind, table))
-        assert len(calls) == 0  # found refused without the scalar statistic
+        assert len(calls) == 0  # found refused without the exact statistic
 
     @pytest.mark.parametrize("kind", MG_KINDS)
     def test_a_table_miss_is_raised_before_a_later_refused_unit(self, table, kind):
@@ -631,6 +632,19 @@ class TestSpectrogramNulls:
         assert loaded.value_for(self.BASE, 6, 0.05, "upper", extra) == table.value_for(
             self.BASE, 6, 0.05, "upper", extra
         )
+
+    def test_a_repeated_level_is_refused_before_any_draw(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(signal_module, "_simulate", fail)
+        levels = [(0.05, "upper"), (0.01, "lower"), (0.05, "upper")]
+        # the raw domain's rule and message, keyed by the null and the frame count
+        message = r"^duplicate request \('gaussian', .*, 6, '0.05', 'upper'\)$"
+        with pytest.raises(ValueError, match=message):
+            build_spectrogram_quantile_table(
+                self.BASE, levels, self.L, self.W, self.BETA, self.OV, 60, RngStream(31415)
+            )
 
     def test_raw_table_cannot_serve_the_tf_path(self, quick_gaussian_table):
         extra = spectrogram_null_params(self.BASE, self.W, self.BETA, self.OV, self.L)

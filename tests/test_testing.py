@@ -231,6 +231,13 @@ class TestDispatch:
                 size_check(spec, 5, 200, RngStream(7))
         assert runs == []
 
+    @pytest.mark.parametrize("kind", ["mg2", "jarque_bera"])
+    @pytest.mark.parametrize("rows", [np.ones(10), np.ones((2, 5, 10)), 1.0])
+    def test_reject_rows_takes_a_2d_block_only(self, kind, rows):
+        table = synthetic_table([("gaussian", GAUSS_PARAMS, 10, 0.05, "upper", 0.375)])
+        with pytest.raises(ValueError, match="^rows must be a 2-D array, one sample per row$"):
+            reject_rows(TestSpec(kind, 0.05, table), rows)
+
     def test_outcome_json_shape(self):
         table = synthetic_table([("gaussian", GAUSS_PARAMS, 5, 0.05, "upper", 0.375)])
         doc = run_test(TestSpec("mg2", 0.05, table), TIE_SAMPLE).to_json_dict()
@@ -335,8 +342,8 @@ class TestInPlaceKernels:
     def test_reject_rows_leaves_its_rows(self, kind, monkeypatch):
         rows = RngStream(81).generator().standard_normal((300, 20))
         # the threshold sits on row 7's value, inside the tie band, so that
-        # row is decided again on the scalar path from the rows passed in
-        t = float(testing._BASELINE_VALUES[kind](rows)[7])
+        # row is decided again with the exact kernel from the rows passed in
+        t = float(testing._KINDS[kind].fast(rows)[7])
         monkeypatch.setitem(testing._baseline_cache, (kind, 20, 0.05, 100000), t)
         spec = TestSpec(kind, 0.05)
         before = rows.tobytes()
