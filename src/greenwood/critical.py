@@ -73,10 +73,13 @@ _SIDES = ("lower", "upper")
 # block substreams of different groups can never collide
 GROUP_STRIDE = 1 << 32
 
-# version of the replication-to-substream layout; recorded in every table
-# and power sidecar. Layout 3 gives each variate of a draw its own counter
-# range and draws only the rows a block uses.
-RNG_LAYOUT = 3
+# version of the replication-to-substream layout, recorded in every table and
+# power sidecar: which generator values a replication reads. Each variate of a
+# draw has its own counter range, a block draws only the rows it uses, and
+# (from layout 4) Student's t reads two normals at nu = 1 and one uniform at
+# nu = 2, and a GPD reads exponentials; the README's reproducibility notes say
+# what earlier layouts read.
+RNG_LAYOUT = 4
 # values per block draw (512 KB of float64)
 BLOCK_VALUES = 1 << 16
 

@@ -230,9 +230,38 @@ def _cms(a: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _student_t(spec: StudentT, n, rng: RngStream) -> np.ndarray:
-    # nu = inf is the standard normal stream itself; chi2 comes from variate 1
+    """Student's t draws, with ``Z`` normal and ``U`` uniform from variate 0
+    of the stream and ``Z2`` normal or ``C`` chi-square from variate 1::
+
+        nu = inf:    X = Z                    (the normal stream itself)
+        nu = 1:      X = Z / |Z2|
+        nu = 2:      X = a / sqrt((1 - a) (1 + a) / 2),   a = (2 U - 1) + 2**-53
+        otherwise:   X = Z / sqrt(C / nu),    C of nu degrees of freedom
+
+    ``|Z2|`` is the root of a chi-square of one degree. The nu = 2 map is the
+    inverse distribution function (Jones, "Student's simplest distribution",
+    The Statistician 51, 2002). ``random()`` returns multiples of 2**-53, so
+    ``a`` is exact, its values lie symmetrically about 0, and it is never -1
+    or 1: every draw is finite, and ``a`` and ``-a`` give opposite draws, bit
+    for bit. No form uses a kernel that numpy runs as SIMD code with
+    CPU-dependent bits: only ``sqrt``, ``abs`` and the basic operations.
+    """
+    if spec.nu == 2:
+        a = rng.generator().random(n)
+        a += a  # in place, in the order of a / sqrt((1 - a) * (1 + a) / 2)
+        a -= 1.0
+        a += 2.0**-53
+        d = np.subtract(1.0, a)
+        d *= np.add(1.0, a)
+        d /= 2.0
+        a /= np.sqrt(d, out=d)
+        return a
     z = rng.generator().standard_normal(n)
     if math.isinf(spec.nu):
+        return z
+    if spec.nu == 1:
+        w = rng.generator(variate=1).standard_normal(n)
+        z /= np.abs(w, out=w)
         return z
     chi2 = rng.generator(variate=1).chisquare(spec.nu, n)
     chi2 /= spec.nu  # in place, in the order of z / sqrt(chi2 / nu)
@@ -240,19 +269,22 @@ def _student_t(spec: StudentT, n, rng: RngStream) -> np.ndarray:
     return z
 
 
-def _gpd_quantile(gamma: float, delta: float, p):
-    # expm1/log1p keep the inverse accurate near both support ends
-    p = np.asarray(p, dtype=np.float64)
-    if gamma == 0.0:
-        out = -delta * np.log1p(-p)
-    else:
-        out = (delta / gamma) * np.expm1(-gamma * np.log1p(-p))
-    return out
-
-
 def _gpd(spec: GPD, n, rng: RngStream) -> np.ndarray:
-    # inverts the distribution function
-    return _gpd_quantile(spec.gamma, spec.delta, rng.generator().random(n))
+    """``(delta / gamma) * expm1(gamma * E)``, ``E`` unit exponential from
+    variate 0 of the stream (``delta * E`` when ``gamma == 0``).
+
+    This is the inverse distribution function read at ``1 - exp(-E)``, a
+    uniform, with no ``log1p``; ``expm1`` keeps it accurate near both ends of
+    the support, and is the one SIMD-dispatched kernel of the draw.
+    """
+    e = rng.generator().standard_exponential(n)
+    if spec.gamma == 0.0:
+        e *= spec.delta
+    else:
+        e *= spec.gamma
+        np.expm1(e, out=e)
+        e *= spec.delta / spec.gamma
+    return e
 
 
 # spec class -> sampling kernel; a kernel takes a validated spec and size
@@ -280,10 +312,11 @@ def sample(spec: DistributionSpec, n, rng: RngStream) -> np.ndarray:
     """Draw ``n`` values of ``spec`` from ``rng``.
 
     ``n`` is a sample size, or an ``(m, n)`` shape for ``m`` samples of size
-    ``n``, one per row. Each variate (the one draw of a Gaussian or GPD, the
-    uniforms and exponentials of a stable, the normals and chi-squares of a
-    Student's t) is read in row-major order from its own counter range of
-    ``rng`` (see :meth:`~greenwood.rng.RngStream.generator`). So
+    ``n``, one per row. Each variate (the normals of a Gaussian, the
+    exponentials of a GPD, the uniforms and exponentials of a stable, the
+    normals and the second normals or chi-squares of a Student's t, or its
+    uniforms at ``nu = 2``) is read in row-major order from its own counter
+    range of ``rng`` (see :meth:`~greenwood.rng.RngStream.generator`). So
     ``sample(spec, (1, n), rng)[0]`` equals ``sample(spec, n, rng)`` bit for
     bit, and for ``k < m`` ``sample(spec, (k, n), rng)`` is the first ``k``
     rows of ``sample(spec, (m, n), rng)``.

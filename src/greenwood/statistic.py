@@ -169,10 +169,13 @@ def _modified_greenwood_rows(samples) -> np.ndarray:
     :func:`_two_sum_columns`, which for most rows certifies the correctly
     rounded sum that ``math.fsum`` returns, and the ratio is then formed as
     in :func:`modified_greenwood`. A row whose sums cannot be certified, or
-    that needs scaling, is handed to :func:`modified_greenwood` itself.
+    that needs scaling, is handed to :func:`modified_greenwood` itself, and so
+    is a lone row, for which the column cascade costs more than ``fsum``.
     """
     x = np.asarray(samples, dtype=np.float64)
     m, n = x.shape
+    if m == 1:
+        return np.array([modified_greenwood(x[0]).s_n])
     a = np.empty((n, 2 * m))  # column i sums row i's |x|, column m + i its squares
     with np.errstate(all="ignore"):  # rows out of range fall back below
         ax = np.abs(x.T, out=a[:, :m])

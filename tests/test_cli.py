@@ -310,6 +310,35 @@ class TestTestCommand:
         assert rc == 1
         assert "cannot parse quantile table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, family, params, value",
+        [
+            ("mg4_student_t", "student_t", {"nu": 2}, 0.13112830736743195),
+            ("mg3_gpd", "gpd", {"delta": 1.0, "gamma": 0.5}, 0.143770923946257),
+        ],
+    )
+    def test_a_layout_3_table_still_decides(self, tmp_path, capsys, kind, family, params, value):
+        # written by `greenwood quantiles --n 10 --c 0.05 --side lower --reps 2000
+        # --seed 5` under RNG layout 3, which drew these nulls from chi-squares
+        # and from the uniforms of a log1p inversion
+        entry = {"c": 0.05, "family": family, "n": 10, "params": params,
+                 "side": "lower", "value": value}
+        metadata = {"M": 2000, "estimator": "type7_linear", "master_seed": 5,
+                    "numpy_version": "2.4.6", "rng_layout": 3, "stream_id": 0}
+        path = tmp_path / "layout3.json"
+        path.write_text(json.dumps({"entries": [entry], "metadata": metadata, "schema_version": 1}))
+        table = QuantileTable.load(path)
+        assert table.metadata["rng_layout"] == 3
+        # a constant sample's S_n is 1/n = 0.1, below the threshold; one
+        # dominant value gives S_n near 1, above it
+        for sample, reject in ((np.full(10, 2.0), True), (np.r_[100.0, np.ones(9)], False)):
+            np.savetxt(tmp_path / "x.csv", sample)
+            argv = ["test", "--kind", kind, "--table", str(path), "--input", str(tmp_path / "x.csv")]
+            assert main(argv) == 0
+            outcome = json.loads(capsys.readouterr().out)
+            assert outcome["thresholds"] == [value]
+            assert outcome["reject"] is reject
+
     def test_unreadable_input(self, workdir, capsys):
         rc = main(
             [

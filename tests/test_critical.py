@@ -716,7 +716,7 @@ class TestTableRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
         assert set(doc["metadata"]) == PROVENANCE
-        assert doc["metadata"]["rng_layout"] == RNG_LAYOUT == 3
+        assert doc["metadata"]["rng_layout"] == RNG_LAYOUT == 4
         entry = doc["entries"][0]
         assert set(entry) == {"family", "params", "n", "c", "side", "value"}
 

@@ -9,6 +9,9 @@ of the samplers.
 """
 
 import math
+import os
+import subprocess
+import sys
 from functools import cache
 
 import numpy as np
@@ -22,14 +25,26 @@ from greenwood.distributions import (
     StudentT,
     _cms,
     _ContinuedStream,
-    _gpd_quantile,
     family_tag,
     sample,
 )
+import greenwood
 from greenwood.rng import RngStream
 from greenwood.testing import ks_distance
 
 N_BIG = 100000
+
+# the switch that turns numpy's AVX-512 kernels off for one process
+_AVX512_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
+_SRC = os.path.dirname(os.path.dirname(greenwood.__file__))
+
+
+def _has_avx512f() -> bool:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return "avx512f" in fh.read().split()
+    except OSError:
+        return False
 
 EVERY_FAMILY = pytest.mark.parametrize(
     "spec",
@@ -86,6 +101,18 @@ def _cdf(spec, x) -> np.ndarray:
     if spec.alpha == 1.0:
         return stats.cauchy.cdf(x, scale=spec.sigma)
     return _stable_cdf(spec.alpha, np.asarray(x) / spec.sigma)
+
+
+def _sampled_at(monkeypatch, spec, method: str, values: np.ndarray) -> np.ndarray:
+    """``sample(spec, values.size, ...)`` with every generator's ``method`` returning ``values``."""
+
+    class Fed:
+        def __getattr__(self, name):
+            assert name == method, name
+            return lambda n: values.copy()
+
+    monkeypatch.setattr(RngStream, "generator", lambda stream, variate=0: Fed())
+    return sample(spec, values.size, RngStream(120))
 
 
 def _ks_to(spec, draws: np.ndarray) -> float:
@@ -262,11 +289,53 @@ class TestStudentT:
 
     @pytest.mark.parametrize("nu", [1, 2, 5])
     def test_in_place_sampler_equals_the_formula_bit_for_bit(self, nu):
+        # nu = 1 divides by the root of a one-degree chi-square, |Z2|; nu = 2
+        # is Jones's inverse distribution function; other nu read a chi-square
         shape, rng = (301, 67), RngStream(114)
-        z = rng.generator().standard_normal(shape)
-        chi2 = rng.generator(variate=1).chisquare(nu, shape)
-        expected = z / np.sqrt(chi2 / nu)
+        if nu == 2:
+            a = (2.0 * rng.generator().random(shape) - 1.0) + 2.0**-53
+            expected = a / np.sqrt((1.0 - a) * (1.0 + a) / 2.0)
+        elif nu == 1:
+            z = rng.generator().standard_normal(shape)
+            expected = z / np.abs(rng.generator(variate=1).standard_normal(shape))
+        else:
+            z = rng.generator().standard_normal(shape)
+            chi2 = rng.generator(variate=1).chisquare(nu, shape)
+            expected = z / np.sqrt(chi2 / nu)
         assert sample(StudentT(nu), shape, rng).tobytes() == expected.tobytes()
+
+    def test_nu2_map_is_finite_and_odd_at_the_uniforms_ends(self, monkeypatch):
+        # random() returns k * 2**-53 for k < 2**53, so U and its mirror
+        # (1 - 2**-53) - U make up the range; 0 and 1 - 2**-53 are its ends,
+        # and 0.5 and its mirror give a = +-2**-53, either side of the middle
+        u = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+        x = _sampled_at(monkeypatch, StudentT(2), "random", np.r_[u, (1.0 - 2.0**-53) - u])
+        assert np.isfinite(x).all()
+        assert x[4:].tobytes() == (-x[:4]).tobytes()
+        assert x[0] < x[1] < 0.0 < x[2] < x[3]
+        # at U = 0 (a = -1 + 2**-53) the draw is -(1 - 2**-53) / sqrt(2**-53)
+        assert x[0] == pytest.approx(-(2.0**26.5), rel=1e-15)
+
+    def test_portable_across_simd_kernels(self):
+        # nu 1 and 2 use no kernel whose AVX-512 and AVX2 bits differ, so a
+        # process with numpy's AVX-512 kernels switched off draws the same bytes
+        if not _has_avx512f():
+            pytest.skip("this CPU has no AVX-512, so numpy runs none of its AVX-512 kernels")
+        code = (
+            "import sys; from greenwood import RngStream, StudentT, sample; "
+            "sys.stdout.buffer.write(b''.join("
+            "sample(StudentT(nu), (100, 1000), RngStream(118)).tobytes() for nu in (1, 2)))"
+        )
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_AVX512_FEATURES)
+        env["PYTHONPATH"] = os.pathsep.join([_SRC, *filter(None, [env.get("PYTHONPATH")])])
+        there = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True
+        ).stdout
+        here = b"".join(
+            sample(StudentT(nu), (100, 1000), RngStream(118)).tobytes() for nu in (1, 2)
+        )
+        assert len(there) == len(here) == 2 * 100 * 1000 * 8
+        assert there == here
 
     def test_integer_normalization(self):
         assert StudentT(2.0).nu == 2
@@ -309,10 +378,20 @@ class TestGPD:
         x = sample(GPD(1.5, 1.0), N_BIG, RngStream(116))
         assert _ks_to(GPD(1.5, 1.0), x) < 0.01
 
-    def test_quantile_at_exponential_corner(self):
+    def test_quantile_at_exponential_corner(self, monkeypatch):
         # F^{-1}(1 - e^{-1}) = delta when gamma = 0
-        p = 1.0 - math.exp(-1.0)
-        assert math.isclose(float(_gpd_quantile(0.0, 3.0, p)), 3.0, rel_tol=1e-14)
+        e = -np.log1p(-np.array([1.0 - math.exp(-1.0)]))
+        q = _sampled_at(monkeypatch, GPD(0.0, 3.0), "standard_exponential", e)
+        assert math.isclose(float(q[0]), 3.0, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.5, 1.5])
+    @pytest.mark.parametrize("shape", [1001, (301, 67)])
+    def test_in_place_sampler_equals_the_formula_bit_for_bit(self, gamma, shape):
+        # the inverse distribution function at 1 - exp(-E), E exponential from variate 0
+        rng = RngStream(119)
+        e = rng.generator().standard_exponential(shape)
+        expected = 2.0 * e if gamma == 0.0 else (2.0 / gamma) * np.expm1(gamma * e)
+        assert sample(GPD(gamma, 2.0), shape, rng).tobytes() == expected.tobytes()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -322,11 +401,13 @@ class TestGPD:
 
 
 class TestQuantileAndCdf:
-    def test_gpd_round_trip(self):
-        # the sampler's inverse against scipy's quantile and distribution function
+    def test_gpd_round_trip(self, monkeypatch):
+        # the sampler's map at E = -log1p(-p), the exponential whose
+        # distribution function is p, against scipy's quantile and
+        # distribution function
         p = np.array([1e-9, 0.1, 0.5, 0.99, 1.0 - 1e-9])
         for gamma in (-0.5, 0.0, 0.5, 1.5):
-            q = _gpd_quantile(gamma, 2.0, p)
+            q = _sampled_at(monkeypatch, GPD(gamma, 2.0), "standard_exponential", -np.log1p(-p))
             np.testing.assert_allclose(q, stats.genpareto.ppf(p, gamma, scale=2.0), rtol=1e-12)
             np.testing.assert_allclose(stats.genpareto.cdf(q, gamma, scale=2.0), p, atol=1e-12)
 

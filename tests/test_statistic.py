@@ -152,7 +152,7 @@ _VALUES = st.one_of(
 @st.composite
 def _adversarial_rows(draw):
     n = draw(st.sampled_from([2, 3]) | st.integers(2, 70))
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 5))  # one row takes the scalar path itself
     style = draw(st.sampled_from(["any", "ties", "constant", "gaussian"]))
     if style == "any":
         x = np.array(draw(st.lists(_VALUES, min_size=m * n, max_size=m * n)))
@@ -174,9 +174,10 @@ class TestExactRows:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(_adversarial_rows())
     # err rounds away the 2**-110 that lifts these sums (of |x|, of the
-    # squares) above a tie, so the cascade alone rounds them down
-    @example(np.array([[1.5, 2.0**-53, 2.0**-110]]))
-    @example(np.array([[1.0, 2.0**-27, 2.0**-27, 2.0**-55]]))
+    # squares) above a tie, so the cascade alone rounds them down; two rows,
+    # since a lone row skips the cascade
+    @example(np.array([[1.5, 2.0**-53, 2.0**-110]] * 2))
+    @example(np.array([[1.0, 2.0**-27, 2.0**-27, 2.0**-55]] * 2))
     def test_equals_the_scalar_path_bit_for_bit(self, x):
         before = x.tobytes()
         scalar = np.array([modified_greenwood(row).s_n for row in x])
@@ -193,6 +194,19 @@ class TestExactRows:
         scalar = np.array([modified_greenwood(row).s_n for row in x])
         monkeypatch.setattr(statistic, "modified_greenwood", refuse)
         assert _modified_greenwood_rows(x).tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 10, 1000])
+    def test_one_row_is_the_scalar_value_without_the_cascade(self, monkeypatch, n):
+        import greenwood.statistic as statistic
+
+        def refuse(a):
+            raise AssertionError("column cascade")
+
+        monkeypatch.setattr(statistic, "_two_sum_columns", refuse)
+        for seed in range(20):
+            x = RngStream(309, seed).generator().standard_cauchy((1, n))
+            expected = np.array([modified_greenwood(x[0]).s_n])
+            assert _modified_greenwood_rows(x).tobytes() == expected.tobytes()
 
 
 class TestValidation:
