@@ -19,7 +19,6 @@ insufficient replications, missing table coverage).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, replace
@@ -39,6 +38,8 @@ from .distributions import FAMILIES, DistributionSpec
 from .power import PowerStudyConfig, export_curve, run_power_study
 from .rng import RngStream
 from .signal import (
+    _check_beta,
+    _check_rate,
     _frames,
     batch_test,
     build_spectrogram_quantile_table,
@@ -73,39 +74,26 @@ def _flag_values():
         raise _UsageError(str(exc)) from None
 
 
-def _seed(text: str) -> int:
-    """``--seed``: an integer in ``[0, 2**64)``, the range of a Philox key word."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {seed}")
-    return seed
+def _checked(parse, check):
+    """A flag type: ``parse`` the text (argparse reports a ValueError as ``invalid int
+    value: 'x'``), then refuse the value by the error ``check`` raises for it."""
+
+    def flag(text: str):
+        value = parse(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    flag.__name__ = parse.__name__
+    return flag
 
 
-def _sample_rate(text: str) -> float:
-    """``--sample-rate``: a finite positive number of Hz."""
-    try:
-        rate = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not (rate > 0 and math.isfinite(rate)):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
-    return rate
-
-
-def _beta(text: str) -> float:
-    """``--beta``: a Kaiser shape that :func:`~greenwood.signal.kaiser_window` accepts."""
-    try:
-        beta = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    try:
-        kaiser_window(2, beta)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return beta
+# the flags whose values the library checks, by its own rules
+_seed = _checked(int, RngStream)
+_sample_rate = _checked(float, _check_rate)
+_beta = _checked(float, _check_beta)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -294,8 +282,6 @@ def _cmd_test(args) -> int:
 def _cmd_power(args) -> int:
     spec = _test_spec(args)
     grid = _parse_grid(args.grid)
-    if not grid:
-        raise _UsageError("parameter grid is empty")
     ns = _parse_int_list(args.n)
     with _flag_values():
         config = PowerStudyConfig(

@@ -8,7 +8,7 @@ Every Monte Carlo loop of the package (tables, power and size studies,
 baseline thresholds, the spectrogram null) has one entry point,
 :func:`_simulate`, and one RNG layout, version :data:`RNG_LAYOUT`. A
 sampling job (:func:`_sample_job`) takes its replications in blocks of
-``rows(n) = max(1, BLOCK_VALUES // n)``, and block ``b`` draws its rows
+``rows(n)`` (:func:`_block_rows`), and block ``b`` draws its rows
 from substream ``base + b``. A block draws only the rows it uses: each
 variate of a draw has its own counter range of the substream (see
 :meth:`greenwood.rng.RngStream.generator`), so a short last block is the
@@ -82,6 +82,12 @@ GROUP_STRIDE = 1 << 32
 RNG_LAYOUT = 4
 # values per block draw (512 KB of float64)
 BLOCK_VALUES = 1 << 16
+
+
+def _block_rows(n: int) -> int:
+    """``rows(n)``: the rows of ``n`` values in a block of a sampling job, of an exact
+    decision (:mod:`greenwood.testing`) or of a spectrogram's frames."""
+    return max(1, BLOCK_VALUES // n)
 
 
 def _cpu_count() -> int:
@@ -174,7 +180,7 @@ def _sample_job(
     """The :func:`_simulate` job of ``row_fn`` over ``replications`` samples of ``spec``.
 
     Every job that samples size-``n`` replications is made here. With
-    ``rows = max(1, BLOCK_VALUES // n)``, its block ``b`` is
+    ``rows = _block_rows(n)``, its block ``b`` is
     ``sample(spec, (k, n), stream.substream(b))`` for the
     ``k = min(rows, replications - b * rows)`` rows it still needs; being
     the first ``k`` rows of the whole ``(rows, n)`` draw, they do not
@@ -182,7 +188,7 @@ def _sample_job(
     it may overwrite and returns one result per row, so the job's values
     are in replication order.
     """
-    rows = max(1, BLOCK_VALUES // n)
+    rows = _block_rows(n)
 
     def block(b):
         k = min(rows, replications - b * rows)
@@ -318,7 +324,7 @@ def estimate_null_distribution(
 ) -> np.ndarray:
     """Statistic values over ``replications`` independent size-``n`` null samples.
 
-    With ``rows = max(1, BLOCK_VALUES // n)``, replication ``r`` is row
+    With ``rows = _block_rows(n)``, replication ``r`` is row
     ``r % rows`` of the block drawn from ``rng.substream(r // rows)``.
     """
     return _simulate([_null_job(spec, n, replications, rng)])[0]
@@ -363,7 +369,8 @@ def json_number(v):
 
 
 def _canon_number(value) -> str:
-    return str(json_number(float(value)))
+    # + 0.0 keys -0.0 as 0.0, which it equals
+    return str(json_number(float(value) + 0.0))
 
 
 def _canon_value(value) -> str:

@@ -8,9 +8,9 @@ Long records are screened for heavy-tailed behavior two ways:
   each frequency row, each row being a sample of spectrogram values over
   time.
 
-:func:`batch_test` decides units that stack into one 2-D array in one pass on
-the block engine on every CPU, with row kernels that reproduce the scalar
-statistic bit for bit; a unit :func:`greenwood.testing.run_test` refuses
+:func:`batch_test` decides units that stack into one 2-D array by the exact
+decision that :func:`greenwood.testing.run_test` makes of one sample, run on
+all the units at once, in blocks on every CPU; a unit ``run_test`` refuses
 raises its error first. Other units go through ``run_test`` one by one.
 Either way the outcomes and errors are those of a loop of ``run_test`` calls.
 
@@ -46,9 +46,9 @@ import numpy as np
 import numpy.fft  # noqa: F401  (loaded with the package, not on the first spectrogram)
 
 from .critical import (
-    BLOCK_VALUES,
     QuantileTable,
     TableRequest,
+    _block_rows,
     _request_groups,
     _simulate,
     _whole,
@@ -60,7 +60,7 @@ from .critical import (
 from .distributions import DistributionSpec, _ContinuedStream, params_dict, sample
 from .rng import RngStream
 from .statistic import modified_greenwood_batch
-from .testing import _KINDS, TestOutcome, TestSpec, _block_thresholds, _rejects, run_test
+from .testing import TestOutcome, TestSpec, _decide, run_test
 
 __all__ = [
     "BatchReport",
@@ -112,6 +112,15 @@ def _check_rate(sample_rate) -> None:
         raise ValueError("sample_rate must be a finite positive number")
 
 
+def _check_beta(beta) -> None:
+    """A ValueError unless ``beta`` is a Kaiser shape: nonnegative, with a finite I0."""
+    with np.errstate(all="ignore"):
+        i0 = np.i0(beta)
+    # I0 overflows for beta above about 709, and NaN passes a sign check
+    if beta < 0 or not np.isfinite(i0):
+        raise ValueError(f"beta must be nonnegative with a finite I0(beta), got {beta}")
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrogram:
     """Magnitude-squared short-time spectrum: rows are frequencies, columns time."""
@@ -147,14 +156,10 @@ def kaiser_window(length: int, beta: float) -> np.ndarray:
     """Kaiser window of ``length`` samples with shape parameter ``beta``.
 
     Endpoints equal ``1 / I0(beta)``; ``beta = 0`` gives the rectangular
-    window. ``length`` follows the window rule of :func:`_frames`.
+    window. ``length`` and ``beta`` follow the rules of :func:`_frames` and :func:`_check_beta`.
     """
     length = _frames(length, length)[1]  # a window is one frame of its own length
-    with np.errstate(all="ignore"):
-        i0 = np.i0(beta)
-    # I0 overflows for beta above about 709, and NaN passes a sign check
-    if beta < 0 or not np.isfinite(i0):
-        raise ValueError(f"beta must be nonnegative with a finite I0(beta), got {beta}")
+    _check_beta(beta)
     return np.kaiser(length, beta)
 
 
@@ -189,18 +194,13 @@ def spectrogram(signal: Signal, window: np.ndarray, overlap: int = 0) -> Spectro
     # frames are transformed a chunk at a time into one (frames, bins) array,
     # so the windowed copy and the complex spectrum never exceed one chunk
     power = np.empty((n_frames, w // 2 + 1))
-    step = _chunk_frames(w)
+    step = _block_rows(w)  # about BLOCK_VALUES windowed samples
     for i in range(0, n_frames, step):
         _power(frames[i : i + step], window, power[i : i + step])
     power = power.T
     freqs = np.fft.rfftfreq(w, d=1.0 / signal.sample_rate)
     times = (np.arange(n_frames) * hop + (w - 1) / 2.0) / signal.sample_rate
     return Spectrogram(power, freqs, times, window, overlap)
-
-
-def _chunk_frames(window_length: int) -> int:
-    """Frames transformed at a time: about ``BLOCK_VALUES`` windowed samples."""
-    return max(1, BLOCK_VALUES // window_length)
 
 
 def _power(frames: np.ndarray, window: np.ndarray, out: np.ndarray, bins=slice(None)) -> None:
@@ -357,12 +357,12 @@ def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> Batc
     first unit that :func:`run_test` refuses, in unit order, raises the
     error ``run_test`` raises for it.
 
-    Units that stack into one 2-D array are decided in one pass: the
-    thresholds are read once and the statistic values are computed in
-    blocks of about ``BLOCK_VALUES`` values, with the row kernels that
-    reproduce the scalar statistic exactly, as one
-    :func:`greenwood.critical._simulate` job on every CPU. Units that do not
-    stack go through ``run_test`` unit by unit.
+    Units that stack into one 2-D array are decided in one pass by
+    :func:`greenwood.testing._decide`, the exact decision ``run_test`` makes
+    of one unit: the thresholds are read once and the row kernels that
+    reproduce the scalar statistic exactly run on blocks of ``rows(n)``
+    units, on every CPU. Units that do not stack go through ``run_test``
+    unit by unit.
     """
     if domain not in ("time", "time-frequency"):
         raise ValueError("domain must be 'time' or 'time-frequency'")
@@ -376,7 +376,6 @@ def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> Batc
         if len(labels) != count:
             raise ValueError("labels must match units one to one")
 
-    kind = test.kind
     try:
         # C order (copied if need be): the baseline kernels reduce a row as
         # run_test reduces one unit only when the row is contiguous
@@ -386,15 +385,7 @@ def batch_test(units, test: TestSpec, domain: str = "time", labels=None) -> Batc
     if x is None or x.ndim != 2:
         outcomes = [run_test(test, unit) for unit in units]
     else:
-        n = x.shape[1]
-        t = _block_thresholds(test, x)
-        kernel = _KINDS[kind].exact
-        rows = max(1, BLOCK_VALUES // n)
-        s = _simulate([(-(-count // rows), lambda b: kernel(x[b * rows : (b + 1) * rows]))])[0]
-        outcomes = [
-            TestOutcome(kind, n, test.c, si, t, ri)
-            for si, ri in zip(s.tolist(), _rejects(kind, s, t).tolist())
-        ]
+        outcomes = _decide(test, x)
     return BatchReport(domain, test.c, tuple(outcomes), tuple(labels))
 
 
@@ -409,8 +400,9 @@ def spectrogram_null_params(
     overlap: int,
     signal_length: int,
 ) -> dict:
-    """Extra table-key fields that pin an entry to one geometry of 2 frames or more."""
+    """Extra table-key fields that pin an entry to one Kaiser geometry of 2 frames or more."""
     signal_length, window_length, overlap, _ = _frames(signal_length, window_length, overlap, 2)
+    _check_beta(beta)
     return {
         **params_dict(base_spec),
         "domain": "spectrogram",
@@ -460,7 +452,7 @@ def estimate_spectrogram_null(
     _check_rate(sample_rate)
     rows = np.flatnonzero(_band(np.fft.rfftfreq(w, d=1.0 / sample_rate), f_min, f_max))
     bins = slice(rows[0], rows[-1] + 1)  # the bins ascend, so a band is one run of them
-    hop, step = w - overlap, _chunk_frames(w)
+    hop, step = w - overlap, _block_rows(w)
 
     def one_signal(s):
         stream = _ContinuedStream(rng.master_seed, rng.substream(s).stream_id)

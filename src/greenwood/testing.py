@@ -64,13 +64,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, partial, reduce
 
 import numpy as np
 
 from .critical import (
     QuantileTable,
     TableRequest,
+    _block_rows,
     _sample_job,
     _simulate,
     _whole,
@@ -415,9 +416,21 @@ def run_test(spec: TestSpec, sample) -> TestOutcome:
     x = np.asarray(sample, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("sample must be one-dimensional")
-    kind, t = spec.kind, _block_thresholds(spec, x[None, :])
-    s = float(_KINDS[kind].exact(x[None, :])[0])
-    return TestOutcome(kind, x.size, spec.c, s, t, _rejects(kind, s, t))
+    return _decide(spec, x[None, :])[0]
+
+
+def _decide(spec: TestSpec, x: np.ndarray) -> list:
+    """The exact decision: ``run_test(spec, row)`` of each row of the 2-D ``x``, or the
+    error the first of those calls raises. The thresholds are read once, and the exact
+    kernel runs on blocks of ``rows(n)`` rows on every CPU, or here if ``x`` fits in one."""
+    kind, (m, n) = spec.kind, x.shape
+    t, exact, rows = _block_thresholds(spec, x), _KINDS[kind].exact, _block_rows(n)
+    if m <= rows:
+        s = exact(x)
+    else:
+        s = _simulate([(-(-m // rows), lambda b: exact(x[b * rows : (b + 1) * rows]))])[0]
+    reject = _rejects(kind, s, t)
+    return [TestOutcome(kind, n, spec.c, si, t, ri) for si, ri in zip(s.tolist(), reject.tolist())]
 
 
 def _refusal(kind: str, x: np.ndarray):
@@ -430,7 +443,7 @@ def _refusal(kind: str, x: np.ndarray):
         else (check[0](x), check[1])
         for check in entry.refusals
     ]
-    accepted = np.logical_and.reduce([rows for rows, _ in checks])
+    accepted = reduce(np.logical_and, [rows for rows, _ in checks])  # no stacked copy
     if accepted.all():
         return None
     i = int(accepted.argmin())

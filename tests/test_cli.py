@@ -257,6 +257,22 @@ class TestTestCommand:
         assert rc == 2
         assert "--family is required" in capsys.readouterr().err
 
+    def test_a_negative_zero_parameter_reads_the_zero_entry(self, workdir, tmp_path, capsys):
+        table = tmp_path / "t.json"
+        argv = ["quantiles", "--family", "gaussian", "--n", "50", "--reps", "1000", "--side",
+                "both", "--c", "0.025", "--out", str(table)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        docs = []
+        for mu in ("-0", "0"):
+            rc = main(
+                ["test", "--kind", "mg_two_sided", "--family", "gaussian", "--mu", mu,
+                 "--table", str(table), "--input", str(workdir / "heavy.csv")]
+            )
+            assert rc == 0
+            docs.append(capsys.readouterr().out)
+        assert docs[0] == docs[1]
+
     @pytest.mark.parametrize(
         "sample, expected",
         [([1e200, 1.0, 2.0], 1.0), ([1e308, 1e308, 1.0], 0.5), ([1e-200, 1e-200, 3e-200], 0.44)],
@@ -950,18 +966,26 @@ class TestGlobalBehavior:
             ),
             (
                 ["spectrogram", "--input", "{heavy}", "--window-length", "2", "--sample-rate", "-1"],
-                "--sample-rate: must be a finite positive number",
+                "argument --sample-rate: sample_rate must be a finite positive number",
             ),
             (
                 ["analyze", "--input", "{heavy}", "--table", "{table}", "--sample-rate", "nan"],
-                "--sample-rate: must be a finite positive number",
+                "argument --sample-rate: sample_rate must be a finite positive number",
             ),
             (
                 [
                     "quantiles", "--family", "gaussian", "--domain", "spectrogram",
                     "--signal-length", "1000", "--window-length", "100", "--sample-rate", "inf",
                 ],
-                "--sample-rate: must be a finite positive number",
+                "argument --sample-rate: sample_rate must be a finite positive number",
+            ),
+            (
+                ["spectrogram", "--input", "{heavy}", "--window-length", "2", "--sample-rate", "x"],
+                "argument --sample-rate: invalid float value: 'x'",
+            ),
+            (
+                ["quantiles", "--family", "gaussian", "--n", "10", "--seed", "x"],
+                "argument --seed: invalid int value: 'x'",
             ),
             (
                 ["spectrogram", "--input", "{signal}", "--window-length", "64", "--beta", "nan"],
@@ -1052,6 +1076,19 @@ class TestGlobalBehavior:
                 "argument --reps: not allowed with argument --quick",
             ),
             (["spectrogram", "--input", "{signal}"], "spectrogram requires --window-length"),
+            (
+                ["analyze", "--input", "{signal}", "--table", "{tf_table}", "--mode", "tf"],
+                "time-frequency mode requires --window-length",
+            ),
+            (
+                [
+                    "analyze", "--input", "{signal}", "--table", "{table}", "--mode", "tf",
+                    "--window-length", "32",
+                ],
+                "time-frequency mode needs a table built from spectrogram nulls (build one with:"
+                " greenwood quantiles --domain spectrogram ...); {table} holds raw-sample"
+                " entries only",
+            ),
             (
                 ["spectrogram", "--input", "{signal}", "--window-length", "32", "--sample-rate", "1000"],
                 "--sample-rate applies to CSV input only",
@@ -1147,6 +1184,20 @@ class TestGlobalBehavior:
             ),
             (
                 [
+                    "power", "--kind", "jarque_bera", "--data-family", "stable",
+                    "--grid", ",", "--n", "10",
+                ],
+                "parameter grid must be nonempty",
+            ),
+            (
+                [
+                    "power", "--kind", "jarque_bera", "--data-family", "stable",
+                    "--grid", "2:1:1", "--n", "10",
+                ],
+                "parameter grid must be nonempty",
+            ),
+            (
+                [
                     "quantiles", "--family", "gaussian", "--domain", "spectrogram",
                     "--signal-length", "1000", "--window-length", "64", "--overlap", "64",
                 ],
@@ -1156,18 +1207,21 @@ class TestGlobalBehavior:
         ids=[
             "quantiles_c", "quantiles_n", "spectrogram_c", "baseline_c", "mg_c", "power_c",
             "analyze_segment_length", "spectrogram_window_length", "spectrogram_sample_rate",
-            "analyze_sample_rate", "quantiles_sample_rate", "spectrogram_beta_nan",
+            "analyze_sample_rate", "quantiles_sample_rate", "sample_rate_not_a_number",
+            "seed_not_a_number", "spectrogram_beta_nan",
             "analyze_beta_inf", "quantiles_beta_800", "quantiles_signal_shorter_than_window",
             "quantiles_spectrogram_n", "quantiles_raw_window_length",
             "quantiles_raw_signal_length", "fixed_null_family", "other_family_parameter",
             "baseline_table", "quantiles_raw_beta", "quantiles_spectrogram_reps",
             "quantiles_spectrogram_quick", "analyze_time_window_length",
             "analyze_tf_segment_length", "quick_with_reps", "spectrogram_no_window_length",
+            "analyze_tf_no_window_length", "analyze_tf_raw_table",
             "spectrogram_binary_sample_rate", "analyze_binary_sample_rate",
             "analyze_time_sample_rate", "quantiles_duplicate_request", "analyze_band_above_nyquist",
             "analyze_f_min_above_nyquist", "power_baseline_below_8", "power_repeated_n",
             "power_n_below_2", "analyze_baseline_segment_below_8", "power_grid_two_pieces",
             "power_grid_not_numeric", "power_grid_zero_step", "quantiles_no_c", "power_no_n",
+            "power_grid_empty_list", "power_grid_empty_range",
             "quantiles_overlap_window",
         ],
     )
@@ -1183,7 +1237,8 @@ class TestGlobalBehavior:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. an overflow in I0(beta)
             assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert message in capsys.readouterr().err
+        assert message.format(**paths) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no output file, whole or partial
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551619"])
     @pytest.mark.parametrize("command", ["quantiles", "power"])
@@ -1198,7 +1253,7 @@ class TestGlobalBehavior:
             ],
         }[command]
         assert _exit_code(argv + ["--seed", seed, "--out", str(out)]) == 2
-        assert "--seed: must lie in [0, 2**64)" in capsys.readouterr().err
+        assert "argument --seed: master_seed must lie in [0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_largest_seed_is_accepted(self, tmp_path):

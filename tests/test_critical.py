@@ -855,6 +855,26 @@ class TestLookup:
         b = table.value("gaussian", {"mu": 0.0, "sigma2": 1.0}, 10, 0.05, "upper")
         assert a == b
 
+    @pytest.mark.parametrize("stored, asked", [(-0.0, 0.0), (0.0, -0.0)], ids=["neg", "pos"])
+    def test_a_signed_zero_finds_the_other_zero(self, tmp_path, stored, asked):
+        rec = {
+            "family": "gaussian",
+            "params": {"mu": stored, "sigma2": 1.0},
+            "n": 10,
+            "c": 0.05,
+            "side": "upper",
+            "value": 0.5,
+        }
+        table = QuantileTable({}, [rec])
+        table.save(tmp_path / "t.json")
+        loaded = QuantileTable.load(tmp_path / "t.json")
+        for t in (table, loaded):
+            assert t.has("gaussian", {"mu": asked, "sigma2": 1.0}, 10, 0.05, "upper")
+            assert t.value_for(Gaussian(asked, 1.0), 10, 0.05, "upper") == 0.5
+            assert math.copysign(1.0, t.records[0]["params"]["mu"]) == math.copysign(1.0, stored)
+        with pytest.raises(ValueError, match="duplicate"):  # both zeros are one key
+            QuantileTable({}, [rec, {**rec, "params": {"mu": asked, "sigma2": 1.0}}])
+
     def test_extra_params_widen_the_key(self):
         rec = {
             "family": "gaussian",

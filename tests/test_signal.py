@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenwood import critical, testing
 from greenwood import signal as signal_module
-from greenwood import testing
 from greenwood.critical import (
     QuantileTable,
     TableCoverageError,
@@ -438,7 +438,7 @@ class TestBatchMatchesRunTest:
         assert self._check(units, spec)[0] is ValueError
 
     def test_identical_on_any_cpu_count(self, table, set_cpus, monkeypatch):
-        monkeypatch.setattr(signal_module, "BLOCK_VALUES", 40)  # 4 rows of 10 per block
+        monkeypatch.setattr(critical, "BLOCK_VALUES", 40)  # 4 rows of 10 per block
         g = RngStream(4043).generator()
         rows = g.standard_cauchy((150, 10))
         ragged = [g.standard_normal(20) for _ in range(30)] + list(rows)
@@ -454,7 +454,7 @@ class TestBatchMatchesRunTest:
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_baseline_units_in_late_blocks_on_helper_threads(self, kind, set_cpus, monkeypatch):
-        monkeypatch.setattr(signal_module, "BLOCK_VALUES", 40)  # 4 rows of 10 per block
+        monkeypatch.setattr(critical, "BLOCK_VALUES", 40)  # 4 rows of 10 per block
         set_cpus(3)
         spec = TestSpec(kind, 0.05)
         rows = RngStream(4044).generator().standard_cauchy((40, 10))  # 10 blocks
@@ -835,6 +835,17 @@ _GEOMETRY_CALLS = {
 }
 _TF_CALLS = ("spectrogram_null_params", "estimate_spectrogram_null",
              "build_spectrogram_quantile_table")
+# every function that takes a Kaiser beta, as a call on beta at a geometry it accepts
+_BETA_CALLS = {
+    "kaiser_window": lambda b: kaiser_window(64, b),
+    "spectrogram_null_params": lambda b: spectrogram_null_params(_BASE, 64, b, 0, 400),
+    "estimate_spectrogram_null": lambda b: estimate_spectrogram_null(
+        _BASE, 400, 64, b, 0, 2, RngStream(1)
+    ),
+    "build_spectrogram_quantile_table": lambda b: build_spectrogram_quantile_table(
+        _BASE, [(0.05, "upper")], 400, 64, b, 0, 2, RngStream(1)
+    ),
+}
 
 
 class TestGeometryRule:
@@ -867,6 +878,17 @@ class TestGeometryRule:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 _GEOMETRY_CALLS[name](*geometry)
         assert simulated == []  # refused before any signal is drawn
+
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, 1e4], ids=["negative", "nan", "huge"])
+    def test_one_beta_rule(self, monkeypatch, beta):
+        simulated = []
+        monkeypatch.setattr(signal_module, "_simulate", lambda jobs: simulated.append(jobs))
+        message = f"beta must be nonnegative with a finite I0(beta), got {beta}"
+        for call in _BETA_CALLS.values():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(beta)
+        assert simulated == []  # refused before any signal is drawn
+        assert spectrogram_null_params(_BASE, 64, 0.0, 0, 400)["beta"] == 0.0  # beta 0 is kept
 
     def test_a_spectrogram_may_have_one_frame(self):
         sp = _GEOMETRY_CALLS["spectrogram"](100, 64, 0)

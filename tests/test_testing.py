@@ -238,6 +238,18 @@ class TestDispatch:
         with pytest.raises(ValueError, match="^rows must be a 2-D array, one sample per row$"):
             reject_rows(TestSpec(kind, 0.05, table), rows)
 
+    @pytest.mark.parametrize("kind", ["mg2", "jarque_bera"])
+    def test_one_sample_is_decided_on_the_calling_thread(self, kind, monkeypatch):
+        def refused(jobs, reduce=None):
+            raise AssertionError("a one-sample decision ran on the engine")
+
+        monkeypatch.setattr(testing, "_simulate", refused)
+        table = synthetic_table([("gaussian", GAUSS_PARAMS, 10, 0.05, "upper", 0.375)])
+        x = RngStream(5).generator().standard_normal(10)
+        outcome = run_test(TestSpec(kind, 0.05, table), x)
+        assert type(outcome.statistic) is float and type(outcome.reject) is bool
+        assert outcome.statistic == testing._KINDS[kind].exact(x[None, :])[0]
+
     def test_outcome_json_shape(self):
         table = synthetic_table([("gaussian", GAUSS_PARAMS, 5, 0.05, "upper", 0.375)])
         doc = run_test(TestSpec("mg2", 0.05, table), TIE_SAMPLE).to_json_dict()
@@ -456,6 +468,20 @@ class TestPackagedBaselines:
         monkeypatch.setattr(testing, "_packaged_table", lambda: QuantileTable({}, []))  # all miss
         expected = packaged.value("gaussian", params, 10, 0.05, "upper")
         assert testing._baseline_threshold(kind, 10, 0.05, self.M) == expected
+
+    def test_baseline_table_rebuilds_the_file(self, monkeypatch):
+        # a slice of the grid; the whole rebuild takes minutes
+        monkeypatch.setattr(testing, "_PACKAGED_N", (8, 100))
+        monkeypatch.setattr(testing, "_PACKAGED_C", (0.05,))
+        doc = _packaged_doc()
+        packaged = {(e["params"]["statistic"], e["n"], e["c"]): e for e in doc["entries"]}
+        rebuilt = testing.baseline_table().to_json_dict()
+        assert rebuilt["metadata"] == doc["metadata"]
+        keys = [(e["params"]["statistic"], e["n"], e["c"]) for e in rebuilt["entries"]]
+        assert keys == [(kind, n, 0.05) for kind in BASELINE_KINDS for n in (8, 100)]
+        for key, entry in zip(keys, rebuilt["entries"]):
+            assert entry == packaged[key], key
+            assert entry["value"].hex() == packaged[key]["value"].hex(), key
 
     @pytest.mark.parametrize("n, c", [(101, 0.05), (10, 0.07)])
     def test_keys_off_the_grid_are_simulated_and_cached(self, n, c, monkeypatch):
