@@ -96,18 +96,13 @@ _sample_rate = _checked(float, _check_rate)
 _beta = _checked(float, _check_beta)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, parse=float) -> list:
+    """The comma list ``text`` of ints (``parse=int``) or floats; blank items are skipped."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [parse(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise _UsageError(f"expected a comma-separated list of integers, got {text!r}")
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise _UsageError(f"expected a comma-separated list of numbers, got {text!r}")
+        what = "integers" if parse is int else "numbers"
+        raise _UsageError(f"expected a comma-separated list of {what}, got {text!r}")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -132,7 +127,7 @@ def _parse_grid(text: str) -> list[float]:
             )
         grid = [start + k * step for k in range(count + 1)]
         return [g for g in grid if g <= stop + 1e-12]
-    return _parse_float_list(text)
+    return _parse_list(text)
 
 
 def _family_spec(args) -> DistributionSpec:
@@ -177,6 +172,9 @@ def _check_flags(args) -> None:
          domain != "raw"),
         (("segment_length",), "time mode", mode != "tf"),
         ((*_SPECTRAL, "sample_rate"), "tf mode", mode != "time"),
+        # a simulated signal's rate only places the band
+        (("sample_rate",), "the spectrogram domain with --f-min or --f-max",
+         domain != "spectrogram" or args.f_min is not None or args.f_max is not None),
     ]
     for names, where, read in scopes:
         for name in names:
@@ -233,7 +231,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _cmd_quantiles(args) -> int:
     spec = _family_spec(args)
-    cs = _parse_float_list(args.c)
+    cs = _parse_list(args.c)
     if not cs:
         raise _UsageError("--c must list at least one level")
     sides = ("lower", "upper") if args.side == "both" else (args.side,)
@@ -259,7 +257,7 @@ def _cmd_quantiles(args) -> int:
                 args.sample_rate or 1.0,
             )
     else:
-        ns = _parse_int_list(args.n) if args.n else []
+        ns = _parse_list(args.n, int) if args.n else []
         if not ns:
             raise _UsageError("--n must list at least one sample size")
         with _flag_values():  # the requests, duplicates included, come from flags
@@ -282,7 +280,7 @@ def _cmd_test(args) -> int:
 def _cmd_power(args) -> int:
     spec = _test_spec(args)
     grid = _parse_grid(args.grid)
-    ns = _parse_int_list(args.n)
+    ns = _parse_list(args.n, int)
     with _flag_values():
         config = PowerStudyConfig(
             test=spec,

@@ -27,6 +27,8 @@ quantile records, its rejection count) from its block results in block
 order as soon as its last block is in. numpy's generator fills, FFTs and
 ufuncs release the GIL, so the output is the same for any CPU count.
 
+One assembler, :func:`_quantile_table`, makes the tables of
+:func:`build_quantile_table` and :func:`greenwood.testing.baseline_table`.
 Tables serialize to a small JSON document (see :meth:`QuantileTable.save`)
 keyed by ``(family, params, n, c, side)``.
 """
@@ -514,19 +516,23 @@ def build_quantile_table(requests, replications: int, rng: RngStream) -> Quantil
     and each is reduced to its entries as soon as its last block is in.
     """
     replications = _whole("replications", replications, 1000)
-    groups = _request_groups(requests)
-    keys, members = list(groups), list(groups.values())
+    groups = [
+        (_null_job(spec, n, replications, rng.substream(g * GROUP_STRIDE)), params_dict(spec), rs)
+        for g, ((spec, n), rs) in enumerate(_request_groups(requests).items())
+    ]
+    return _quantile_table(table_metadata(replications, rng), groups)
+
+
+def _quantile_table(metadata: dict, groups: list) -> QuantileTable:
+    """The table of ``metadata`` whose entries answer the requests of each group
+    ``(job, params, requests)`` by :func:`quantile_record`, keyed by ``params``,
+    from the values of the :func:`_simulate` job ``job``; all jobs share one schedule."""
 
     def records(g, values):
-        params = params_dict(keys[g][0])
-        return [quantile_record(r, params, values) for r in members[g]]
+        return [quantile_record(r, groups[g][1], values) for r in groups[g][2]]
 
-    jobs = [
-        _null_job(spec, n, replications, rng.substream(g * GROUP_STRIDE))
-        for g, (spec, n) in enumerate(keys)
-    ]
-    entries = [rec for group in _simulate(jobs, records) for rec in group]
-    return QuantileTable(table_metadata(replications, rng), entries)
+    entries = _simulate([job for job, _, _ in groups], records)
+    return QuantileTable(metadata, [rec for group in entries for rec in group])
 
 
 def _request_groups(requests) -> dict:

@@ -321,13 +321,11 @@ def sample(spec: DistributionSpec, n, rng: RngStream) -> np.ndarray:
     bit, and for ``k < m`` ``sample(spec, (k, n), rng)`` is the first ``k``
     rows of ``sample(spec, (m, n), rng)``.
     """
-    kernel = _KERNELS.get(type(spec))
-    if kernel is None:
-        raise TypeError(f"not a distribution spec: {spec!r}")
+    _family_of(spec)  # a TypeError unless spec is a distribution spec
     if isinstance(n, tuple):
         if len(n) != 2:
             raise ValueError("a sample shape must be (m, n)")
         n = (_whole("m", n[0], 1), _whole("n", n[1], 1))
     else:
         n = _whole("n", n, 1)
-    return kernel(spec, n, rng)
+    return _KERNELS[type(spec)](spec, n, rng)

@@ -8,7 +8,9 @@ batch with the decisions ``run_test`` would reach. All grid points of a study
 share one block schedule, so small ones run side by side on the CPUs, and
 each is reduced to its rejection count from its blocks in block order: curves
 are pure functions of the configuration, and reruns are bit-identical on any
-CPU count.
+CPU count. Studies and size checks share one routine,
+:func:`_rejection_rates`; a size check is a one-point study that runs on the
+master stream it is given, which is the stream of a study's grid point 0.
 
 Curves export to CSV with header ``family,param,n,replications,rejection_rate``
 plus a JSON sidecar carrying the configuration echo.
@@ -133,60 +135,52 @@ class PowerCurve:
 def run_power_study(config: PowerStudyConfig) -> PowerCurve:
     """Rejection rate at every ``(param, n)`` grid point of ``config``.
 
-    The thresholds of every sample size are read up front, so a study
-    cannot die halfway through on table coverage. Grid point ``(i, j)`` is
-    group ``g = i * len(sample_sizes) + j``: its block ``b`` of replications
-    samples from substream ``g * GROUP_STRIDE + b``. All grid points share
-    one block schedule (see :func:`~greenwood.critical._simulate`), and each
-    is reduced to its rejection count as soon as its last block is decided.
+    Grid point ``(i, j)`` is group ``g = i * len(sample_sizes) + j``: its
+    block ``b`` of replications samples from substream
+    ``g * GROUP_STRIDE + b``. The rates come from :func:`_rejection_rates`.
     """
-    test, reps = config.test, config.replications
-    for n in config.sample_sizes:
-        thresholds_for(test, n)
+    reps = config.replications
     rng = RngStream(config.master_seed)
     grid = [(param, n) for param in config.parameter_grid for n in config.sample_sizes]
-    jobs = [
-        _sample_job(
-            data_spec(config.data_family, param),
-            n,
-            reps,
-            rng.substream(g * GROUP_STRIDE),
-            partial(reject_rows, test),
-        )
+    points = [
+        (data_spec(config.data_family, param), n, rng.substream(g * GROUP_STRIDE))
         for g, (param, n) in enumerate(grid)
     ]
-    counts = _simulate(jobs, _rejections)
-    points = tuple(
-        PowerPoint(param, n, count / reps, reps) for (param, n), count in zip(grid, counts)
+    rates = _rejection_rates(config.test, points, reps)
+    return PowerCurve(
+        tuple(PowerPoint(param, n, rate, reps) for (param, n), rate in zip(grid, rates)),
+        config.to_json_dict(),
     )
-    return PowerCurve(points, config.to_json_dict())
 
 
 def size_check(test: TestSpec, n: int, replications: int, rng: RngStream) -> float:
     """Empirical rejection rate under the test's own null boundary.
 
-    For a well-calibrated test this sits near ``c`` up to binomial noise of
-    order ``sqrt(c (1 - c) / replications)``.
+    It is a one-point study on ``rng`` itself, the stream of a study's
+    group 0. For a well-calibrated test it sits near ``c`` up to binomial
+    noise of order ``sqrt(c (1 - c) / replications)``.
     """
     replications = _whole("replications", replications, 100)
-    return _rejection_rate(test, test.null_spec, n, replications, rng)
+    return _rejection_rates(test, [(test.null_spec, n, rng)], replications)[0]
 
 
-def _rejection_rate(
-    test: TestSpec, spec: DistributionSpec, n: int, replications: int, rng: RngStream
-) -> float:
-    """Share of size-``n`` samples of ``spec`` that ``test`` rejects.
+def _rejection_rates(test: TestSpec, points, replications: int) -> list:
+    """Share of ``replications`` size-``n`` samples of ``spec`` that ``test`` rejects,
+    for each point ``(spec, n, stream)`` of ``points``.
 
-    Block ``b`` of replications is drawn from ``rng.substream(b)`` and
-    decided in batch by :func:`~greenwood.testing.reject_rows`.
+    The thresholds of each distinct ``n`` are read before any draw, so a
+    study cannot die halfway through on table coverage (the read also checks
+    that ``n`` is an integer). Block ``b`` of a point is drawn from
+    ``stream.substream(b)`` and decided in batch by
+    :func:`~greenwood.testing.reject_rows`. All points share one block
+    schedule (see :func:`~greenwood.critical._simulate`), and each is
+    reduced to its rejection count as soon as its last block is decided.
     """
-    thresholds_for(test, n)  # before any draw; it also checks that n is an integer
-    job = _sample_job(spec, int(n), replications, rng, partial(reject_rows, test))
-    return _simulate([job], _rejections)[0] / replications
-
-
-def _rejections(j, rejected) -> int:
-    return int(rejected.sum())
+    for n in dict.fromkeys(n for _, n, _ in points):
+        thresholds_for(test, n)
+    decide = partial(reject_rows, test)
+    jobs = [_sample_job(spec, int(n), replications, stream, decide) for spec, n, stream in points]
+    return _simulate(jobs, lambda j, rejected: int(rejected.sum()) / replications)
 
 
 def export_curve(curve: PowerCurve, path) -> None:

@@ -72,11 +72,11 @@ from .critical import (
     QuantileTable,
     TableRequest,
     _block_rows,
+    _quantile_table,
     _sample_job,
     _simulate,
     _whole,
     empirical_quantile,
-    quantile_record,
     table_metadata,
 )
 from .distributions import GPD, DistributionSpec, Gaussian, StudentT, params_dict
@@ -367,16 +367,14 @@ def baseline_table() -> QuantileTable:
     miss, so every value is the bits that path gives. The metadata are
     :func:`~greenwood.critical.table_metadata` of the internal seed.
     """
-    keys = [(kind, n) for kind in BASELINE_KINDS for n in _PACKAGED_N]
-
-    def records(j, values):
-        kind, n = keys[j]
-        requests = (TableRequest(GAUSSIAN_NULL, n, c, "upper") for c in _PACKAGED_C)
-        return [quantile_record(r, _baseline_params(kind), values) for r in requests]
-
-    jobs = [_baseline_job(kind, n, _BASELINE_REPLICATIONS) for kind, n in keys]
+    groups = [
+        (_baseline_job(kind, n, _BASELINE_REPLICATIONS), _baseline_params(kind),
+         [TableRequest(GAUSSIAN_NULL, n, c, "upper") for c in _PACKAGED_C])
+        for kind in BASELINE_KINDS
+        for n in _PACKAGED_N
+    ]
     metadata = table_metadata(_BASELINE_REPLICATIONS, RngStream(_BASELINE_SEED))
-    return QuantileTable(metadata, [rec for group in _simulate(jobs, records) for rec in group])
+    return _quantile_table(metadata, groups)
 
 
 # --------------------------------------------------------------------------

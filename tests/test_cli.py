@@ -1105,6 +1105,14 @@ class TestGlobalBehavior:
                 "--sample-rate applies to tf mode only",
             ),
             (
+                # a simulated signal's rate only places the band
+                [
+                    "quantiles", "--family", "gaussian", "--domain", "spectrogram",
+                    "--signal-length", "400", "--window-length", "64", "--sample-rate", "1000",
+                ],
+                "--sample-rate applies to the spectrogram domain with --f-min or --f-max only",
+            ),
+            (
                 ["quantiles", "--family", "gaussian", "--n", "10,10", "--reps", "1000"],
                 "duplicate request",
             ),
@@ -1217,7 +1225,8 @@ class TestGlobalBehavior:
             "analyze_tf_segment_length", "quick_with_reps", "spectrogram_no_window_length",
             "analyze_tf_no_window_length", "analyze_tf_raw_table",
             "spectrogram_binary_sample_rate", "analyze_binary_sample_rate",
-            "analyze_time_sample_rate", "quantiles_duplicate_request", "analyze_band_above_nyquist",
+            "analyze_time_sample_rate", "quantiles_sample_rate_no_band",
+            "quantiles_duplicate_request", "analyze_band_above_nyquist",
             "analyze_f_min_above_nyquist", "power_baseline_below_8", "power_repeated_n",
             "power_n_below_2", "analyze_baseline_segment_below_8", "power_grid_two_pieces",
             "power_grid_not_numeric", "power_grid_zero_step", "quantiles_no_c", "power_no_n",

@@ -26,6 +26,7 @@ from greenwood.distributions import (
     _cms,
     _ContinuedStream,
     family_tag,
+    params_dict,
     sample,
 )
 import greenwood
@@ -442,12 +443,17 @@ class TestSpecPlumbing:
         assert family_tag(Stable(1.5, 1.0)) == "stable"
         assert family_tag(StudentT(2)) == "student_t"
         assert family_tag(GPD(0.5, 1.0)) == "gpd"
+        for read in (family_tag, params_dict, lambda x: sample(x, 5, RngStream(1))):
+            with pytest.raises(TypeError, match="not a distribution spec: 0.5"):
+                read(0.5)
 
     @EVERY_FAMILY
     def test_shape_form_first_row_is_the_plain_sample(self, spec):
         rng = RngStream(56)
         assert sample(spec, (1, 37), rng)[0].tobytes() == sample(spec, 37, rng).tobytes()
         assert sample(spec, (5, 37), rng).shape == (5, 37)
+        with pytest.raises(ValueError, match=r"a sample shape must be \(m, n\)"):
+            sample(spec, (5, 37, 2), rng)
 
     @EVERY_FAMILY
     @pytest.mark.parametrize("k, m, n", [(2000, 6553, 10), (3, 11, 37), (1, 2, 1000)])

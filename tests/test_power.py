@@ -26,7 +26,7 @@ from greenwood.distributions import (
 )
 from greenwood.power import (
     PowerStudyConfig,
-    _rejection_rate,
+    _rejection_rates,
     data_spec,
     export_curve,
     import_curve,
@@ -196,6 +196,17 @@ class TestSizeCheck:
         rate = size_check(spec, 10, 400, RngStream(559))
         assert abs(rate - 0.1) < 0.04
 
+    @pytest.mark.parametrize("kind", ["mg2", "jarque_bera"])
+    def test_a_size_check_is_a_one_point_study(self, kind):
+        # a study's grid point 0 runs on the master stream, which size_check reads
+        table = build_quantile_table(
+            [TableRequest(Gaussian(0.0, 1.0), 20, 0.05, "upper")], 2000, RngStream(1102)
+        )
+        spec = TestSpec(kind, 0.05, table)
+        assert data_spec("gaussian", 1.0) == spec.null_spec
+        study = run_power_study(PowerStudyConfig(spec, "gaussian", (1.0,), (20,), 400, 562))
+        assert study.rate(1.0, 20) == size_check(spec, 20, 400, RngStream(562))
+
     def test_replication_floor(self, quick_gaussian_table):
         with pytest.raises(ValueError, match="at least 100"):
             size_check(mg2_spec(quick_gaussian_table), 10, 50, RngStream(1))
@@ -252,7 +263,8 @@ class TestBatchDecisions:
         expected = [run_test(spec, row).reject for row in rows]
         got = reject_rows(spec, rows)
         assert got.tolist() == expected
-        assert _rejection_rate(spec, self.DATA, self.N, self.R, rng) == sum(expected) / self.R
+        rates = _rejection_rates(spec, [(self.DATA, self.N, rng)], self.R)
+        assert rates == [sum(expected) / self.R]
 
     def test_refused_rows_raise_as_run_test_does(self, monkeypatch):
         table = QuantileTable(
@@ -261,10 +273,12 @@ class TestBatchDecisions:
               "c": 0.05, "side": "lower", "value": 0.2}],
         )
         with pytest.raises(ValueError, match="nonnegative"):
-            _rejection_rate(TestSpec("mg3_gpd", 0.05, table), Stable(1.5, 1.0), 10, 200, RngStream(91))
+            _rejection_rates(
+                TestSpec("mg3_gpd", 0.05, table), [(Stable(1.5, 1.0), 10, RngStream(91))], 200
+            )
         spec = _tie_spec("jarque_bera", 5, 0.0, 1.0, monkeypatch)
         with pytest.raises(ValueError, match="at least 8"):
-            _rejection_rate(spec, Gaussian(0.0, 1.0), 5, 200, RngStream(92))
+            _rejection_rates(spec, [(Gaussian(0.0, 1.0), 5, RngStream(92))], 200)
 
 
 class TestThreadedStudies:
@@ -323,8 +337,8 @@ class TestThreadedStudies:
         )
         set_cpus(cpus)
         with pytest.raises(ValueError, match="nonnegative"):
-            _rejection_rate(
-                TestSpec("mg3_gpd", 0.05, table), Stable(1.5, 1.0), 50, 6000, RngStream(93)
+            _rejection_rates(
+                TestSpec("mg3_gpd", 0.05, table), [(Stable(1.5, 1.0), 50, RngStream(93))], 6000
             )
 
 
@@ -339,6 +353,8 @@ class TestSerialization:
         curve = self._curve(quick_gaussian_table)
         path = tmp_path / "curve.csv"
         export_curve(curve, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header, "\n", *rows, "\n"]))  # blank rows are skipped
         loaded = import_curve(path)
         assert loaded.points == curve.points
         assert loaded.config == curve.config

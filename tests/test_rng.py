@@ -74,6 +74,8 @@ def test_invalid_offsets_rejected():
         RngStream(1).substream(-1)
     with pytest.raises(ValueError):
         RngStream(1, -4)
+    with pytest.raises(TypeError, match="stream_id must be an int"):
+        RngStream(1, 4.0)
 
 
 @pytest.mark.parametrize("field", ["master_seed", "stream_id"])
