@@ -430,7 +430,7 @@ class QuantileTable:
         key = _entry_key(rec["family"], rec["params"], rec["n"], rec["c"], rec["side"])
         if key in self._values:
             raise ValueError(f"duplicate table entry {key}")
-        self._records.append(dict(rec))
+        self._records.append({**rec, "params": dict(rec["params"])})
         self._values[key] = float(rec["value"])
 
     def __len__(self) -> int:
@@ -438,8 +438,8 @@ class QuantileTable:
 
     @property
     def records(self) -> list[dict]:
-        """Copies of the table entries, in insertion order."""
-        return [dict(r) for r in self._records]
+        """Copies of the table entries, in insertion order, ``params`` included."""
+        return [{**r, "params": dict(r["params"])} for r in self._records]
 
     def has(self, family: str, params: dict, n: int, c: float, side: str) -> bool:
         return _entry_key(family, params, n, c, side) in self._values

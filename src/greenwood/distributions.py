@@ -7,6 +7,12 @@ parameters; :func:`sample` is the one sampler, a pure function of the spec,
 the sample size and an :class:`~greenwood.rng.RngStream`: calling it twice
 with the same arguments returns identical arrays.
 
+A sampler that maps more than one array of generator values (the stable
+law, and Student's t at ``nu = 2``) allocates its output once, then draws
+and maps it in pieces of ``_PIECE`` values, one generator per variate
+reading on from piece to piece. A piece changes no bit of a draw, and a draw
+holds at most its output plus a few pieces of work arrays.
+
 Conventions
 -----------
 * The stable characteristic function is ``exp(-sigma**alpha * |t|**alpha)``,
@@ -153,6 +159,29 @@ def _whole(name: str, value, least: int) -> int:
     return int(value)
 
 
+# values drawn and mapped at a time by a sampler with work arrays: 128 KB of
+# float64 keeps a piece's arrays in cache (8192 values measured slower), and a
+# draw allocates no block-sized temporary that the allocator would hand back
+# to the kernel and fault in again at the next block
+_PIECE = 16384
+
+
+def _pieces(out: np.ndarray):
+    """``out``'s values in row-major order, as consecutive contiguous views of
+    at most ``_PIECE`` values each, which a generator fills through ``out=``."""
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _PIECE):
+        yield flat[lo : lo + _PIECE]
+
+
+def _uniform_angle(g: Generator, u: np.ndarray) -> None:
+    """Fill ``u`` with the values of ``g.uniform(-pi/2, pi/2, u.size)``, bit for bit:
+    numpy computes that as ``-pi/2 + pi * random()``, pi being ``pi/2 - (-pi/2)``."""
+    g.random(out=u)
+    u *= math.pi
+    u += -math.pi / 2.0
+
+
 def _gaussian(spec: Gaussian, n, rng: RngStream) -> np.ndarray:
     g = rng.generator()
     z = g.standard_normal(n)
@@ -192,26 +221,41 @@ def _stable(spec: Stable, n, rng: RngStream) -> np.ndarray:
     The scale is still an exact postmultiplier, so a draw of
     ``Stable(a, s)`` equals ``s`` times the draw of ``Stable(a, 1.0)`` from
     the same stream, bit for bit.
+
+    ``U`` is drawn into the output a piece at a time (see :func:`_pieces`),
+    and the piece's ``W`` and the map's two other arrays go to work arrays
+    of one piece each.
     """
-    u = rng.generator().uniform(-math.pi / 2.0, math.pi / 2.0, n)
+    out = np.empty(n)
+    g = rng.generator()
     if spec.alpha == 1.0:
-        core = np.tan(u, out=u)
-    else:
-        core = _cms(spec.alpha, u, rng.generator(variate=1).standard_exponential(n))
-    core *= spec.sigma
-    return core
+        for u in _pieces(out):
+            _uniform_angle(g, u)
+            np.tan(u, out=u)
+            u *= spec.sigma
+        return out
+    g1 = rng.generator(variate=1)
+    work = np.empty((3, min(_PIECE, out.size)))
+    for u in _pieces(out):
+        w, s, d = work[:, : u.size]
+        _uniform_angle(g, u)
+        g1.standard_exponential(out=w)
+        _cms(spec.alpha, u, w, s, d)
+        u *= spec.sigma
+    return out
 
 
-def _cms(a: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _cms(a: float, u: np.ndarray, w: np.ndarray, s=None, d=None) -> np.ndarray:
     """The tangent-form CMS map of :func:`_stable` at ``alpha = a != 1``,
-    evaluated in place over ``u`` and ``w``."""
+    evaluated in place over ``u``, which it returns, and ``w``; ``s`` and
+    ``d``, arrays of ``u``'s shape, are taken as work space if given."""
     # in place, in the order of
-    # 2 s / (1 + s**2) * sqrt(1 + T**2) * (W / (1 + s (2 T - s)) * (1 + s**2))**((a - 1)/a);
+    # sqrt(1 + T**2) * (2 s / (1 + s**2)) * (W / (1 + s (2 T - s)) * (1 + s**2))**((a - 1)/a);
     # the augmented operators keep numpy's fast paths for exponents such as 0.5
-    s = np.multiply(0.5 * a, u)
+    s = np.multiply(0.5 * a, u, out=s)
     np.tan(s, out=s)
     np.tan(u, out=u)  # T
-    d = np.add(u, u)
+    d = np.add(u, u, out=d)
     d -= s
     d *= s
     d += 1.0
@@ -223,10 +267,11 @@ def _cms(a: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     s /= q  # sin(a U)
     u *= u
     u += 1.0
-    s *= np.sqrt(u, out=u)
+    np.sqrt(u, out=u)
+    u *= s
     w **= (a - 1.0) / a
-    s *= w
-    return s
+    u *= w
+    return u
 
 
 def _student_t(spec: StudentT, n, rng: RngStream) -> np.ndarray:
@@ -245,17 +290,26 @@ def _student_t(spec: StudentT, n, rng: RngStream) -> np.ndarray:
     or 1: every draw is finite, and ``a`` and ``-a`` give opposite draws, bit
     for bit. No form uses a kernel that numpy runs as SIMD code with
     CPU-dependent bits: only ``sqrt``, ``abs`` and the basic operations.
+
+    At nu = 2, ``U`` is drawn into the output a piece at a time (see
+    :func:`_pieces`), and the map's two other arrays go to work arrays of
+    one piece each.
     """
     if spec.nu == 2:
-        a = rng.generator().random(n)
-        a += a  # in place, in the order of a / sqrt((1 - a) * (1 + a) / 2)
-        a -= 1.0
-        a += 2.0**-53
-        d = np.subtract(1.0, a)
-        d *= np.add(1.0, a)
-        d /= 2.0
-        a /= np.sqrt(d, out=d)
-        return a
+        out = np.empty(n)
+        g = rng.generator()
+        work = np.empty((2, min(_PIECE, out.size)))
+        for a in _pieces(out):
+            d, e = work[:, : a.size]
+            g.random(out=a)
+            a += a  # in place, in the order of a / sqrt((1 - a) * (1 + a) / 2)
+            a -= 1.0
+            a += 2.0**-53
+            np.subtract(1.0, a, out=d)
+            d *= np.add(1.0, a, out=e)
+            d /= 2.0
+            a /= np.sqrt(d, out=d)
+        return out
     z = rng.generator().standard_normal(n)
     if math.isinf(spec.nu):
         return z

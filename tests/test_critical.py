@@ -848,6 +848,16 @@ class TestLookup:
         assert table.has("gaussian", {"mu": 0.0, "sigma2": 1.0}, 10, 0.05, "upper")
         assert not table.has("gaussian", {"mu": 0.0, "sigma2": 1.0}, 11, 0.05, "upper")
 
+    def test_records_are_copies_down_to_the_params(self):
+        # the two Gaussian n = 10 upper entries are one group, built with one params dict
+        requests = [r for r in _small_requests() if r.side == "upper"]
+        table = build_quantile_table(requests, 2000, RngStream(3))
+        saved = table.to_json_dict()
+        table.records[0]["params"]["mu"] = 5.0
+        assert table.to_json_dict() == saved
+        assert table.has("gaussian", {"mu": 0.0, "sigma2": 1.0}, 10, 0.05, "upper")
+        assert not table.has("gaussian", {"mu": 5.0, "sigma2": 1.0}, 10, 0.05, "upper")
+
     def test_integer_float_parameter_equivalence(self):
         # 1 and 1.0 address the same entry
         table = build_quantile_table(_small_requests(), 2000, RngStream(3))

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -23,6 +24,7 @@ from greenwood.distributions import (
     Gaussian,
     Stable,
     StudentT,
+    _PIECE,
     _cms,
     _ContinuedStream,
     family_tag,
@@ -107,10 +109,16 @@ def _cdf(spec, x) -> np.ndarray:
 def _sampled_at(monkeypatch, spec, method: str, values: np.ndarray) -> np.ndarray:
     """``sample(spec, values.size, ...)`` with every generator's ``method`` returning ``values``."""
 
+    def fed(n=None, out=None):
+        if out is None:
+            return values.copy()
+        out[...] = values  # a sampler that fills its output by pieces: one piece here
+        return out
+
     class Fed:
         def __getattr__(self, name):
             assert name == method, name
-            return lambda n: values.copy()
+            return fed
 
     monkeypatch.setattr(RngStream, "generator", lambda stream, variate=0: Fed())
     return sample(spec, values.size, RngStream(120))
@@ -118,6 +126,52 @@ def _sampled_at(monkeypatch, spec, method: str, values: np.ndarray) -> np.ndarra
 
 def _ks_to(spec, draws: np.ndarray) -> float:
     return ks_distance(_cdf(spec, np.sort(draws)))
+
+
+def _stable_formula(alpha: float, sigma: float, shape, rng: RngStream) -> np.ndarray:
+    """The sampler's tangent-form CMS map as a plain whole-array expression,
+    with U from variate 0 of ``rng`` and W from variate 1."""
+    u = rng.generator().uniform(-math.pi / 2.0, math.pi / 2.0, shape)
+    w = rng.generator(variate=1).standard_exponential(shape)
+    if alpha == 1.0:
+        return sigma * np.tan(u)
+    s, t = np.tan(alpha * u / 2.0), np.tan(u)
+    q = 1.0 + s**2
+    core = (
+        2.0 * s / q
+        * np.sqrt(1.0 + t**2)
+        * (w / (1.0 + s * (2.0 * t - s)) * q) ** ((alpha - 1.0) / alpha)
+    )
+    return sigma * core
+
+
+def _student_t_formula(nu: int, shape, rng: RngStream) -> np.ndarray:
+    """The sampler's Student's t map as a plain whole-array expression: nu = 1
+    divides by the root of a one-degree chi-square, |Z2|; nu = 2 is Jones's
+    inverse distribution function; other nu read a chi-square."""
+    if nu == 2:
+        a = (2.0 * rng.generator().random(shape) - 1.0) + 2.0**-53
+        return a / np.sqrt((1.0 - a) * (1.0 + a) / 2.0)
+    z = rng.generator().standard_normal(shape)
+    if nu == 1:
+        return z / np.abs(rng.generator(variate=1).standard_normal(shape))
+    return z / np.sqrt(rng.generator(variate=1).chisquare(nu, shape) / nu)
+
+
+def _at_piece_edges(name: str, values):
+    """``(value, shape)`` cases of a bit-for-bit pin: each value at the odd
+    shape (301, 67), which reaches the ufuncs' remainder loops, and at draws
+    that end just before, at and just after a piece or hold rows longer than one."""
+    edges = {"piece-1": _PIECE - 1, "piece": _PIECE, "piece+1": _PIECE + 1, "long-rows": (2, 50001)}
+    return pytest.mark.parametrize(
+        f"{name}, shape",
+        [pytest.param(v, (301, 67), id=str(v)) for v in values]
+        + [pytest.param(v, edge, id=f"{v}-{name}") for v in values for name, edge in edges.items()],
+    )
+
+
+# a continued draw whose calls start and end inside, at and across pieces
+CONTINUED = [_PIECE - 3, 7, _PIECE + 5, 2, 3 * _PIECE]
 
 
 class TestGaussian:
@@ -208,26 +262,21 @@ class TestStable:
             Stable(1.5, 0.0)
 
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-    def test_in_place_sampler_equals_the_formula_bit_for_bit(self, alpha):
-        # the sampler evaluates the CMS map in place, in tangent form; the
-        # plain expression is the reference (odd sizes reach the ufuncs'
-        # remainder loops), with U from variate 0 of the stream and W from variate 1
-        shape, rng = (301, 67), RngStream(113)
-        u = rng.generator().uniform(-math.pi / 2.0, math.pi / 2.0, shape)
-        w = rng.generator(variate=1).standard_exponential(shape)
-        if alpha == 1.0:
-            core = np.tan(u)
-        else:
-            s, t = np.tan(alpha * u / 2.0), np.tan(u)
-            q = 1.0 + s**2
-            core = (
-                2.0 * s / q
-                * np.sqrt(1.0 + t**2)
-                * (w / (1.0 + s * (2.0 * t - s)) * q) ** ((alpha - 1.0) / alpha)
-            )
-        expected = 3.0 * core
+    @_at_piece_edges("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_in_place_sampler_equals_the_formula_bit_for_bit(self, alpha, shape):
+        # the sampler evaluates the CMS map in place, in tangent form, a piece
+        # at a time; the plain whole-array expression is the reference
+        rng = RngStream(113)
+        expected = _stable_formula(alpha, 3.0, shape, rng)
         assert sample(Stable(alpha, 3.0), shape, rng).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_continued_draws_across_pieces_equal_the_formula(self, alpha):
+        rng = RngStream(117, 2)
+        stream = _ContinuedStream(rng.master_seed, rng.stream_id)
+        drawn = np.concatenate([sample(Stable(alpha, 0.5), k, stream) for k in CONTINUED])
+        expected = _stable_formula(alpha, 0.5, sum(CONTINUED), rng)
+        assert drawn.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9, 1.1, 1.5, 1.9, 2.0])
     def test_tangent_map_is_within_ulps_of_the_sin_cos_map(self, alpha):
@@ -288,22 +337,19 @@ class TestStudentT:
         x = sample(StudentT(math.inf), N_BIG, RngStream(112))
         assert _ks_to(StudentT(math.inf), x) < 0.01
 
-    @pytest.mark.parametrize("nu", [1, 2, 5])
-    def test_in_place_sampler_equals_the_formula_bit_for_bit(self, nu):
-        # nu = 1 divides by the root of a one-degree chi-square, |Z2|; nu = 2
-        # is Jones's inverse distribution function; other nu read a chi-square
-        shape, rng = (301, 67), RngStream(114)
-        if nu == 2:
-            a = (2.0 * rng.generator().random(shape) - 1.0) + 2.0**-53
-            expected = a / np.sqrt((1.0 - a) * (1.0 + a) / 2.0)
-        elif nu == 1:
-            z = rng.generator().standard_normal(shape)
-            expected = z / np.abs(rng.generator(variate=1).standard_normal(shape))
-        else:
-            z = rng.generator().standard_normal(shape)
-            chi2 = rng.generator(variate=1).chisquare(nu, shape)
-            expected = z / np.sqrt(chi2 / nu)
+    @_at_piece_edges("nu", [1, 2, 5])
+    def test_in_place_sampler_equals_the_formula_bit_for_bit(self, nu, shape):
+        rng = RngStream(114)
+        expected = _student_t_formula(nu, shape, rng)
         assert sample(StudentT(nu), shape, rng).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("nu", [1, 2, 5])
+    def test_continued_draws_across_pieces_equal_the_formula(self, nu):
+        rng = RngStream(119, 2)
+        stream = _ContinuedStream(rng.master_seed, rng.stream_id)
+        drawn = np.concatenate([sample(StudentT(nu), k, stream) for k in CONTINUED])
+        expected = _student_t_formula(nu, sum(CONTINUED), rng)
+        assert drawn.tobytes() == expected.tobytes()
 
     def test_nu2_map_is_finite_and_odd_at_the_uniforms_ends(self, monkeypatch):
         # random() returns k * 2**-53 for k < 2**53, so U and its mirror
@@ -462,6 +508,40 @@ class TestSpecPlumbing:
         # variate cannot shift the next: a Monte Carlo block may stop early
         rng = RngStream(57, 3)
         assert sample(spec, (k, n), rng).tobytes() == sample(spec, (m, n), rng)[:k].tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [
+            (Stable(1.5, 2.0), 1.8),
+            (Stable(1.0, 1.0), 1.8),
+            (StudentT(2), 1.8),
+            (StudentT(1), 2.0),
+            (StudentT(5), 2.0),
+            (StudentT(math.inf), 1.0),
+            (Gaussian(1.0, 2.0), 1.0),
+            (GPD(0.5, 1.0), 1.0),
+        ],
+        ids=[
+            "stable", "cauchy", "student_t2", "student_t1", "student_t5", "student_t_inf",
+            "gaussian", "gpd",
+        ],
+    )
+    def test_a_block_holds_no_block_sized_temporary(self, spec, bound):
+        # the traced peak of a Monte Carlo block's draw, over the block's own
+        # bytes: a sampler with work arrays holds them a piece at a time; the
+        # 1% above the bound is the generators' own few kilobytes
+        rng = RngStream(59)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            x = sample(spec, (65, 1000), rng)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / x.nbytes < bound + 0.01
 
     @EVERY_FAMILY
     @pytest.mark.parametrize(
