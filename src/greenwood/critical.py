@@ -14,9 +14,12 @@ variate of a draw has its own counter range of the substream (see
 :meth:`greenwood.rng.RngStream.generator`), so a short last block is the
 first rows of a whole one. Replication ``r`` depends only on the base
 stream, ``n`` and ``r``: results are bit-identical across runs, and fewer
-replications give a prefix of more. The spectrogram null
-(:func:`greenwood.signal.estimate_spectrogram_null`) is a job with one
-signal per block: signal ``s`` is drawn whole from substream ``s``.
+replications give a prefix of more. A table build makes one job per null,
+whose rows have the null's largest requested ``n``, and reads every smaller
+``n`` from the first values of each row (:func:`build_quantile_table`).
+The spectrogram null (:func:`greenwood.signal.estimate_spectrogram_null`)
+is a job with one signal per block: signal ``s`` is drawn whole from
+substream ``s``.
 
 One command's simulations share one block schedule: the groups of a table
 build, or the grid points of a power study, are the jobs of one
@@ -77,11 +80,13 @@ GROUP_STRIDE = 1 << 32
 
 # version of the replication-to-substream layout, recorded in every table and
 # power sidecar: which generator values a replication reads. Each variate of a
-# draw has its own counter range, a block draws only the rows it uses, and
-# (from layout 4) Student's t reads two normals at nu = 1 and one uniform at
-# nu = 2, and a GPD reads exponentials; the README's reproducibility notes say
+# draw has its own counter range, a block draws only the rows it uses, (from
+# layout 4) Student's t reads two normals at nu = 1 and one uniform at nu = 2,
+# and a GPD reads exponentials, and (from layout 5) a table build groups its
+# requests by null and reads every n of a group from the first n values of
+# rows drawn at the group's largest n; the README's reproducibility notes say
 # what earlier layouts read.
-RNG_LAYOUT = 4
+RNG_LAYOUT = 5
 # values per block draw (512 KB of float64)
 BLOCK_VALUES = 1 << 16
 
@@ -329,17 +334,21 @@ def estimate_null_distribution(
     With ``rows = _block_rows(n)``, replication ``r`` is row
     ``r % rows`` of the block drawn from ``rng.substream(r // rows)``.
     """
-    return _simulate([_null_job(spec, n, replications, rng)])[0]
+    return _simulate([_null_job(spec, [_whole("n", n, 2)], replications, rng)])[0][:, 0]
 
 
-def _null_job(spec: DistributionSpec, n: int, replications: int, rng: RngStream) -> tuple:
-    """The :func:`_simulate` job whose values are the statistic over ``replications`` samples."""
-    n, replications = _whole("n", n, 2), _whole("replications", replications, 1000)
-    return _sample_job(spec, n, replications, rng, _statistic)
+def _null_job(spec: DistributionSpec, sizes: list, replications: int, rng: RngStream) -> tuple:
+    """The :func:`_simulate` job whose values hold the statistic over ``replications``
+    samples, one column per size of the ascending ``sizes``: its rows have the
+    largest size, and column ``i`` is the statistic of their first ``sizes[i]`` values."""
+    replications = _whole("replications", replications, 1000)
 
+    # modified_greenwood_batch is read at each call, so that a function bound to
+    # the module attribute in its place (bench/spans.py's) sees every block
+    def statistic(block):
+        return modified_greenwood_batch(block, overwrite_input=True, sizes=sizes)
 
-def _statistic(block):
-    return modified_greenwood_batch(block, overwrite_input=True)
+    return _sample_job(spec, sizes[-1], replications, rng, statistic)
 
 
 @dataclass(frozen=True)
@@ -509,42 +518,53 @@ class QuantileTable:
 def build_quantile_table(requests, replications: int, rng: RngStream) -> QuantileTable:
     """Estimate every requested quantile and pack the results into a table.
 
-    Requests sharing ``(spec, n)`` reuse one simulated null distribution.
-    Group ``g`` (in first-seen order) draws its block ``b`` from substream
-    ``g * GROUP_STRIDE + b`` of ``rng``, making the table a pure function of
-    ``(requests, replications, rng)``. All groups share one block schedule,
-    and each is reduced to its entries as soon as its last block is in.
+    Requests of one null form a group. Group ``g`` (in first-seen order)
+    draws the rows of its largest ``n``, ``N``, and its block ``b`` is
+    ``sample(spec, (k, N), rng.substream(g * GROUP_STRIDE + b))`` for the
+    ``k <= rows(N)`` rows it needs. Replication ``r`` at size ``n`` is the
+    first ``n`` values of row ``r``, so it depends only on ``rng``, the
+    group, ``N`` and ``r``, and the table is a pure function of
+    ``(requests, replications, rng)``; the order of the sizes is not part of
+    it. All groups share one block schedule, and each is reduced to its
+    entries as soon as its last block is in. Entries follow the groups, and
+    the requests within a group.
     """
     replications = _whole("replications", replications, 1000)
-    groups = [
-        (_null_job(spec, n, replications, rng.substream(g * GROUP_STRIDE)), params_dict(spec), rs)
-        for g, ((spec, n), rs) in enumerate(_request_groups(requests).items())
-    ]
+    groups = []
+    for g, (spec, rs) in enumerate(_request_groups(requests).items()):
+        sizes = sorted({r.n for r in rs})
+        job = _null_job(spec, sizes, replications, rng.substream(g * GROUP_STRIDE))
+        groups.append((job, params_dict(spec), rs))
     return _quantile_table(table_metadata(replications, rng), groups)
 
 
 def _quantile_table(metadata: dict, groups: list) -> QuantileTable:
     """The table of ``metadata`` whose entries answer the requests of each group
     ``(job, params, requests)`` by :func:`quantile_record`, keyed by ``params``,
-    from the values of the :func:`_simulate` job ``job``; all jobs share one schedule."""
+    from the values of the :func:`_simulate` job ``job``; all jobs share one schedule.
+    A job's values hold one column per sample size of its requests, ascending,
+    or are one column's values when its requests share one size."""
 
     def records(g, values):
-        return [quantile_record(r, groups[g][1], values) for r in groups[g][2]]
+        _, params, rs = groups[g]
+        sizes = sorted({r.n for r in rs})
+        columns = values.reshape(len(values), -1)
+        return [quantile_record(r, params, columns[:, sizes.index(r.n)]) for r in rs]
 
     entries = _simulate([job for job, _, _ in groups], records)
     return QuantileTable(metadata, [rec for group in entries for rec in group])
 
 
 def _request_groups(requests) -> dict:
-    """``requests`` grouped by ``(spec, n)``, in first-seen order; a ValueError if one repeats."""
+    """``requests`` grouped by null, in first-seen order; a ValueError if one repeats."""
     seen = set()
-    groups: dict[tuple, list[TableRequest]] = {}
+    groups: dict[DistributionSpec, list[TableRequest]] = {}
     for r in requests:
         key = _entry_key(family_tag(r.spec), params_dict(r.spec), r.n, r.c, r.side)
         if key in seen:
             raise ValueError(f"duplicate request {key}")
         seen.add(key)
-        groups.setdefault((r.spec, r.n), []).append(r)
+        groups.setdefault(r.spec, []).append(r)
     return groups
 
 

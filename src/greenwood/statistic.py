@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _whole
+
 __all__ = [
     "StatisticValue",
     "modified_greenwood",
@@ -62,9 +64,10 @@ def _scaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1])
 
 
-def _in_range(denom, n: int):
-    """Whether a row whose ``|x|`` sums to ``denom`` can skip the scaling of
-    :func:`modified_greenwood`: then ``max|x|`` lies in its unscaled range."""
+def _in_range(denom, n):
+    """Whether a row of ``n`` values whose ``|x|`` sums to ``denom`` can skip the
+    scaling of :func:`modified_greenwood`: then ``max|x|`` lies in its unscaled
+    range. ``n`` may be an array of sizes that broadcasts against ``denom``."""
     # max|x| lies in [denom / n, denom]; the factor 2 absorbs the rounding of denom
     return (2.0 * n * _LOW <= denom) & (denom <= _HIGH / (2.0 * n))
 
@@ -93,8 +96,8 @@ def modified_greenwood(values) -> StatisticValue:
     return StatisticValue(min(1.0, max(1.0 / n, s)), n)
 
 
-def modified_greenwood_batch(samples, overwrite_input: bool = False) -> np.ndarray:
-    """Row-wise ``S_n`` over a 2-D array of samples.
+def modified_greenwood_batch(samples, overwrite_input: bool = False, sizes=None) -> np.ndarray:
+    """Row-wise ``S_n`` over a 2-D array of samples, or over prefixes of its rows.
 
     The Monte Carlo engines run on this path. Sums use pairwise ufunc
     reduction: deterministic for a fixed shape and independent of thread
@@ -103,6 +106,15 @@ def modified_greenwood_batch(samples, overwrite_input: bool = False) -> np.ndarr
     space (its values are lost), which saves two block-sized temporaries;
     the result is the same. Rows whose sums could overflow or underflow are
     first scaled by a power of two, as in :func:`modified_greenwood`.
+
+    With ``sizes``, whole numbers of at least 2 ascending strictly to at
+    most the row length, the result has one column per size: column ``i``
+    holds ``S_n`` of each row's first ``sizes[i]`` values. Each row's sums
+    of ``|x|`` and ``x*x`` are reduced segment by segment, segment ``i``
+    being columns ``[sizes[i-1], sizes[i])``, and added up from the first,
+    so one size gives the plain result as a column, bit for bit. A
+    ``(row, size)`` pair whose sums could overflow or underflow is computed
+    again from that prefix, scaled by the prefix's own max.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -112,21 +124,46 @@ def modified_greenwood_batch(samples, overwrite_input: bool = False) -> np.ndarr
         raise ValueError("samples must have at least 2 columns")
     if not np.isfinite(x).all():
         raise ValueError("samples contain NaN or infinite values")
+    ends = [n] if sizes is None else _prefix_ends(sizes, n)
+    lengths = np.array(ends)[:, None]
     ax = np.abs(x, out=x if overwrite_input else None)
-    with np.errstate(all="ignore"):  # rows out of range are computed again below
-        denom = np.add.reduce(ax, axis=1)
+    with np.errstate(all="ignore"):  # pairs out of range are computed again below
+        denom = _prefix_sums(ax, ends)
         if (denom == 0.0).any():
             raise ValueError("every sample must contain at least one nonzero value")
-        inside = _in_range(denom, n)
-        clean = inside.all()
-        if not clean:  # scaled, before the squares overwrite their values
-            far = ~inside
-            redone = modified_greenwood_batch(_scaled(ax[far]), overwrite_input=True)
+        far = ~_in_range(denom, lengths)
+        redone = [  # scaled, before the squares overwrite their values
+            (i, modified_greenwood_batch(_scaled(ax[far[i], : ends[i]]), overwrite_input=True))
+            for i in np.flatnonzero(far.any(axis=1))
+        ]
         squares = np.multiply(ax, ax, out=ax if overwrite_input else None)
-        out = np.add.reduce(squares, axis=1) / (denom * denom)
-    if not clean:
-        out[far] = redone
-    return np.clip(out, 1.0 / n, 1.0)
+        out = _prefix_sums(squares, ends)
+        out /= denom * denom
+    for i, values in redone:
+        out[i, far[i]] = values
+    out = np.clip(out, 1.0 / lengths, 1.0)
+    return out[0] if sizes is None else out.T
+
+
+def _prefix_ends(sizes, n: int) -> list:
+    """``sizes`` as ints; a ValueError unless they ascend strictly to at most ``n``."""
+    ends = [_whole("size", s, 2) for s in sizes]
+    if not ends or ends[-1] > n or sorted(set(ends)) != ends:
+        raise ValueError(f"sizes must ascend strictly to at most {n}, got {sizes!r}")
+    return ends
+
+
+def _prefix_sums(a: np.ndarray, ends: list) -> np.ndarray:
+    """Row ``i`` holds each row of ``a`` summed over its first ``ends[i]`` values:
+    the segment after the previous end, reduced on its own, plus row ``i - 1``."""
+    sums = np.empty((len(ends), a.shape[0]))
+    lo = 0
+    for i, hi in enumerate(ends):
+        np.add.reduce(a[:, lo:hi], axis=1, out=sums[i])
+        if i:
+            sums[i] += sums[i - 1]
+        lo = hi
+    return sums
 
 
 def _two_sum_columns(a: np.ndarray) -> tuple:

@@ -38,9 +38,11 @@ def acceptance_requests():
     """All rejection-region quantiles the acceptance tests consume.
 
     Gaussian entries carry the halved levels 0.025/0.005 as well so the same
-    table serves both the one-sided tests and the two-sided split.  Request
-    order is frozen: replication substreams are assigned per (family, n)
-    group in first-seen order, so reordering would change every value.
+    table serves both the one-sided tests and the two-sided split.  The
+    order of the nulls is frozen: replication substreams are assigned per
+    (family, params) group in first-seen order, so reordering them would
+    change every value. Each group's rows have its largest n (2000 for the
+    GPD), so adding a larger n would change that null's values too.
     """
     requests = []
     for n in FULL_NS:

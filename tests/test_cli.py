@@ -208,6 +208,21 @@ class TestQuantilesCommand:
             assert main(argv) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_the_order_of_the_sizes_changes_no_entry(self, tmp_path):
+        # every n of a null is read from rows drawn at the largest n
+        entries = []
+        for ns in ("1000,10,50", "10,50,1000"):
+            out = tmp_path / f"{ns}.json"
+            argv = ["quantiles", "--family", "gaussian", "--n", ns, "--side", "both",
+                    "--reps", "1000", "--seed", "3", "--out", str(out)]
+            assert main(argv) == 0
+            entries.append({
+                (e["n"], e["c"], e["side"]): e["value"]
+                for e in json.loads(out.read_text())["entries"]
+            })
+        assert len(entries[0]) == 6
+        assert entries[0] == entries[1]
+
     def test_spectrogram_domain_needs_geometry(self, tmp_path, capsys):
         rc = main(
             [

@@ -577,25 +577,39 @@ class TestOneSchedule:
         assert max(peak) <= cpus + 1
         assert sums == [_simulate([job(g)])[0].sum() for g in range(12)]
 
-    def test_table_equals_a_serial_build_per_group(self, set_cpus):
-        requests = [
-            TableRequest(spec, n, c, side)
-            for spec in (Gaussian(0.0, 1.0), StudentT(2))
-            for n in (10, 200)
-            for c, side in ((0.05, "upper"), (0.01, "lower"))
-        ]
+    # group 0 reads n = 10 and 200 off rows of 200 values; group 1 has one size
+    MIXED = [
+        TableRequest(spec, n, c, side)
+        for spec, ns in ((Gaussian(0.0, 1.0), (200, 10)), (StudentT(2), (50,)))
+        for n in ns
+        for c, side in ((0.05, "upper"), (0.01, "lower"))
+    ]
+
+    def _mixed_table(self, set_cpus):
         set_cpus(3)
-        table = build_quantile_table(requests, 3000, RngStream(21))
+        table = build_quantile_table(self.MIXED, 3000, RngStream(21))
         set_cpus(1)
-        reference = []
-        for g in range(4):
-            members = requests[2 * g : 2 * g + 2]
-            spec, n = members[0].spec, members[0].n
-            values = estimate_null_distribution(
-                spec, n, 3000, RngStream(21).substream(g * GROUP_STRIDE)
-            )
-            reference += [quantile_record(r, params_dict(spec), values) for r in members]
-        assert json.dumps(table.records) == json.dumps(reference)
+        return table
+
+    def test_a_null_reads_every_n_from_prefixes_of_rows_of_its_largest(self, set_cpus):
+        table = self._mixed_table(set_cpus)
+        spec, sizes, rows = Gaussian(0.0, 1.0), [10, 200], BLOCK_VALUES // 200
+        stream = RngStream(21).substream(0)
+        drawn = np.vstack(
+            [sample(spec, (min(rows, 3000 - b * rows), 200), stream.substream(b)) for b in range(10)]
+        )
+        values = modified_greenwood_batch(drawn, sizes=sizes)
+        reference = [
+            quantile_record(r, params_dict(spec), values[:, sizes.index(r.n)]) for r in self.MIXED[:4]
+        ]
+        assert json.dumps(table.records[:4]) == json.dumps(reference)
+
+    def test_a_one_size_null_is_its_estimated_null_distribution(self, set_cpus):
+        table = self._mixed_table(set_cpus)
+        spec = StudentT(2)
+        values = estimate_null_distribution(spec, 50, 3000, RngStream(21).substream(GROUP_STRIDE))
+        reference = [quantile_record(r, params_dict(spec), values) for r in self.MIXED[4:]]
+        assert json.dumps(table.records[4:]) == json.dumps(reference)
 
     def test_every_monte_carlo_loop_runs_on_one_simulate_call(self, monkeypatch):
         # _simulate reads the CPU count once per call, and nothing else reads it
@@ -642,8 +656,8 @@ class TestBuildTable:
         assert 0.1 <= lo05 <= 1.0 and up01 <= 1.0
 
     def test_entries_stable_under_request_extension(self):
-        # adding more levels for the same (spec, n) group must not move
-        # existing entries: groups own their substream blocks
+        # adding more levels at a size the null already has must not move
+        # existing entries: groups own their substream blocks and row length
         gauss = Gaussian(0.0, 1.0)
         small = build_quantile_table(
             [TableRequest(gauss, 10, 0.05, "upper")], 2000, RngStream(7)
@@ -716,7 +730,7 @@ class TestTableRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
         assert set(doc["metadata"]) == PROVENANCE
-        assert doc["metadata"]["rng_layout"] == RNG_LAYOUT == 4
+        assert doc["metadata"]["rng_layout"] == RNG_LAYOUT == 5
         entry = doc["entries"][0]
         assert set(entry) == {"family", "params", "n", "c", "side", "value"}
 

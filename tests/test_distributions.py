@@ -515,7 +515,7 @@ class TestSpecPlumbing:
             (Stable(1.5, 2.0), 1.8),
             (Stable(1.0, 1.0), 1.8),
             (StudentT(2), 1.8),
-            (StudentT(1), 2.0),
+            (StudentT(1), 1.3),
             (StudentT(5), 2.0),
             (StudentT(math.inf), 1.0),
             (Gaussian(1.0, 2.0), 1.0),

@@ -358,7 +358,7 @@ class TestSerialization:
         loaded = import_curve(path)
         assert loaded.points == curve.points
         assert loaded.config == curve.config
-        assert loaded.config["rng_layout"] == 4
+        assert loaded.config["rng_layout"] == 5
 
     def test_exports_are_byte_identical(self, quick_gaussian_table, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -111,6 +111,56 @@ class TestBatch:
             modified_greenwood_batch(np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
+class TestPrefixes:
+    """``sizes``: one column per prefix length, from segment sums added up."""
+
+    SIZES = (10, 50, 100, 200, 500, 1000)
+
+    def test_one_size_is_the_plain_batch_bit_for_bit(self):
+        for shape in ((65, 1000), (6553, 10), (3, 2)):
+            x = RngStream(308).generator().standard_cauchy(shape)
+            x[0] *= 2.0**-540  # a scaled row among clean ones
+            plain = modified_greenwood_batch(x)
+            prefixed = modified_greenwood_batch(x.copy(), True, sizes=[shape[1]])
+            assert prefixed.shape == (shape[0], 1)
+            assert prefixed[:, 0].tobytes() == plain.tobytes()
+
+    def test_each_column_is_its_prefixs_statistic_within_a_few_ulps(self):
+        x = RngStream(309).generator().standard_cauchy((65, 1000))
+        out = modified_greenwood_batch(x, sizes=self.SIZES)
+        assert out.shape == (65, len(self.SIZES))
+        exact = np.array([[modified_greenwood(row[:n]).s_n for n in self.SIZES] for row in x])
+        assert (np.abs(out - exact) <= 8 * np.spacing(exact)).all()
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**495])
+    def test_a_prefix_out_of_range_is_computed_again_from_its_own_values(self, scale):
+        # row 1's first prefix lies below 2**-500 while its longer ones are in
+        # range, or every prefix of row 1 lies near 2**495, too large to sum
+        x = RngStream(310).generator().standard_normal((3, 1000))
+        x[1, :10] *= scale
+        x[1, 10:] *= 2.0**-600 if scale > 1 else 1.0
+        out = modified_greenwood_batch(x.copy(), sizes=self.SIZES)
+        exact = np.array([[modified_greenwood(row[:n]).s_n for n in self.SIZES] for row in x])
+        assert (np.abs(out - exact) <= 8 * np.spacing(exact)).all()
+
+    def test_a_zero_prefix_is_the_batch_error(self):
+        x = RngStream(311).generator().standard_normal((4, 100))
+        x[2, :10] = 0.0
+        modified_greenwood_batch(x)  # whole rows hold nonzero values
+        with pytest.raises(ValueError, match="^every sample must contain at least one nonzero"):
+            modified_greenwood_batch(x, sizes=(10, 100))
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [((), "sizes must"), ((10, 10), "sizes must"), ((50, 10), "sizes must"),
+         ((10, 101), "sizes must"), ((1, 10), "size must"), ((10.5,), "size must"),
+         (("10",), "size must"), ((math.nan,), "size must")],
+    )
+    def test_sizes_must_ascend_inside_the_row(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            modified_greenwood_batch(np.ones((2, 100)), sizes=sizes)
+
+
 # The sums of these samples leave the float range unless they are scaled:
 # squares overflow, the sum overflows, or the squares underflow to zero.
 OUT_OF_RANGE = [
