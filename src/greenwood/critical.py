@@ -16,17 +16,19 @@ first rows of a whole one. Replication ``r`` depends only on the base
 stream, ``n`` and ``r``: results are bit-identical across runs, and fewer
 replications give a prefix of more. A table build makes one job per null,
 whose rows have the null's largest requested ``n``, and reads every smaller
-``n`` from the first values of each row (:func:`build_quantile_table`).
+``n`` from the first values of each row (:func:`build_quantile_table`); a
+power study makes one job per grid parameter, read the same way
+(:func:`greenwood.power.run_power_study`).
 The spectrogram null (:func:`greenwood.signal.estimate_spectrogram_null`)
 is a job with one signal per block: signal ``s`` is drawn whole from
 substream ``s``.
 
 One command's simulations share one block schedule: the groups of a table
-build, or the grid points of a power study, are the jobs of one
+build, or the grid parameters of a power study, are the jobs of one
 :func:`_simulate` call, whose ``(job, block)`` pairs, job-major, run
 concurrently on the CPUs in the process's affinity mask (``taskset``
 narrows it), the calling thread included. Each job is reduced (to its
-quantile records, its rejection count) from its block results in block
+quantile records, its rejection counts) from its block results in block
 order as soon as its last block is in. numpy's generator fills, FFTs and
 ufuncs release the GIL, so the output is the same for any CPU count.
 
@@ -82,11 +84,12 @@ GROUP_STRIDE = 1 << 32
 # power sidecar: which generator values a replication reads. Each variate of a
 # draw has its own counter range, a block draws only the rows it uses, (from
 # layout 4) Student's t reads two normals at nu = 1 and one uniform at nu = 2,
-# and a GPD reads exponentials, and (from layout 5) a table build groups its
+# and a GPD reads exponentials, (from layout 5) a table build groups its
 # requests by null and reads every n of a group from the first n values of
-# rows drawn at the group's largest n; the README's reproducibility notes say
-# what earlier layouts read.
-RNG_LAYOUT = 5
+# rows drawn at the group's largest n, and (from layout 6) a power study does
+# the same per grid parameter, its rows having the study's largest n; the
+# README's reproducibility notes say what earlier layouts read.
+RNG_LAYOUT = 6
 # values per block draw (512 KB of float64)
 BLOCK_VALUES = 1 << 16
 

@@ -8,7 +8,7 @@ the sample size and an :class:`~greenwood.rng.RngStream`: calling it twice
 with the same arguments returns identical arrays.
 
 A sampler that maps more than one array of generator values (the stable
-law, and Student's t at ``nu = 1`` and ``nu = 2``) allocates its output
+law, and Student's t at finite ``nu``) allocates its output
 once, then draws and maps it in pieces of ``_PIECE`` values, one generator
 per variate reading on from piece to piece. A piece changes no bit of a
 draw, and a draw holds at most its output plus a few pieces of work arrays.
@@ -291,9 +291,9 @@ def _student_t(spec: StudentT, n, rng: RngStream) -> np.ndarray:
     for bit. No form uses a kernel that numpy runs as SIMD code with
     CPU-dependent bits: only ``sqrt``, ``abs`` and the basic operations.
 
-    At nu = 1 and nu = 2, ``Z`` or ``U`` is drawn into the output a piece at
-    a time (see :func:`_pieces`), and ``Z2``, or the map's two other arrays,
-    go to work arrays of one piece each.
+    At every finite nu, ``Z`` or ``U`` is drawn into the output a piece at a
+    time (see :func:`_pieces`), and ``Z2``, ``C`` or the map's two other
+    arrays go to work arrays of one piece each.
     """
     if spec.nu == 2:
         out = np.empty(n)
@@ -310,23 +310,24 @@ def _student_t(spec: StudentT, n, rng: RngStream) -> np.ndarray:
             d /= 2.0
             a /= np.sqrt(d, out=d)
         return out
-    if spec.nu == 1:
-        out = np.empty(n)
-        g, g1 = rng.generator(), rng.generator(variate=1)
-        work = np.empty(min(_PIECE, out.size))
-        for z in _pieces(out):
-            w = work[: z.size]
-            g.standard_normal(out=z)
+    if math.isinf(spec.nu):
+        return rng.generator().standard_normal(n)
+    out = np.empty(n)
+    g, g1 = rng.generator(), rng.generator(variate=1)
+    work = np.empty(min(_PIECE, out.size))
+    for z in _pieces(out):
+        w = work[: z.size]
+        g.standard_normal(out=z)
+        if spec.nu == 1:
             g1.standard_normal(out=w)
             z /= np.abs(w, out=w)
-        return out
-    z = rng.generator().standard_normal(n)
-    if math.isinf(spec.nu):
-        return z
-    chi2 = rng.generator(variate=1).chisquare(spec.nu, n)
-    chi2 /= spec.nu  # in place, in the order of z / sqrt(chi2 / nu)
-    z /= np.sqrt(chi2, out=chi2)
-    return z
+        else:
+            # numpy's chisquare(nu) is 2 * standard_gamma(nu / 2), which takes out=
+            g1.standard_gamma(spec.nu / 2.0, out=w)
+            w *= 2.0
+            w /= spec.nu  # in place, in the order of z / sqrt(chi2 / nu)
+            z /= np.sqrt(w, out=w)
+    return out
 
 
 def _gpd(spec: GPD, n, rng: RngStream) -> np.ndarray:

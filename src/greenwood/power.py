@@ -2,15 +2,18 @@
 
 A study fixes a test, a data family, a parameter grid and sample sizes, then
 counts rejections over ``R`` independent replications per grid point. Grid
-point ``(i, j)`` always runs on its own group of RNG substreams, one per block
-of replications (see :mod:`greenwood.critical`), and decides each block in
-batch with the decisions ``run_test`` would reach. All grid points of a study
-share one block schedule, so small ones run side by side on the CPUs, and
-each is reduced to its rejection count from its blocks in block order: curves
-are pure functions of the configuration, and reruns are bit-identical on any
-CPU count. Studies and size checks share one routine,
-:func:`_rejection_rates`; a size check is a one-point study that runs on the
-master stream it is given, which is the stream of a study's grid point 0.
+parameter ``i`` always runs on its own group of RNG substreams, one per block
+of replications (see :mod:`greenwood.critical`). Its rows have the study's
+largest sample size, and each size ``n`` is decided in batch on the first
+``n`` values of every row, with the decisions ``run_test`` would reach. So a
+replication is drawn once per grid parameter, and the order of the sample
+sizes changes no rate. All grid parameters of a study share one block
+schedule, so small ones run side by side on the CPUs, and each is reduced to
+its rejection counts from its blocks in block order: curves are pure
+functions of the configuration, and reruns are bit-identical on any CPU
+count. Studies and size checks share one routine, :func:`_rejection_rates`;
+a size check is a one-size group that runs on the master stream it is
+given, which is the stream of a study's grid parameter 0.
 
 Curves export to CSV with header ``family,param,n,replications,rejection_rate``
 plus a JSON sidecar carrying the configuration echo.
@@ -22,6 +25,8 @@ import csv
 import os
 from dataclasses import dataclass
 from functools import partial
+
+import numpy as np
 
 from .critical import (
     GROUP_STRIDE,
@@ -135,18 +140,20 @@ class PowerCurve:
 def run_power_study(config: PowerStudyConfig) -> PowerCurve:
     """Rejection rate at every ``(param, n)`` grid point of ``config``.
 
-    Grid point ``(i, j)`` is group ``g = i * len(sample_sizes) + j``: its
-    block ``b`` of replications samples from substream
-    ``g * GROUP_STRIDE + b``. The rates come from :func:`_rejection_rates`.
+    Grid parameter ``i`` is group ``i``: its block ``b`` of replications
+    draws rows of the study's largest ``n`` from substream
+    ``i * GROUP_STRIDE + b``, and replication ``r`` at size ``n`` is the
+    first ``n`` values of row ``r``. The rates come from
+    :func:`_rejection_rates`.
     """
-    reps = config.replications
+    reps, sizes = config.replications, config.sample_sizes
     rng = RngStream(config.master_seed)
-    grid = [(param, n) for param in config.parameter_grid for n in config.sample_sizes]
-    points = [
-        (data_spec(config.data_family, param), n, rng.substream(g * GROUP_STRIDE))
-        for g, (param, n) in enumerate(grid)
+    groups = [
+        (data_spec(config.data_family, param), sizes, rng.substream(i * GROUP_STRIDE))
+        for i, param in enumerate(config.parameter_grid)
     ]
-    rates = _rejection_rates(config.test, points, reps)
+    rates = _rejection_rates(config.test, groups, reps)
+    grid = [(param, n) for param in config.parameter_grid for n in sizes]
     return PowerCurve(
         tuple(PowerPoint(param, n, rate, reps) for (param, n), rate in zip(grid, rates)),
         config.to_json_dict(),
@@ -156,31 +163,41 @@ def run_power_study(config: PowerStudyConfig) -> PowerCurve:
 def size_check(test: TestSpec, n: int, replications: int, rng: RngStream) -> float:
     """Empirical rejection rate under the test's own null boundary.
 
-    It is a one-point study on ``rng`` itself, the stream of a study's
-    group 0. For a well-calibrated test it sits near ``c`` up to binomial
-    noise of order ``sqrt(c (1 - c) / replications)``.
+    It is a one-size group on ``rng`` itself, the stream of a study's grid
+    parameter 0. For a well-calibrated test it sits near ``c`` up to
+    binomial noise of order ``sqrt(c (1 - c) / replications)``.
     """
     replications = _whole("replications", replications, 100)
-    return _rejection_rates(test, [(test.null_spec, n, rng)], replications)[0]
+    return _rejection_rates(test, [(test.null_spec, [n], rng)], replications)[0]
 
 
-def _rejection_rates(test: TestSpec, points, replications: int) -> list:
+def _rejection_rates(test: TestSpec, groups, replications: int) -> list:
     """Share of ``replications`` size-``n`` samples of ``spec`` that ``test`` rejects,
-    for each point ``(spec, n, stream)`` of ``points``.
+    for each ``n`` of ``sizes`` of each group ``(spec, sizes, stream)`` of ``groups``,
+    group by group.
 
     The thresholds of each distinct ``n`` are read before any draw, so a
     study cannot die halfway through on table coverage (the read also checks
-    that ``n`` is an integer). Block ``b`` of a point is drawn from
-    ``stream.substream(b)`` and decided in batch by
-    :func:`~greenwood.testing.reject_rows`. All points share one block
+    that ``n`` is an integer). Block ``b`` of a group draws rows of its
+    largest ``n`` from ``stream.substream(b)``, and each ``n`` is decided in
+    batch on the first ``n`` values of those rows by
+    :func:`~greenwood.testing.reject_rows`. All groups share one block
     schedule (see :func:`~greenwood.critical._simulate`), and each is
-    reduced to its rejection count as soon as its last block is decided.
+    reduced to its rejection counts as soon as its last block is decided.
     """
-    for n in dict.fromkeys(n for _, n, _ in points):
+    for n in dict.fromkeys(n for _, sizes, _ in groups for n in sizes):
         thresholds_for(test, n)
-    decide = partial(reject_rows, test)
-    jobs = [_sample_job(spec, int(n), replications, stream, decide) for spec, n, stream in points]
-    return _simulate(jobs, lambda j, rejected: int(rejected.sum()) / replications)
+    groups = [(spec, [int(n) for n in sizes], stream) for spec, sizes, stream in groups]
+
+    def decide(sizes, block):
+        return np.stack([reject_rows(test, block[:, :n]) for n in sizes], axis=1)
+
+    jobs = [
+        _sample_job(spec, max(sizes), replications, stream, partial(decide, sizes))
+        for spec, sizes, stream in groups
+    ]
+    counts = _simulate(jobs, lambda j, rejected: rejected.sum(axis=0).tolist())
+    return [count / replications for group in counts for count in group]
 
 
 def export_curve(curve: PowerCurve, path) -> None:

@@ -516,7 +516,7 @@ class TestSpecPlumbing:
             (Stable(1.0, 1.0), 1.8),
             (StudentT(2), 1.8),
             (StudentT(1), 1.3),
-            (StudentT(5), 2.0),
+            (StudentT(5), 1.3),
             (StudentT(math.inf), 1.0),
             (Gaussian(1.0, 2.0), 1.0),
             (GPD(0.5, 1.0), 1.0),

@@ -7,6 +7,7 @@ import pytest
 
 from greenwood import testing
 from greenwood.critical import (
+    BLOCK_VALUES,
     GROUP_STRIDE,
     QuantileTable,
     TableRequest,
@@ -23,6 +24,7 @@ from greenwood.distributions import (
     StudentT,
     family_tag,
     params_dict,
+    sample,
 )
 from greenwood.power import (
     PowerStudyConfig,
@@ -183,6 +185,21 @@ class TestRunPowerStudy:
         )
         assert run_power_study(cfg) == run_power_study(cfg)
 
+    def test_the_order_of_the_sizes_changes_no_rate(self, quick_gaussian_table):
+        # every n is decided on prefixes of rows of the largest n
+        rates = [
+            {
+                (pt.param, pt.n): pt.rejection_rate
+                for pt in run_power_study(
+                    PowerStudyConfig(
+                        mg2_spec(quick_gaussian_table), "stable", (1.5, 2.0), sizes, 1500, 991
+                    )
+                ).points
+            }
+            for sizes in ((10, 50), (50, 10))
+        ]
+        assert rates[0] == rates[1]
+
 
 class TestSizeCheck:
     def test_one_sided_size_near_level(self, quick_gaussian_table):
@@ -198,7 +215,7 @@ class TestSizeCheck:
 
     @pytest.mark.parametrize("kind", ["mg2", "jarque_bera"])
     def test_a_size_check_is_a_one_point_study(self, kind):
-        # a study's grid point 0 runs on the master stream, which size_check reads
+        # a study's grid parameter 0 runs on the master stream, which size_check reads
         table = build_quantile_table(
             [TableRequest(Gaussian(0.0, 1.0), 20, 0.05, "upper")], 2000, RngStream(1102)
         )
@@ -206,6 +223,22 @@ class TestSizeCheck:
         assert data_spec("gaussian", 1.0) == spec.null_spec
         study = run_power_study(PowerStudyConfig(spec, "gaussian", (1.0,), (20,), 400, 562))
         assert study.rate(1.0, 20) == size_check(spec, 20, 400, RngStream(562))
+
+    def test_a_one_size_study_is_a_size_check_per_grid_parameter(self):
+        # grid parameter i runs on substream i * GROUP_STRIDE of the seed; each
+        # parameter is the null of its own two-sided test
+        grid = (0.5, 1.0, 2.0)
+        requests = [
+            TableRequest(data_spec("gaussian", param), 20, 0.025, side)
+            for param in grid
+            for side in ("lower", "upper")
+        ]
+        table = build_quantile_table(requests, 2000, RngStream(1103))
+        for i, param in enumerate(grid):
+            spec = TestSpec("mg_two_sided", 0.05, table, null_spec=data_spec("gaussian", param))
+            study = run_power_study(PowerStudyConfig(spec, "gaussian", grid, (20,), 400, 563))
+            stream = RngStream(563).substream(i * GROUP_STRIDE)
+            assert study.rate(param, 20) == size_check(spec, 20, 400, stream)
 
     def test_replication_floor(self, quick_gaussian_table):
         with pytest.raises(ValueError, match="at least 100"):
@@ -263,7 +296,7 @@ class TestBatchDecisions:
         expected = [run_test(spec, row).reject for row in rows]
         got = reject_rows(spec, rows)
         assert got.tolist() == expected
-        rates = _rejection_rates(spec, [(self.DATA, self.N, rng)], self.R)
+        rates = _rejection_rates(spec, [(self.DATA, [self.N], rng)], self.R)
         assert rates == [sum(expected) / self.R]
 
     def test_refused_rows_raise_as_run_test_does(self, monkeypatch):
@@ -274,11 +307,11 @@ class TestBatchDecisions:
         )
         with pytest.raises(ValueError, match="nonnegative"):
             _rejection_rates(
-                TestSpec("mg3_gpd", 0.05, table), [(Stable(1.5, 1.0), 10, RngStream(91))], 200
+                TestSpec("mg3_gpd", 0.05, table), [(Stable(1.5, 1.0), [10], RngStream(91))], 200
             )
         spec = _tie_spec("jarque_bera", 5, 0.0, 1.0, monkeypatch)
         with pytest.raises(ValueError, match="at least 8"):
-            _rejection_rates(spec, [(Gaussian(0.0, 1.0), 5, RngStream(92))], 200)
+            _rejection_rates(spec, [(Gaussian(0.0, 1.0), [5], RngStream(92))], 200)
 
 
 class TestThreadedStudies:
@@ -314,18 +347,27 @@ class TestThreadedStudies:
             rates.append(size_check(mg2_spec(quick_gaussian_table), 50, 6000, RngStream(560)))
         assert rates[1:] == rates[:1] * 3
 
-    def test_study_equals_a_serial_study_per_grid_point(self, quick_gaussian_table, set_cpus):
+    def test_study_equals_run_test_on_row_prefixes(self, quick_gaussian_table, set_cpus):
+        # grid parameter i draws block b of rows of the largest n from substream
+        # i * GROUP_STRIDE + b, and decides each n on the rows' first n values
         spec = mg2_spec(quick_gaussian_table)
-        grid, sizes, reps = (1.5, 1.8, 2.0), (10, 50), 1000
+        grid, sizes, reps = (1.5, 1.8, 2.0), (10, 50), 1500  # blocks of 1310 and 190 rows
         set_cpus(3)
         curve = run_power_study(PowerStudyConfig(spec, "stable", grid, sizes, reps, 4243))
         set_cpus(1)
+        per = BLOCK_VALUES // max(sizes)
         rates = []
         for i, param in enumerate(grid):
-            for j, n in enumerate(sizes):
-                stream = RngStream(4243).substream((i * len(sizes) + j) * GROUP_STRIDE)
-                values = estimate_null_distribution(data_spec("stable", param), n, reps, stream)
-                rates.append(int((values >= thresholds_for(spec, n)[0]).sum()) / reps)
+            rows = np.concatenate([
+                sample(
+                    data_spec("stable", param),
+                    (min(per, reps - b * per), max(sizes)),
+                    RngStream(4243).substream(i * GROUP_STRIDE + b),
+                )
+                for b in range(-(-reps // per))
+            ])
+            for n in sizes:
+                rates.append(sum(run_test(spec, row[:n]).reject for row in rows) / reps)
         assert [pt.rejection_rate for pt in curve.points] == rates
 
     @pytest.mark.parametrize("cpus", CPU_COUNTS)
@@ -338,7 +380,7 @@ class TestThreadedStudies:
         set_cpus(cpus)
         with pytest.raises(ValueError, match="nonnegative"):
             _rejection_rates(
-                TestSpec("mg3_gpd", 0.05, table), [(Stable(1.5, 1.0), 50, RngStream(93))], 6000
+                TestSpec("mg3_gpd", 0.05, table), [(Stable(1.5, 1.0), [50], RngStream(93))], 6000
             )
 
 
@@ -358,7 +400,7 @@ class TestSerialization:
         loaded = import_curve(path)
         assert loaded.points == curve.points
         assert loaded.config == curve.config
-        assert loaded.config["rng_layout"] == 5
+        assert loaded.config["rng_layout"] == 6
 
     def test_exports_are_byte_identical(self, quick_gaussian_table, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
